@@ -25,7 +25,7 @@ RTS_REPLICA_SEEDS ?= 2,11,23
 RTS_APPROX_SEEDS ?= 7,21,63
 
 .PHONY: all build lint test bench-smoke bench-perf bench-alloc bench-shard \
-        bench-par bench-approx diff-bench check check-fault check-net check-shard \
+        bench-approx diff-bench check check-fault check-net check-shard \
         check-serve check-replica check-approx clean
 
 all: build
@@ -83,22 +83,6 @@ bench-shard: build
 	$(DUNE) exec bench/main.exe -- shard --scale $(SMOKE_SCALE) --reps 3 --json > /dev/null
 	$(DUNE) exec tools/validate_bench.exe -- --shard-budgets tools/shard_budgets.json BENCH_shard.json
 
-# Parallel-ingestion smoke: the element-partitioned sweep (k = 1/2/4/8,
-# Domains executor, maturity log asserted bit-identical to the unsharded
-# reference inside the bench itself). The bench REFUSES to emit JSON on
-# a host with fewer than 2 usable cores (an honest single-core "speedup"
-# curve is noise), so this target validates BENCH_par.json when it
-# appears and reports the refusal otherwise. RTS_PAR_CORES=N overrides
-# core detection (CI uses it to exercise the guard deterministically).
-bench-par: build
-	rm -f BENCH_par.json
-	$(DUNE) exec bench/main.exe -- par --scale $(SMOKE_SCALE) --reps 3 --json > /dev/null
-	@if [ -f BENCH_par.json ]; then \
-	  $(DUNE) exec tools/validate_bench.exe -- --shard-budgets tools/par_budgets.json BENCH_par.json; \
-	else \
-	  echo "bench-par: skipped (fewer than 2 cores available -- no JSON emitted)"; \
-	fi
-
 # Approximate-tier bench smoke: sketch footprint, certified error vs a
 # brute-force exact scan, never-early + top-n parity verdicts (the bench
 # aborts before emitting JSON if either fails), held to the checked-in
@@ -125,16 +109,15 @@ check-approx: build
 # creeping toward its ceiling is visible long before it trips the gate.
 # Exits 1 if any counter is OVER budget; LOOSE rows (actual < 50% of
 # budget) are informational hints to tighten the budget. Requires
-# BENCH_perf.json and BENCH_shard.json (run bench-perf / bench-shard
-# first, or let this target produce them). BENCH_par.json joins the
-# table when the host could produce it (>= 2 cores).
-diff-bench: bench-perf bench-shard bench-par bench-approx
+# BENCH_perf.json, BENCH_shard.json and BENCH_approx.json (run
+# bench-perf / bench-shard / bench-approx first, or let this target
+# produce them).
+diff-bench: bench-perf bench-shard bench-approx
 	$(DUNE) exec tools/diff_bench.exe -- \
 	  --budgets tools/perf_budgets.json BENCH_perf.json \
 	  --budgets tools/alloc_budgets.json BENCH_perf.json \
 	  --budgets tools/shard_budgets.json BENCH_shard.json \
-	  --budgets tools/approx_budgets.json BENCH_approx.json \
-	  $(if $(wildcard BENCH_par.json),--budgets tools/par_budgets.json BENCH_par.json,)
+	  --budgets tools/approx_budgets.json BENCH_approx.json
 
 # Fault-injection suite on its own: crash the durable engine at every op
 # boundary (torn writes, bit flips, corrupt checkpoints) for the pinned

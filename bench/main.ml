@@ -1036,186 +1036,6 @@ let shard p =
   pf "@."
 
 (* ---------------------------------------------------------------- *)
-(* Par: element-partitioned parallel ingestion — the honest scaling   *)
-(* curve. Unlike the `shard` target (query partitioning: every shard  *)
-(* replicates the whole stream, so wall clock cannot scale), this one *)
-(* cuts the dim-0 key line into k subranges (Range_router) and routes *)
-(* each element to the shard owning it, so k shards really do ~1/k of *)
-(* the ingestion work each and wall-clock speedup is meaningful.      *)
-(*                                                                    *)
-(* Because the numbers only mean something on parallel hardware, the  *)
-(* target refuses to emit BENCH_par.json unless >=2 cores are         *)
-(* detected and the domains executor is available — a single-core     *)
-(* "speedup" curve is noise that would poison drift tables.           *)
-(* RTS_PAR_CORES overrides detection: CI uses it to exercise the      *)
-(* guard, and budget regeneration uses it because the work counters   *)
-(* are deterministic and executor-invariant even where the clock is   *)
-(* meaningless. The correctness gate is unchanged from `shard`: every *)
-(* merged maturity log must equal the unsharded reference verbatim.   *)
-
-module Range_router = Rts_shard.Range_router
-
-let par_detected_cores () =
-  match Sys.getenv_opt "RTS_PAR_CORES" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n -> n
-      | None -> failwith "rts-bench: RTS_PAR_CORES must be an integer")
-  | None -> if Executor.domains_available then Executor.parallelism_hint () else 1
-
-let par p =
-  let cores = par_detected_cores () in
-  let ks = [ 1; 2; 4; 8 ] in
-  let batch = 1024 in
-  header
-    (Printf.sprintf
-       "Par: element-partitioned ingestion (k=1/2/4/8, executor=domains, cores=%d, 1D \
-        stochastic p_ins=0.3, m0=%d, n=%d, batch=%d) — merged maturity log must equal the \
-        unsharded run verbatim"
-       cores p.m p.n_dynamic batch);
-  if not Executor.domains_available then
-    pf
-      "par: the domains executor is unavailable on this runtime (OCaml < 5.0) — parallel \
-       scaling cannot be measured; refusing to emit BENCH_par.json.@.@."
-  else if cores < 2 then
-    pf
-      "par: %d core detected — a parallel scaling curve measured without parallel hardware \
-       is noise; refusing to emit BENCH_par.json. Set RTS_PAR_CORES to override \
-       detection.@.@."
-      cores
-  else begin
-    let executor = Executor.Domains in
-    let cfg =
-      {
-        (base_cfg p) with
-        Scenario.dim = 1;
-        mode = Scenario.Stochastic { p_ins = 0.3; horizon = p.horizon };
-        max_elements = p.n_dynamic;
-        chunk = max 1024 (p.n_dynamic / 16);
-        batch;
-      }
-    in
-    let roster =
-      [
-        ("dt", fun ~dim -> Dt_engine.make ~dim);
-        ("baseline", fun ~dim -> Baseline_engine.make ~dim);
-      ]
-    in
-    pf "@[<h>%-14s %4s %12s %10s %9s %14s %11s@]@." "engine" "k" "per_op_us" "seconds"
-      "speedup" "node_updates" "forwarded";
-    let runs = ref [] in
-    let speedups = ref [] in
-    List.iter
-      (fun (name, base) ->
-        let ref_log = (Scenario.run cfg base).Scenario.maturity_log in
-        let per_op = Hashtbl.create 8 in
-        List.iter
-          (fun k ->
-            (* evenly spaced cuts over the generator's key domain: the
-               element distribution is uniform on dim 0, so uniform cuts
-               give each shard ~n/k of the stream *)
-            let cuts = Range_router.uniform_cuts ~shards:k ~lo:0.0 ~hi:Generator.domain in
-            let instances = ref [] in
-            let factory ~dim =
-              let t =
-                Shard.create ~executor ~partition:(Shard.Elements cuts) ~shards:k ~dim base
-              in
-              instances := t :: !instances;
-              Shard.engine t
-            in
-            let r, stability = measure ~traced:true p cfg factory in
-            if r.Scenario.maturity_log <> ref_log then
-              failwith
-                (Printf.sprintf
-                   "par bench: %s at k=%d: merged maturity log differs from the unsharded \
-                    reference — the element-routing invariant is broken"
-                   name k);
-            let per_shard, workers =
-              match !instances with
-              | t :: _ -> (Array.to_list (Shard.per_shard_metrics t), Shard.worker_domains t)
-              | [] -> ([], 1)
-            in
-            List.iter Shard.close !instances;
-            let fm = r.Scenario.final_metrics in
-            let c key = Metrics.counter_value fm key in
-            let us = r.Scenario.total_seconds *. 1e6 /. float_of_int (max 1 r.Scenario.ops) in
-            Hashtbl.replace per_op k us;
-            let speedup = Hashtbl.find per_op 1 /. us in
-            pf "@[<h>%-14s %4d %12.3f %10.3f %8.2fx %14d %11d@]@." name k us
-              r.Scenario.total_seconds speedup (c "dt_node_updates_total")
-              (c "shard_forwarded_total");
-            let run =
-              match result_json ~stability r with
-              | Json.Obj fields ->
-                  (* budgets are keyed "<base engine>/k<K>", independent of
-                     the /range/domains suffixes of the sharded name *)
-                  let fields =
-                    List.map
-                      (function
-                        | "engine", _ -> ("engine", Json.Str name)
-                        | f -> f)
-                      fields
-                  in
-                  Json.Obj
-                    (fields
-                    @ [
-                        ("engine_sharded", Json.Str r.Scenario.engine_name);
-                        ("shards", Json.int k);
-                        ("executor", Json.Str (Executor.kind_to_string executor));
-                        ("partition", Json.Str "elements");
-                        ("cores", Json.int workers);
-                        ("per_shard_metrics", Json.List (List.map Metrics.to_json per_shard));
-                      ])
-              | j -> j
-            in
-            runs := run :: !runs)
-          ks;
-        speedups := (name, Hashtbl.find per_op 1 /. Hashtbl.find per_op 8) :: !speedups)
-      roster;
-    List.iter
-      (fun (name, s) ->
-        pf "@.%s: k=8 runs %.2fx %s than k=1 (element-partitioned, %d core(s) detected).@."
-          name
-          (if s >= 1. then s else 1. /. s)
-          (if s >= 1. then "faster" else "slower")
-          cores)
-      (List.rev !speedups);
-    if p.json then begin
-      let doc =
-        Json.Obj
-          [
-            ("figure", Json.Str "par");
-            ( "params",
-              Json.Obj
-                [
-                  ("scale", Json.Num p.scale);
-                  ("seed", Json.int p.seed);
-                  ("reps", Json.int p.reps);
-                  ("m", Json.int p.m);
-                  ("tau", Json.int p.tau);
-                  ("n", Json.int p.n_dynamic);
-                  ("batch", Json.int batch);
-                  ("ks", Json.List (List.map Json.int ks));
-                  ("executor", Json.Str (Executor.kind_to_string executor));
-                  ("partition", Json.Str "elements");
-                  ("cores", Json.int cores);
-                ] );
-            ("runs", Json.List (List.rev !runs));
-            ( "par_speedup_k8_vs_k1",
-              Json.Obj (List.rev_map (fun (n, s) -> (n, Json.Num s)) !speedups) );
-            ("par_maturity_deterministic", Json.Bool true);
-          ]
-      in
-      let oc = open_out "BENCH_par.json" in
-      Json.to_channel ~indent:2 oc doc;
-      output_char oc '\n';
-      close_out oc;
-      Printf.eprintf "rts-bench: wrote BENCH_par.json (%d runs)\n%!" (List.length !runs)
-    end;
-    pf "@."
-  end
-
-(* ---------------------------------------------------------------- *)
 (* Extra: ablation — DT slack rounds vs eager signalling, plus the   *)
 (* internal telemetry behind the O(h log tau) analysis.              *)
 
@@ -1483,7 +1303,6 @@ let implementations : (string * (params -> unit)) list =
     ("micro", micro);
     ("perf", perf);
     ("shard", shard);
-    ("par", par);
     ("ablation", ablation);
     ("approx", approx);
   ]

@@ -138,11 +138,12 @@ let soak_cmd engine_kind dim seed tenants queries elements batch threshold churn
     query_quota shards executor quiet =
   protect @@ fun () ->
   let executor =
-    match executor with
-    | None -> None
-    | Some "seq" -> Some Rts_shard.Executor.Seq
-    | Some "domains" -> Some Rts_shard.Executor.Domains
-    | Some s -> fail "unknown --executor %S (seq | domains)" s
+    Option.map
+      (fun s ->
+        match Rts_shard.Executor.kind_of_string s with
+        | Ok k -> k
+        | Error msg -> fail "--executor: %s" msg)
+      executor
   in
   let cfg =
     {

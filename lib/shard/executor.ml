@@ -17,11 +17,6 @@ type t = {
   shards : int;
   kind : kind;
   pool : Executor_backend.pool option; (* Some iff kind = Domains *)
-  (* first exception raised by a task posted to each slot, captured by
-     the frontend wrapper in [post]; slot i's cell is written only by
-     slot i's (single) worker, and read/cleared by the coordinator only
-     behind a barrier *)
-  post_errors : (exn * Printexc.raw_backtrace) option array;
   mutable closed : bool;
 }
 
@@ -33,7 +28,7 @@ let create ?(kind = Seq) ~shards () =
         "Executor.create: domains executor unavailable on this runtime (OCaml < 5.0) — use seq"
   | Domains | Seq -> ());
   let pool = match kind with Domains -> Some (Executor_backend.spawn shards) | Seq -> None in
-  { shards; kind; pool; post_errors = Array.make shards None; closed = false }
+  { shards; kind; pool; closed = false }
 
 let kind t = t.kind
 
@@ -51,37 +46,6 @@ let run_on t i f =
   check t;
   if i < 0 || i >= t.shards then invalid_arg "Executor.run_on: shard out of range";
   match t.pool with None -> f () | Some p -> Executor_backend.exec_on p i f
-
-let post t i f =
-  check t;
-  if i < 0 || i >= t.shards then invalid_arg "Executor.post: shard out of range";
-  let task () =
-    try f ()
-    with e -> (
-      match t.post_errors.(i) with
-      | Some _ -> () (* keep the first failure per slot *)
-      | None -> t.post_errors.(i) <- Some (e, Printexc.get_raw_backtrace ()))
-  in
-  match t.pool with None -> task () | Some p -> Executor_backend.post p i task
-
-let barrier t =
-  check t;
-  (* drain every slot: rings are FIFO, so the backend's preallocated
-     sentinel, queued after the posted tasks, completes only once they
-     have all run — and unlike a no-op [exec] fan-out it allocates
-     nothing per call *)
-  (match t.pool with None -> () | Some p -> Executor_backend.drain p);
-  let first = ref None in
-  for i = t.shards - 1 downto 0 do
-    match t.post_errors.(i) with
-    | Some err ->
-        t.post_errors.(i) <- None;
-        first := Some err
-    | None -> ()
-  done;
-  match !first with
-  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-  | None -> ()
 
 let close t =
   if not t.closed then begin

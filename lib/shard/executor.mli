@@ -4,8 +4,7 @@
       Always available; the reference semantics.
     - {!Domains}: one OCaml 5 [Domain] per shard, each draining its own
       SPSC task ring; tasks fan out in parallel and join at a barrier.
-      Available only
-      when the build selected the domains backend
+      Available only when the build selected the domains backend
       ({!domains_available}); requesting it elsewhere raises.
 
     The sharded engine is {e executor-oblivious} by construction: every
@@ -57,21 +56,6 @@ val run_all : t -> (int -> 'a) -> 'a array
 
 val run_on : t -> int -> (unit -> 'a) -> 'a
 (** Run one task on one slot and wait for it; exceptions propagate. *)
-
-val post : t -> int -> (unit -> unit) -> unit
-(** Fire-and-forget: enqueue a task on one slot and return immediately
-    (under {!Seq} the task runs inline). Tasks posted to the same slot
-    run in submission order. A posted task's exception is captured, not
-    raised at the post site: the next {!barrier} re-raises the first
-    failure of the lowest-numbered failing slot. Effects of posted
-    tasks are only guaranteed visible to the caller after a
-    {!barrier}. *)
-
-val barrier : t -> unit
-(** Wait until every task posted so far (on every slot) has finished,
-    then re-raise the first captured exception of the lowest-numbered
-    failing slot, if any (clearing the captured errors). A barrier with
-    nothing posted is a no-op, never a deadlock. *)
 
 val close : t -> unit
 (** Quit and join the workers (if any) — all of them, even when a task

@@ -5,22 +5,20 @@
    Spsc_ring of tasks: the coordinator is the single producer, the
    worker the single consumer, so the hot enqueue/dequeue path is
    lock-free. A worker that finds its ring empty spins briefly
-   (ingestion pipelines re-fill rings within microseconds), then parks
+   (batched ingestion re-fills rings within microseconds), then parks
    on a Mutex/Condition pair; the producer pings the condition only
    when the [sleeping] flag says someone is actually parked, so the
    steady-state cost of a put is one push plus one uncontended
    lock/unlock.
 
-   Teardown discipline (the PR-6 bugfix): a task exception must never
-   kill a worker loop, and [close] must hand every ring a [Quit] and
-   [Domain.join] every domain before any exception propagates —
-   otherwise a raise during dispatch leaks parked domains, and OCaml
-   caps live domains low enough (~128) that a leaky create/close cycle
-   exhausts the runtime. Task exceptions during [exec] are captured
-   per-slot and re-raised lowest-slot-first after the barrier; a raw
-   exception escaping a [post]ed task (frontends wrap those, so this is
-   a last line of defence) is stashed in [escaped] and surfaced at
-   [close], after all domains are joined.
+   Teardown discipline: a task exception must never kill a worker loop,
+   and [close] must hand every ring a [Quit] and [Domain.join] every
+   domain before any exception propagates — otherwise a raise during
+   dispatch leaks parked domains, and OCaml caps live domains low
+   enough (~128) that a leaky create/close cycle exhausts the runtime.
+   Every task [exec_slots] enqueues catches its own exception into a
+   per-slot cell, re-raised lowest-slot-first after the barrier, so no
+   exception ever reaches the worker loop.
 
    Domains parked in Condition.wait are blocked outside the OCaml
    runtime, so an idle pool does not delay stop-the-world collections
@@ -110,53 +108,28 @@ module Latch = struct
       Condition.wait t.c t.m
     done;
     Mutex.unlock t.m
-
-  (* Re-arm a latch whose previous cycle has fully completed (pending =
-     0 and [wait] returned). Only the coordinator calls this, and only
-     between cycles, so no arrival can race the store. *)
-  let reset t n =
-    Mutex.lock t.m;
-    t.pending <- n;
-    Mutex.unlock t.m
 end
 
-type pool = {
-  chans : Chan.t array;
-  domains : unit Domain.t array;
-  (* first raw exception to escape a posted task on each slot; written
-     by that slot's worker only, read after the joins in [close] *)
-  escaped : (exn * Printexc.raw_backtrace) option array;
-  (* preallocated [drain] machinery: one reusable latch and one shared
-     sentinel task, built at spawn so the per-batch barrier on the
-     ingestion hot path allocates nothing *)
-  drain_latch : Latch.t;
-  drain_task : task;
-  mutable closed : bool;
-}
+type pool = { chans : Chan.t array; domains : unit Domain.t array; mutable closed : bool }
 
 let spawn n =
   if n < 1 then invalid_arg "Executor_backend.spawn: n < 1";
   let chans = Array.init n (fun _ -> Chan.create ()) in
-  let escaped = Array.make n None in
-  let drain_latch = Latch.create 0 in
-  let drain_task = Run (fun () -> Latch.arrive drain_latch) in
   let domains =
-    Array.mapi
-      (fun i ch ->
+    Array.map
+      (fun ch ->
         Domain.spawn (fun () ->
             let rec loop () =
               match Chan.take ch with
               | Run f ->
-                  (try f ()
-                   with e ->
-                     if escaped.(i) = None then escaped.(i) <- Some (e, Printexc.get_raw_backtrace ()));
+                  f ();
                   loop ()
               | Quit -> ()
             in
             loop ()))
       chans
   in
-  { chans; domains; escaped; drain_latch; drain_task; closed = false }
+  { chans; domains; closed = false }
 
 let check p = if p.closed then invalid_arg "Executor_backend: pool closed"
 
@@ -199,26 +172,6 @@ let exec_on p i f =
     invalid_arg "Executor_backend.exec_on: slot out of range";
   (exec_slots p [| i |] (fun _ -> f ())).(0)
 
-let post p i f =
-  check p;
-  if i < 0 || i >= Array.length p.chans then invalid_arg "Executor_backend.post: slot out of range";
-  Chan.put p.chans.(i) (Run f)
-
-(* Barrier over posted work without the allocation freight of [exec]
-   (per-call result/error arrays, a fresh latch, one closure per slot):
-   re-arm the pool's latch, push the one preallocated sentinel task down
-   every ring (FIFO ⇒ it runs after all previously posted tasks), wait.
-   Each slot runs the shared sentinel exactly once per cycle, so the
-   arrive count matches the re-armed pending count. *)
-let drain p =
-  check p;
-  let n = Array.length p.chans in
-  Latch.reset p.drain_latch n;
-  for i = 0 to n - 1 do
-    Chan.put p.chans.(i) p.drain_task
-  done;
-  Latch.wait p.drain_latch
-
 let close p =
   if not p.closed then begin
     p.closed <- true;
@@ -233,12 +186,7 @@ let close p =
           if !first_join_failure = None then
             first_join_failure := Some (e, Printexc.get_raw_backtrace ()))
       p.domains;
-    (match !first_join_failure with
+    match !first_join_failure with
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ());
-    Array.iter
-      (function
-        | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-        | None -> ())
-      p.escaped
+    | None -> ()
   end

@@ -40,30 +40,7 @@ val exec : pool -> (int -> 'a) -> 'a array
 val exec_on : pool -> int -> (unit -> 'a) -> 'a
 (** Run one task on one slot and wait for it; exceptions propagate. *)
 
-val post : pool -> int -> (unit -> unit) -> unit
-(** Fire-and-forget: enqueue a task on one slot and return without
-    waiting. Tasks posted to the same slot run in submission order;
-    there is no cross-slot ordering. The task must not raise — callers
-    ({!Executor.post}) wrap tasks to capture exceptions; as a last
-    line of defence the backend swallows an escaping exception, stashes
-    it, and surfaces it at {!close}, so a raising task can never kill a
-    worker (a dead worker would turn the next barrier or [close] into a
-    deadlock). Visibility of the task's effects is only guaranteed
-    after a subsequent barrier ({!exec}). *)
-
-val drain : pool -> unit
-(** Barrier over previously {!post}ed work: returns once every task
-    posted to every slot before this call has finished. Unlike
-    [ignore (exec p (fun _ -> ()))] — the old way to drain — this
-    allocates nothing per call on the hot path: the domains backend
-    posts one preallocated sentinel task per slot and waits on a
-    reusable latch; the sequential backend is a no-op (posted tasks
-    already ran inline). Establishes the same happens-before edges as
-    {!exec}'s barrier. Must only be called from the coordinator (the
-    single producer). *)
-
 val close : pool -> unit
 (** Stop and join the workers. Every worker is handed a quit signal and
     every domain is joined {e before} any exception propagates — a
-    raising task or a failing join cannot leak parked domains.
-    Idempotent. *)
+    failing join cannot leak the other parked domains. Idempotent. *)

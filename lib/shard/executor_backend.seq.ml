@@ -4,27 +4,17 @@
    executor_backend.mli and the lowest-slot-first exception rule (the
    first failing task raises immediately, before later slots run, which
    is observationally the same once the barrier would have re-raised
-   it).
-
-   [post] also runs inline, but honours the contract that a posted
-   task's exception surfaces at [close] rather than at the post site:
-   the Executor frontend wraps posted tasks to capture their errors
-   itself, and this backend stashes any raw escapee exactly like the
-   domains backend does. *)
+   it). *)
 
 let available = false
 
 let parallelism_hint () = 1
 
-type pool = {
-  slots : int;
-  escaped : (exn * Printexc.raw_backtrace) option array;
-  mutable closed : bool;
-}
+type pool = { slots : int; mutable closed : bool }
 
 let spawn n =
   if n < 1 then invalid_arg "Executor_backend.spawn: n < 1";
-  { slots = n; escaped = Array.make n None; closed = false }
+  { slots = n; closed = false }
 
 let check p = if p.closed then invalid_arg "Executor_backend: pool closed"
 
@@ -37,22 +27,4 @@ let exec_on p i f =
   if i < 0 || i >= p.slots then invalid_arg "Executor_backend.exec_on: slot out of range";
   f ()
 
-let post p i f =
-  check p;
-  if i < 0 || i >= p.slots then invalid_arg "Executor_backend.post: slot out of range";
-  try f ()
-  with e -> if p.escaped.(i) = None then p.escaped.(i) <- Some (e, Printexc.get_raw_backtrace ())
-
-(* posted tasks ran inline at the post site, so there is nothing to
-   wait for — the drain is the identity *)
-let drain p = check p
-
-let close p =
-  if not p.closed then begin
-    p.closed <- true;
-    Array.iter
-      (function
-        | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-        | None -> ())
-      p.escaped
-  end
+let close p = p.closed <- true

@@ -1,39 +1,23 @@
 open Rts_core
 module Metrics = Rts_obs.Metrics
 
-(* Two ways to shard, one merge discipline.
+(* Query partitioning: the *queries* are split by rendezvous hash on id,
+   and every shard engine ingests the full element stream, restricted to
+   the queries it owns.
 
-   [Queries] (PR 5): partition the *queries* by rendezvous hash; every
-   shard engine ingests the full element stream, restricted to the
-   queries it owns. Simple and cut-free, but ingestion work is
-   replicated k times — wall clock cannot scale.
-
-   [Elements] (PR 6): partition the *key line* by cut points
-   (Range_router). Each element is routed to the shard owning its dim-0
-   subrange (plus any shards holding subscribed boundary-straddling
-   queries), and each query is pinned whole to the shard owning its low
-   endpoint. Each shard now ingests ~1/k of the stream, so ingestion
-   parallelizes for real.
-
-   Both modes preserve the same invariant, which is what makes the
-   merge exact: maturity of a query depends only on that query's own
-   accumulated weight; a query lives on exactly one shard; and that
-   shard sees every element stabbing the query (in Queries mode because
-   it sees everything, in Elements mode by the router's owner+interest
-   routing). Per-shard matured lists are therefore mutually disjoint
-   and an ascending merge reproduces the unsharded output verbatim.
+   The merge is exact because maturity of a query depends only on that
+   query's own accumulated weight, a query lives on exactly one shard,
+   and that shard sees every element (it sees the whole stream).
+   Per-shard matured lists are therefore mutually disjoint and an
+   ascending merge reproduces the unsharded output verbatim.
 
    Ownership discipline: a shard's engine state is touched only by
    closures dispatched onto that shard's executor slot. Under the
    domains executor the slot is a dedicated Domain, so each engine's
    mutable state is single-domain-confined; the executor's ring/latch
    synchronization provides the happens-before edges that make results
-   visible at the barrier. The router, by contrast, is coordinator
-   state — it is only ever touched by the caller's thread. Under the
-   Seq executor everything runs inline and the same code is the
-   reference semantics. *)
-
-type partition = Queries | Elements of float array
+   visible at the barrier. Under the Seq executor everything runs
+   inline and the same code is the reference semantics. *)
 
 type t = {
   dim : int;
@@ -41,38 +25,20 @@ type t = {
   exec : Executor.t;
   engines : Engine.t array;
   base_name : string;
-  router : Range_router.t option; (* Some iff partition = Elements *)
   (* Shard-layer tallies: stream-level quantities counted exactly once
-     (per-shard engines count only what was routed to them in Elements
-     mode, and the whole stream each in Queries mode). *)
+     (each per-shard engine counts the whole stream). *)
   reg : Metrics.t;
   c_registered : Metrics.counter;
   c_terminated : Metrics.counter;
   c_elements : Metrics.counter;
   c_batches : Metrics.counter;
   c_dispatches : Metrics.counter;
-  c_forwarded : Metrics.counter;
-  (* Coordinator-owned reusable routing buffers for the batched
-     Elements pipeline: seg_buf.(s)[0 .. seg_len.(s)-1] collects the
-     elements of the current segment bound for shard s. Growable,
-     never shrunk, reset per segment — replacing the per-segment
-     list-cons buckets (3 words per routed element) with appends into
-     arrays that survive across batches. Only the coordinator's thread
-     touches them; posted tasks receive exact-size copies. *)
-  seg_buf : Types.elem array array;
-  seg_len : int array;
   mutable closed : bool;
 }
 
-let create ?(executor = Executor.Seq) ?(partition = Queries) ~shards ~dim make =
+let create ?(executor = Executor.Seq) ~shards ~dim make =
   if shards < 1 then invalid_arg "Shard.create: shards < 1";
   if dim < 1 then invalid_arg "Shard.create: dim < 1";
-  (* validate the cuts before spawning anything *)
-  let router =
-    match partition with
-    | Queries -> None
-    | Elements cuts -> Some (Range_router.create ~shards ~cuts)
-  in
   let exec = Executor.create ~kind:executor ~shards () in
   (* Build each engine on its own slot — sequentially ([run_on] waits),
      so the factory is never invoked concurrently, but on the domain
@@ -94,16 +60,12 @@ let create ?(executor = Executor.Seq) ?(partition = Queries) ~shards ~dim make =
     exec;
     engines;
     base_name = engines.(0).Engine.name;
-    router;
     reg;
     c_registered = Metrics.counter reg "shard_registered_total";
     c_terminated = Metrics.counter reg "shard_terminated_total";
     c_elements = Metrics.counter reg "shard_elements_total";
     c_batches = Metrics.counter reg "shard_batches_total";
     c_dispatches = Metrics.counter reg "shard_dispatches_total";
-    c_forwarded = Metrics.counter reg "shard_forwarded_total";
-    seg_buf = Array.make shards [||];
-    seg_len = Array.make shards 0;
     closed = false;
   }
 
@@ -111,42 +73,18 @@ let shards t = t.nshards
 
 let executor_kind t = Executor.kind t.exec
 
-let partition t = match t.router with None -> Queries | Some r -> Elements (Range_router.cuts r)
-
 let worker_domains t = Executor.worker_count t.exec
 
-(* dim-0 interval of a query's rect, the router's placement key *)
-let interval_of_query q = (q.Types.rect.Types.lo.(0), q.Types.rect.Types.hi.(0))
-
-let owner t id =
-  match t.router with
-  | None -> Rendezvous.owner ~shards:t.nshards id
-  | Some r -> ( match Range_router.home r id with Some s -> s | None -> raise Not_found)
+let owner t id = Rendezvous.owner ~shards:t.nshards id
 
 let check t = if t.closed then invalid_arg "Shard: engine is closed"
 
 (* ---- control operations: routed to the owning shard ---- *)
 
-let place t q =
-  match t.router with
-  | None -> (Rendezvous.owner ~shards:t.nshards q.Types.id, false)
-  | Some r ->
-      let fresh = Range_router.home r q.Types.id = None in
-      let lo, hi = interval_of_query q in
-      (Range_router.register r ~id:q.Types.id ~lo ~hi, fresh)
-
-let unplace t id = match t.router with None -> () | Some r -> Range_router.forget r id
-
 let register t q =
   check t;
-  let s, fresh = place t q in
-  (try Executor.run_on t.exec s (fun () -> t.engines.(s).Engine.register q)
-   with e ->
-     (* the engine rejected the query (invalid rect, duplicate id, ...):
-        roll back the placement we just recorded for it *)
-     let bt = Printexc.get_raw_backtrace () in
-     if fresh then unplace t q.Types.id;
-     Printexc.raise_with_backtrace e bt);
+  let s = owner t q.Types.id in
+  Executor.run_on t.exec s (fun () -> t.engines.(s).Engine.register q);
   Metrics.incr t.c_registered;
   Metrics.incr t.c_dispatches
 
@@ -160,24 +98,17 @@ let register_batch t qs =
          relative order the caller gave, so engines that exploit the
          batch (the DT endpoint-tree build) see a faithful slice. *)
       let buckets = Array.make t.nshards [] in
-      let placed = ref [] in
       List.iter
         (fun q ->
-          let s, fresh = place t q in
-          if fresh then placed := q.Types.id :: !placed;
+          let s = owner t q.Types.id in
           buckets.(s) <- q :: buckets.(s))
         qs;
       let buckets = Array.map List.rev buckets in
-      (try
-         ignore
-           (Executor.run_all t.exec (fun i ->
-                match buckets.(i) with
-                | [] -> ()
-                | b -> t.engines.(i).Engine.register_batch b))
-       with e ->
-         let bt = Printexc.get_raw_backtrace () in
-         List.iter (unplace t) !placed;
-         Printexc.raise_with_backtrace e bt);
+      ignore
+        (Executor.run_all t.exec (fun i ->
+             match buckets.(i) with
+             | [] -> ()
+             | b -> t.engines.(i).Engine.register_batch b));
       Metrics.add t.c_registered (List.length qs);
       Metrics.incr t.c_dispatches
 
@@ -185,7 +116,6 @@ let terminate t id =
   check t;
   let s = owner t id in
   Executor.run_on t.exec s (fun () -> t.engines.(s).Engine.terminate id);
-  unplace t id;
   Metrics.incr t.c_terminated;
   Metrics.incr t.c_dispatches
 
@@ -198,105 +128,12 @@ let terminate t id =
 let merge_matured parts =
   Array.fold_left (fun acc l -> List.merge compare acc l) [] parts
 
-(* a matured query is gone from its engine; drop its routing state too *)
-let release_matured t matured = List.iter (unplace t) matured
-
-let elem_key t e =
-  (* routing reads value.(0) before the engines validate the element;
-     malformed elements route somewhere harmless (NaN and the empty
-     vector land in subrange 0) and the engine raises there, exactly as
-     the unsharded engine would *)
-  if t.dim >= 1 && Array.length e.Types.value >= 1 then e.Types.value.(0) else Float.nan
-
 let process t e =
   check t;
-  let parts =
-    match t.router with
-    | None -> Executor.run_all t.exec (fun i -> t.engines.(i).Engine.process e)
-    | Some r ->
-        let forwarded = ref 0 in
-        let out = ref [] in
-        Range_router.iter_targets r (elem_key t e) (fun ~owner s ->
-            if not owner then incr forwarded;
-            out := Executor.run_on t.exec s (fun () -> t.engines.(s).Engine.process e) :: !out);
-        Metrics.add t.c_forwarded !forwarded;
-        Array.of_list (List.rev !out)
-  in
+  let parts = Executor.run_all t.exec (fun i -> t.engines.(i).Engine.process e) in
   Metrics.incr t.c_elements;
   Metrics.incr t.c_dispatches;
-  let matured = merge_matured parts in
-  release_matured t matured;
-  matured
-
-(* Elements mode, batched: the route->feed pipeline. The coordinator
-   walks the batch in segments; for each segment it buckets elements by
-   target shard (stream order preserved) and posts the sub-batches
-   asynchronously onto the slots' rings, so shard s can be feeding
-   segment j while the coordinator routes segment j+1. One barrier at
-   the end of the batch collects maturities and re-raises any slot
-   failure (lowest slot first).
-
-   Segment size balances pipeline depth against per-shard sub-batch
-   size: engines amortize per-batch work (the DT's sort + cursor walk)
-   over the sub-batch, so don't shred a batch into slivers just to
-   overlap with routing — keep at least ~128 elements per shard per
-   segment and at most 4 segments per batch. *)
-(* append [e] to shard [s]'s segment buffer, doubling on demand; the
-   buffer persists across segments and batches, so steady-state routing
-   allocates only the exact-size copies handed to the posted tasks *)
-let seg_push t s e =
-  let b = t.seg_buf.(s) in
-  let len = t.seg_len.(s) in
-  if len >= Array.length b then begin
-    let nb = Array.make (max 64 (2 * len)) e in
-    Array.blit b 0 nb 0 len;
-    t.seg_buf.(s) <- nb
-  end;
-  Array.unsafe_set t.seg_buf.(s) len e;
-  t.seg_len.(s) <- len + 1
-
-let feed_batch_routed t r arr =
-  let n = Array.length arr in
-  let k = t.nshards in
-  let seg = max (128 * k) ((n + 3) / 4) in
-  (* acc.(s) is written only by slot s's tasks (FIFO per slot) and read
-     by the coordinator only after the barrier *)
-  let acc = Array.make k [] in
-  let forwarded = ref 0 in
-  let off = ref 0 in
-  while !off < n do
-    let len = min seg (n - !off) in
-    (* forward walk appends in stream order into the reusable per-slot
-       buffers (no per-element list cells) *)
-    for j = !off to !off + len - 1 do
-      let e = Array.unsafe_get arr j in
-      Range_router.iter_targets r (elem_key t e) (fun ~owner s ->
-          if not owner then incr forwarded;
-          seg_push t s e)
-    done;
-    for s = 0 to k - 1 do
-      let blen = t.seg_len.(s) in
-      if blen > 0 then begin
-        (* exact-size copy: the posted task owns [sub] outright, so the
-           coordinator is free to overwrite the buffer while slot [s] is
-           still feeding this segment *)
-        let sub = Array.sub t.seg_buf.(s) 0 blen in
-        t.seg_len.(s) <- 0;
-        Executor.post t.exec s (fun () ->
-            match t.engines.(s).Engine.feed_batch sub with
-            | [] -> ()
-            | m -> acc.(s) <- List.rev_append m acc.(s))
-      end
-    done;
-    off := !off + len
-  done;
-  Executor.barrier t.exec;
-  Metrics.add t.c_forwarded !forwarded;
-  (* per-slot accumulators are reverse-chronological fragments of
-     ascending lists; flatten and re-sort into the canonical ascending
-     maturity order *)
-  Engine.sort_matured
-    (Array.fold_left (fun a l -> List.rev_append l a) [] acc)
+  merge_matured parts
 
 let feed_batch t arr =
   check t;
@@ -304,16 +141,10 @@ let feed_batch t arr =
   let n = Array.length arr in
   if n = 0 then []
   else begin
-    let matured =
-      match t.router with
-      | None ->
-          merge_matured (Executor.run_all t.exec (fun i -> t.engines.(i).Engine.feed_batch arr))
-      | Some r -> feed_batch_routed t r arr
-    in
+    let parts = Executor.run_all t.exec (fun i -> t.engines.(i).Engine.feed_batch arr) in
     Metrics.add t.c_elements n;
     Metrics.incr t.c_dispatches;
-    release_matured t matured;
-    matured
+    merge_matured parts
   end
 
 (* ---- observation: also routed through the executor, preserving the
@@ -348,7 +179,6 @@ let metrics t =
   let domains =
     match executor_kind t with Executor.Domains -> t.nshards | Executor.Seq -> 0
   in
-  let straddlers = match t.router with None -> 0 | Some r -> Range_router.straddlers r in
   (* [merge] lets the *second* operand win gauges, so the layer gauges —
      in particular the true [alive] total, which would otherwise read as
      the last shard's local gauge — go last. *)
@@ -360,14 +190,12 @@ let metrics t =
         ("shard_queries_min", Metrics.Gauge (float_of_int qmin));
         ("shard_queries_max", Metrics.Gauge (float_of_int qmax));
         ("shard_executor_domains", Metrics.Gauge (float_of_int domains));
-        ("shard_straddlers", Metrics.Gauge (float_of_int straddlers));
       ]
   in
   Metrics.merge_all (Array.to_list per_shard @ [ Metrics.snapshot t.reg; layer ])
 
 let name t =
-  Printf.sprintf "%s+k%d%s%s" t.base_name t.nshards
-    (match t.router with None -> "" | Some _ -> "/range")
+  Printf.sprintf "%s+k%d%s" t.base_name t.nshards
     (match executor_kind t with Executor.Domains -> "/domains" | Executor.Seq -> "")
 
 let engine t =
@@ -390,10 +218,10 @@ let close t =
     Executor.close t.exec
   end
 
-let factory ?executor ?partition ~shards make =
+let factory ?executor ~shards make =
   let instances = ref [] in
   let make' ~dim =
-    let t = create ?executor ?partition ~shards ~dim make in
+    let t = create ?executor ~shards ~dim make in
     instances := t :: !instances;
     engine t
   in

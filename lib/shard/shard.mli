@@ -2,47 +2,34 @@
 
     Splits one logical engine across [k] shards — each running a full
     engine of its own (any of the five, via the usual
-    [dim:int -> Engine.t] factory) — under one of two {!partition}
-    disciplines:
+    [dim:int -> Engine.t] factory) — by partitioning the {e queries}:
+    {!Rendezvous} hashing on id places each query on one shard, and
+    every shard ingests the {e entire} element stream, restricted to
+    the queries it owns. Ingestion is replicated, so wall clock does not
+    scale with [k]; in exchange there is no routing state at all.
 
-    - {!Queries} (the PR-5 scheme): partition the {e queries} by
-      {!Rendezvous} hashing on id; every shard ingests the {e entire}
-      element stream, restricted to the queries it owns. Replicated
-      ingestion — no wall-clock scaling, but no routing state either.
-    - {!Elements}[ cuts]: partition the {e key line} on dimension 0 at
-      the given cut points ({!Range_router}). Each element is ingested
-      by the shard owning its subrange (plus shards holding subscribed
-      boundary-straddling queries); each query is pinned whole to the
-      shard owning its low endpoint. Each shard sees ~[1/k] of the
-      stream, so ingestion work truly parallelizes. Batched feeds run a
-      route->feed pipeline: the coordinator buckets segments and posts
-      per-shard sub-batches onto the executor's rings asynchronously,
-      joining once per batch.
-
-    Both modes preserve the property that makes the merge exact: a
-    query's maturity depends only on its own accumulated weight, each
-    query lives on exactly one shard, and that shard receives every
-    element stabbing the query. A disjoint partition therefore matures
-    exactly the same (element, query) pairs as the unsharded engine.
+    The merge is exact: a query's maturity depends only on its own
+    accumulated weight, each query lives on exactly one shard, and that
+    shard receives every element. A disjoint partition therefore
+    matures exactly the same (element, query) pairs as the unsharded
+    engine.
 
     {b Determinism invariant.} Every operation joins at a barrier and
     normalizes outputs in shard-independent order before returning:
     matured ids are merged ascending (per-shard lists are sorted and
     mutually disjoint), snapshots are re-sorted by id, metrics are
     folded in shard-index order. The result is bit-identical across
-    shard counts, partitions, executors ([Seq] vs [Domains]) and domain
-    schedules — the property `make check-shard` and the CI
-    shard-equivalence job pin for every engine. Maturity {e timestamps}
-    are attributed by the driver at batch barriers (sorted
-    [(timestamp, query_id)]), so the sharded maturity log equals the
-    unsharded one verbatim.
+    shard counts, executors ([Seq] vs [Domains]) and domain schedules —
+    the property `make check-shard` and the CI shard-equivalence job pin
+    for every engine. Maturity {e timestamps} are attributed by the
+    driver at batch barriers (sorted [(timestamp, query_id)]), so the
+    sharded maturity log equals the unsharded one verbatim.
 
     What is {e not} preserved: the DT engine's interleaving-sensitive
     work counters, and merged per-engine counters such as
-    [elements_total] — under [Queries] they sum to [k * n] (each shard
-    really does scan the whole stream), under [Elements] to [n] plus
-    boundary forwarding. The shard layer's own [shard_*] metrics count
-    stream-level quantities exactly once in both modes.
+    [elements_total], which sum to [k * n] (each shard really does scan
+    the whole stream). The shard layer's own [shard_*] metrics count
+    stream-level quantities exactly once.
 
     Wrappers compose on both sides: [Durable.wrap] around
     [Shard.engine] gives a crash-recoverable sharded run (recovery
@@ -52,43 +39,29 @@
 
 open Rts_core
 
-type partition =
-  | Queries  (** rendezvous-hash the queries; replicate the stream *)
-  | Elements of float array
-      (** cut the dim-0 key line at these [shards - 1] strictly
-          increasing points; route elements, pin queries
-          ({!Range_router}) *)
-
 type t
 
 val create :
   ?executor:Executor.kind ->
-  ?partition:partition ->
   shards:int ->
   dim:int ->
   (dim:int -> Engine.t) ->
   t
-(** [create ~executor ~partition ~shards ~dim make] builds [shards]
-    engines, each constructed on its own executor slot (so domain-local
-    allocation is born on the domain that will drive it). Defaults:
-    executor [Seq], partition [Queries]. Raises [Invalid_argument] on
-    [shards < 1], [dim < 1], malformed cut points, or an unavailable
-    executor kind — and never leaks worker domains when the engine
-    factory itself raises. *)
+(** [create ~executor ~shards ~dim make] builds [shards] engines, each
+    constructed on its own executor slot (so domain-local allocation is
+    born on the domain that will drive it). Default executor: [Seq].
+    Raises [Invalid_argument] on [shards < 1], [dim < 1] or an
+    unavailable executor kind — and never leaks worker domains when the
+    engine factory itself raises. *)
 
 val engine : t -> Engine.t
 (** Package as a uniform {!Engine.t} named ["<inner>+k<shards>"], with
-    ["/range"] appended under element partitioning and ["/domains"]
-    under the domains executor. All closures raise [Invalid_argument]
-    after {!close}. *)
+    ["/domains"] appended under the domains executor. All closures raise
+    [Invalid_argument] after {!close}. *)
 
 val shards : t -> int
 
 val executor_kind : t -> Executor.kind
-
-val partition : t -> partition
-(** The partition discipline this instance runs (cuts are returned by
-    copy). *)
 
 val worker_domains : t -> int
 (** Worker domains actually executing shard tasks:
@@ -97,14 +70,11 @@ val worker_domains : t -> int
     bench reporting. *)
 
 val owner : t -> int -> int
-(** The shard a query id lives on: its {!Rendezvous.owner} under
-    [Queries], its pinned home under [Elements]. Raises [Not_found]
-    under [Elements] for ids that are not alive. *)
+(** The shard a query id lives on: its {!Rendezvous.owner}. *)
 
 val queries_per_shard : t -> int array
-(** Alive-query count per shard — the balance the partition is
-    supposed to deliver (~[m/k] each for rendezvous hashing or
-    well-chosen cuts). *)
+(** Alive-query count per shard — the balance rendezvous hashing is
+    supposed to deliver (~[m/k] each). *)
 
 val per_shard_metrics : t -> Rts_obs.Metrics.snapshot array
 (** Each shard engine's own metric snapshot, in shard order — the
@@ -114,22 +84,19 @@ val metrics : t -> Rts_obs.Metrics.snapshot
 (** Shard-layer counters ([shard_count], [shard_registered_total],
     [shard_terminated_total], [shard_elements_total] (stream elements,
     counted once), [shard_batches_total], [shard_dispatches_total],
-    [shard_forwarded_total] (element deliveries beyond the owner, i.e.
-    boundary forwarding — 0 under [Queries]),
     [shard_queries_min]/[shard_queries_max] balance gauges,
-    [shard_executor_domains], [shard_straddlers]) merged over the
-    per-shard engine snapshots; the [alive] gauge is the true total. *)
+    [shard_executor_domains]) merged over the per-shard engine
+    snapshots; the [alive] gauge is the true total. *)
 
 val close : t -> unit
 (** Shut the executor down (joining its domains). Idempotent. *)
 
 val factory :
   ?executor:Executor.kind ->
-  ?partition:partition ->
   shards:int ->
   (dim:int -> Engine.t) ->
   (dim:int -> Engine.t) * (unit -> unit)
-(** [factory ~executor ~partition ~shards make] is [(make', close_all)]:
+(** [factory ~executor ~shards make] is [(make', close_all)]:
     a factory producing sharded engines over [make] — a drop-in for
     [Scenario.run] factories and [Recovery.recover ~make] — plus a
     closer that shuts down every instance [make'] created so far. *)

@@ -9,8 +9,8 @@
 
     This is the task channel under {!Executor_backend}'s domains
     backend (the coordinator is the producer, each worker domain the
-    consumer of its own ring) and the conveyor belt of the shard
-    layer's route->feed pipeline. *)
+    consumer of its own ring) and the ingest ring of the serving
+    layer. *)
 
 type 'a t
 

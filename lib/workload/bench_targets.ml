@@ -29,10 +29,6 @@ let all =
     t "shard"
       "Sharded multi-domain ingestion: scaling curve k=1/2/4/8 + deterministic merge check"
       ~strict_trace:true ~budget_keying:By_shards;
-    t "par"
-      "Element-partitioned parallel ingestion: true scaling k=1/2/4/8 (refuses to emit JSON \
-       on <2 cores)"
-      ~strict_trace:true ~budget_keying:By_shards;
     t "ablation" "DT slack rounds vs eager signalling";
     t "approx"
       "Approximate tier: sketch memory + certified error vs exact + per-op latency \

@@ -1,27 +1,24 @@
-(* Sharded ingestion equivalence: a sharded engine — query-partitioned
-   (replicated stream) or element-partitioned (routed stream) — must be
+(* Sharded ingestion equivalence: a sharded engine (queries placed by
+   rendezvous hash, every shard ingesting the whole stream) must be
    observably indistinguishable from the unsharded engine it partitions:
    matured id lists at every step, alive counts, per-query accumulated
    weights, and (through the Scenario driver) the maturity log verbatim,
-   timestamps included — for every engine, shard count, partition,
-   executor and batch size.
+   timestamps included — for every engine, shard count, executor and
+   batch size.
 
    Layers:
    - unit tests for the rendezvous placement (range, determinism, rough
      balance, the k -> k+1 monotonicity that makes growing a deployment
-     cheap), the range router (cut validation, owner arithmetic,
-     straddler pinning + interest accounting), the SPSC task ring, and
-     the executor contract (slot-ordered results, lowest-slot exception,
-     post/barrier, empty dispatch, exception-safe teardown) on BOTH
-     backends where available;
+     cheap) and the executor contract (slot-ordered results,
+     lowest-slot exception, exception-safe teardown) on BOTH backends
+     where available;
    - a qcheck property driving random episodes (random shard counts,
-     adversarial router cut points, batch cut points, mid-stream
-     registrations and terminations) over every engine, comparing BOTH
-     sharded modes step by step against the unsharded reference —
-     element-partitioned = replicated = unsharded;
+     batch cut points, mid-stream registrations and terminations) over
+     every engine, comparing the sharded engine step by step against the
+     unsharded reference;
    - pinned-seed Scenario regressions (`make check-shard` widens the
      seed list via RTS_SHARD_SEEDS) asserting maturity-log equality for
-     k in {1,2,4} x partitions x executors x batch in {1,64};
+     k in {1,2,4} x executors x batch in {1,64};
    - wrapper composition: Durable.wrap around a sharded engine recovers
      into an equivalent sharded engine, and Net_shadow cross-checks a
      sharded engine without divergence. *)
@@ -34,8 +31,6 @@ module Metrics = Rts_obs.Metrics
 module Shard = Rts_shard.Shard
 module Executor = Rts_shard.Executor
 module Rendezvous = Rts_shard.Rendezvous
-module Range_router = Rts_shard.Range_router
-module Spsc_ring = Rts_shard.Spsc_ring
 module Net_shadow = Rts_netcheck.Net_shadow
 
 let executors = Executor.Seq :: (if Executor.domains_available then [ Executor.Domains ] else [])
@@ -92,6 +87,27 @@ let test_rendezvous_monotone () =
     done
   done
 
+(* owner is the argmax of the exposed score (unsigned order, lowest
+   shard on a tie), for every id including negative and extreme ones. *)
+let test_rendezvous_argmax () =
+  let argmax ~shards id =
+    let best = ref 0 in
+    for s = 1 to shards - 1 do
+      if Int64.unsigned_compare (Rendezvous.score ~shard:s id) (Rendezvous.score ~shard:!best id) > 0
+      then best := s
+    done;
+    !best
+  in
+  let ids = [ min_int; min_int + 1; -1_000_000; -1; max_int; max_int - 1 ] @ List.init 500 Fun.id in
+  for shards = 1 to 9 do
+    List.iter
+      (fun id ->
+        Alcotest.(check int)
+          (Printf.sprintf "owner ~shards:%d %d = argmax score" shards id)
+          (argmax ~shards id) (Rendezvous.owner ~shards id))
+      ids
+  done
+
 (* ---- executor contract -------------------------------------------- *)
 
 let test_executor_basics () =
@@ -136,44 +152,109 @@ let test_executor_strings () =
   Alcotest.(check bool) "unknown rejected" true
     (match Executor.kind_of_string "gpu" with Error _ -> true | Ok _ -> false)
 
-let test_executor_post_barrier () =
+(* kind_of_string is the one parser behind every --executor flag
+   (rts-cli and rts-serve alike), so its spellings and its error text
+   are the whole user-facing contract. *)
+let test_executor_spellings () =
+  List.iter
+    (fun (s, kind) ->
+      Alcotest.(check bool) (Printf.sprintf "%S accepted" s) true
+        (Executor.kind_of_string s = Ok kind))
+    [
+      ("seq", Executor.Seq);
+      ("sequential", Executor.Seq);
+      ("domains", Executor.Domains);
+      ("par", Executor.Domains);
+    ];
+  List.iter
+    (fun s ->
+      match Executor.kind_of_string s with
+      | Ok _ -> Alcotest.failf "%S must be rejected" s
+      | Error msg ->
+          Alcotest.(check string) (Printf.sprintf "error text for %S" s)
+            (Printf.sprintf "unknown executor %S (expected seq or domains)" s)
+            msg)
+    [ ""; "gpu"; "Seq"; "DOMAINS"; " seq" ];
+  Alcotest.(check bool) "default kind is domains iff available" Executor.domains_available
+    (Executor.default_kind = Executor.Domains)
+
+let test_executor_create () =
+  List.iter
+    (fun shards ->
+      Alcotest.check_raises (Printf.sprintf "shards=%d rejected" shards)
+        (Invalid_argument "Executor.create: shards < 1") (fun () ->
+          ignore (Executor.create ~shards ())))
+    [ 0; -2 ];
+  let t = Executor.create ~shards:3 () in
+  Alcotest.(check string) "default kind is seq" "seq" (exec_str (Executor.kind t));
+  Executor.close t;
   List.iter
     (fun kind ->
-      let t = Executor.create ~kind ~shards:3 () in
-      (* barrier with nothing posted: a no-op, never a deadlock *)
-      Executor.barrier t;
-      let cells = Array.make 3 0 in
-      for i = 0 to 2 do
-        Executor.post t i (fun () -> cells.(i) <- cells.(i) + 1);
-        Executor.post t i (fun () -> cells.(i) <- (cells.(i) * 10) + 1)
-      done;
-      Executor.barrier t;
-      Alcotest.(check (array int))
-        (exec_str kind ^ ": posted tasks ran, per-slot FIFO")
-        [| 11; 11; 11 |] cells;
-      (* posted exceptions surface at the barrier: first error of the
-         lowest-numbered failing slot, then the error state is clear *)
-      Executor.post t 2 (fun () -> failwith "slot2");
-      Executor.post t 1 (fun () -> failwith "slot1");
-      Executor.post t 1 (fun () -> failwith "slot1-second");
-      (try
-         Executor.barrier t;
-         Alcotest.fail "expected barrier to re-raise"
-       with Failure s ->
-         Alcotest.(check string) (exec_str kind ^ ": lowest slot, first error") "slot1" s);
-      Executor.barrier t;
-      Alcotest.(check (array int))
-        (exec_str kind ^ ": pool survives posted exceptions")
-        [| 0; 1; 2 |]
-        (Executor.run_all t (fun i -> i));
-      Executor.close t)
+      List.iter
+        (fun shards ->
+          let t = Executor.create ~kind ~shards () in
+          Fun.protect ~finally:(fun () -> Executor.close t) @@ fun () ->
+          let ctx = Printf.sprintf "%s k=%d" (exec_str kind) shards in
+          Alcotest.(check string) (ctx ^ ": kind") (exec_str kind) (exec_str (Executor.kind t));
+          Alcotest.(check int) (ctx ^ ": shards") shards (Executor.shards t);
+          Alcotest.(check int) (ctx ^ ": worker count")
+            (match kind with Executor.Domains -> shards | Executor.Seq -> 1)
+            (Executor.worker_count t);
+          Alcotest.(check (array int)) (ctx ^ ": one result per slot")
+            (Array.init shards (fun i -> i * i))
+            (Executor.run_all t (fun i -> i * i)))
+        [ 1; 2; 5 ])
     executors
 
-(* The PR-6 teardown fix, as a leak detector: OCaml caps live domains
-   low (~128), so if a raising task — dispatched or posted — ever left
-   close unable to Quit+join every worker, 200 create/raise/close
-   cycles with 4 slots each would exhaust the runtime's domain slots
-   and Executor.create would start failing long before the loop ends. *)
+let test_executor_run_on () =
+  List.iter
+    (fun kind ->
+      let ctx = exec_str kind in
+      let t = Executor.create ~kind ~shards:3 () in
+      for i = 0 to 2 do
+        Alcotest.(check int) (Printf.sprintf "%s: run_on %d" ctx i) (100 + i)
+          (Executor.run_on t i (fun () -> 100 + i))
+      done;
+      List.iter
+        (fun i ->
+          Alcotest.check_raises (Printf.sprintf "%s: slot %d out of range" ctx i)
+            (Invalid_argument "Executor.run_on: shard out of range") (fun () ->
+              Executor.run_on t i (fun () -> ())))
+        [ -1; 3 ];
+      Alcotest.check_raises (ctx ^ ": task exception propagates") (Failure "on-slot-1") (fun () ->
+          Executor.run_on t 1 (fun () -> failwith "on-slot-1"));
+      Alcotest.(check string) (ctx ^ ": slot usable after exception") "ok"
+        (Executor.run_on t 1 (fun () -> "ok"));
+      Executor.close t;
+      Alcotest.check_raises (ctx ^ ": run_on after close") (Invalid_argument "Executor: closed")
+        (fun () -> Executor.run_on t 0 (fun () -> ())))
+    executors
+
+(* Every fan-out runs each slot's task exactly once: a lost or doubled
+   task under the domains backend's ring/latch handoff shows up as a
+   per-slot count off by one. Each task writes only its own cell. *)
+let test_executor_each_slot_once () =
+  List.iter
+    (fun kind ->
+      let shards = 4 and rounds = 300 in
+      let t = Executor.create ~kind ~shards () in
+      Fun.protect ~finally:(fun () -> Executor.close t) @@ fun () ->
+      let calls = Array.make shards 0 in
+      for r = 1 to rounds do
+        let got = Executor.run_all t (fun i -> calls.(i) <- calls.(i) + 1; calls.(i)) in
+        Alcotest.(check (array int))
+          (Printf.sprintf "%s: round %d sees its own count" (exec_str kind) r)
+          (Array.make shards r) got
+      done;
+      Alcotest.(check (array int)) (exec_str kind ^ ": each slot ran once per round")
+        (Array.make shards rounds) calls)
+    executors
+
+(* Teardown as a leak detector: OCaml caps live domains low (~128), so
+   if a raising task ever left close unable to Quit+join every worker,
+   200 create/raise/close cycles with 4 slots each would exhaust the
+   runtime's domain slots and Executor.create would start failing long
+   before the loop ends. *)
 let test_executor_teardown_leak () =
   List.iter
     (fun kind ->
@@ -183,8 +264,6 @@ let test_executor_teardown_leak () =
            ignore (Executor.run_all t (fun i -> if i land 1 = 0 then failwith "boom" else i));
            Alcotest.fail "expected run_all to re-raise"
          with Failure _ -> ());
-        Executor.post t 3 (fun () -> failwith "posted-boom");
-        (try Executor.barrier t with Failure _ -> ());
         Executor.close t
       done)
     executors
@@ -208,106 +287,6 @@ let test_shard_create_no_leak () =
         with Failure _ -> ()
       done)
     executors
-
-(* ---- SPSC task ring ------------------------------------------------ *)
-
-let test_spsc_ring () =
-  let r = Spsc_ring.create ~capacity:3 in
-  Alcotest.(check int) "capacity rounds to a power of two" 4 (Spsc_ring.capacity r);
-  Alcotest.(check bool) "fresh ring is empty" true (Spsc_ring.is_empty r);
-  Alcotest.(check bool) "pop on empty" true (Spsc_ring.try_pop r = None);
-  for i = 1 to 4 do
-    Alcotest.(check bool) (Printf.sprintf "push %d" i) true (Spsc_ring.try_push r i)
-  done;
-  Alcotest.(check bool) "push on full refused" false (Spsc_ring.try_push r 5);
-  Alcotest.(check int) "length at capacity" 4 (Spsc_ring.length r);
-  (* FIFO preserved across index wraparound *)
-  for round = 0 to 25 do
-    Alcotest.(check bool)
-      (Printf.sprintf "fifo round %d" round)
-      true
-      (Spsc_ring.try_pop r = Some (round + 1));
-    Alcotest.(check bool) "refill" true (Spsc_ring.try_push r (round + 5))
-  done;
-  Alcotest.check_raises "capacity < 1 rejected" (Invalid_argument "Spsc_ring.create: capacity < 1")
-    (fun () -> ignore (Spsc_ring.create ~capacity:0))
-
-(* ---- range router -------------------------------------------------- *)
-
-let test_router_owner () =
-  let r = Range_router.create ~shards:4 ~cuts:[| 10.; 20.; 30. |] in
-  Alcotest.(check int) "shards" 4 (Range_router.shards r);
-  (* boundaries are half-open: a value equal to a cut belongs right *)
-  List.iter
-    (fun (v, s) ->
-      Alcotest.(check int) (Printf.sprintf "owner %g" v) s (Range_router.owner_of_value r v))
-    [ (-1e18, 0); (9.875, 0); (10., 1); (15., 1); (20., 2); (29.875, 2); (30., 3); (1e18, 3) ];
-  (* binary search = linear count of cuts <= v *)
-  let rng = Prng.create ~seed:4 in
-  for _ = 1 to 2_000 do
-    let v = float_of_int (Prng.int rng 45) -. 2.5 in
-    let linear =
-      (if v >= 10. then 1 else 0) + (if v >= 20. then 1 else 0) + if v >= 30. then 1 else 0
-    in
-    Alcotest.(check int) (Printf.sprintf "binary = linear at %g" v) linear
-      (Range_router.owner_of_value r v)
-  done;
-  (* spans: local interval, straddling interval, half-open hi — an
-     interval ending exactly AT a cut does not enter the next subrange *)
-  let sp = Range_router.span_of_interval r ~lo:12. ~hi:18. in
-  Alcotest.(check (list int)) "local span" [ 1; 1; 1 ] [ sp.home; sp.first; sp.last ];
-  let sp = Range_router.span_of_interval r ~lo:12. ~hi:20. in
-  Alcotest.(check (list int)) "hi at a cut stays left" [ 1; 1; 1 ] [ sp.home; sp.first; sp.last ];
-  let sp = Range_router.span_of_interval r ~lo:12. ~hi:20.5 in
-  Alcotest.(check (list int)) "just past the cut straddles" [ 1; 1; 2 ]
-    [ sp.home; sp.first; sp.last ];
-  let sp = Range_router.span_of_interval r ~lo:5. ~hi:35. in
-  Alcotest.(check (list int)) "full straddle pinned to low end" [ 0; 0; 3 ]
-    [ sp.home; sp.first; sp.last ]
-
-let test_router_subscriptions () =
-  let r = Range_router.create ~shards:4 ~cuts:[| 10.; 20.; 30. |] in
-  Alcotest.(check (list int)) "no straddlers: owner only" [ 2 ] (Range_router.targets r 25.);
-  let home = Range_router.register r ~id:7 ~lo:15. ~hi:35. in
-  Alcotest.(check int) "pinned to the low-endpoint owner" 1 home;
-  Alcotest.(check int) "one straddler" 1 (Range_router.straddlers r);
-  Alcotest.(check (list int)) "subrange 2 forwards to the home" [ 1; 2 ]
-    (Range_router.targets r 25.);
-  Alcotest.(check (list int)) "subrange 3 forwards too" [ 1; 3 ] (Range_router.targets r 30.);
-  Alcotest.(check (list int)) "subrange 0 is untouched" [ 0 ] (Range_router.targets r 5.);
-  (* a local query subscribes nothing *)
-  Alcotest.(check int) "local home" 0 (Range_router.register r ~id:8 ~lo:2. ~hi:7.);
-  Alcotest.(check int) "still one straddler" 1 (Range_router.straddlers r);
-  Alcotest.(check (list int)) "still no forward from subrange 0" [ 0 ] (Range_router.targets r 5.);
-  Alcotest.(check bool) "home lookup" true (Range_router.home r 7 = Some 1);
-  Alcotest.(check int) "alive" 2 (Range_router.alive r);
-  (* re-registering an alive id routes to the existing home, no rewire *)
-  Alcotest.(check int) "duplicate keeps its home" 1 (Range_router.register r ~id:7 ~lo:2. ~hi:3.);
-  Alcotest.(check int) "duplicate adds no straddler" 1 (Range_router.straddlers r);
-  Range_router.forget r 7;
-  Alcotest.(check int) "subscription released" 0 (Range_router.straddlers r);
-  Alcotest.(check (list int)) "forwarding stops" [ 2 ] (Range_router.targets r 25.);
-  Range_router.forget r 7 (* idempotent *);
-  Alcotest.(check bool) "forgotten" true (Range_router.home r 7 = None);
-  Alcotest.(check int) "one left" 1 (Range_router.alive r)
-
-let test_router_validation () =
-  let invalid f = try ignore (f ()); false with Invalid_argument _ -> true in
-  Alcotest.(check bool) "wrong cut count" true
-    (invalid (fun () -> Range_router.create ~shards:3 ~cuts:[| 5. |]));
-  Alcotest.(check bool) "non-increasing cuts" true
-    (invalid (fun () -> Range_router.create ~shards:3 ~cuts:[| 5.; 5. |]));
-  Alcotest.(check bool) "NaN cut" true
-    (invalid (fun () -> Range_router.create ~shards:2 ~cuts:[| Float.nan |]));
-  Alcotest.(check bool) "shards < 1" true
-    (invalid (fun () -> Range_router.create ~shards:0 ~cuts:[||]));
-  Alcotest.(check (array (float 1e-9))) "uniform cuts"
-    [| 25.; 50.; 75. |]
-    (Range_router.uniform_cuts ~shards:4 ~lo:0. ~hi:100.);
-  Alcotest.(check (array (float 0.))) "k=1 needs no cuts" [||]
-    (Range_router.uniform_cuts ~shards:1 ~lo:0. ~hi:100.);
-  Alcotest.(check bool) "uniform_cuts lo >= hi" true
-    (invalid (fun () -> Range_router.uniform_cuts ~shards:2 ~lo:1. ~hi:1.))
 
 (* ---- engine roster + generators (test_feed_batch idiom) ----------- *)
 
@@ -347,23 +326,6 @@ let gen_cuts rng n =
   done;
   List.rev !segs
 
-(* Adversarial router cut points: [shards - 1] distinct integers drawn
-   from the element coordinate pool itself, so cuts land exactly ON
-   element values and query endpoints — the half-open boundary rules get
-   no slack. *)
-let gen_router_cuts rng ~shards ~domain =
-  let pool = Array.init (domain + 5) float_of_int in
-  let n = Array.length pool in
-  for i = 0 to shards - 2 do
-    let j = i + Prng.int rng (n - i) in
-    let tmp = pool.(i) in
-    pool.(i) <- pool.(j);
-    pool.(j) <- tmp
-  done;
-  let cuts = Array.sub pool 0 (shards - 1) in
-  Array.sort compare cuts;
-  cuts
-
 let snapshot_str snap =
   String.concat ";" (List.map (fun ((q : Types.query), w) -> Printf.sprintf "%d:%d" q.id w) snap)
 
@@ -371,7 +333,7 @@ let ids_str l = String.concat ";" (List.map string_of_int l)
 
 (* Empty dispatch is a total no-op — no deadlock (a zero-task barrier),
    no matured ids, no state change — for every unsharded engine and for
-   both sharded partitions on both executors. *)
+   the sharded engine on both executors. *)
 let test_empty_batch () =
   List.iter
     (fun (name, make) ->
@@ -380,26 +342,18 @@ let test_empty_batch () =
     (engines_for 1);
   List.iter
     (fun kind ->
-      List.iter
-        (fun (pname, partition) ->
-          let sh =
-            Shard.create ~executor:kind ~partition ~shards:3 ~dim:1 (fun ~dim ->
-                Dt_engine.make ~dim)
-          in
-          Fun.protect ~finally:(fun () -> Shard.close sh) @@ fun () ->
-          let e = Shard.engine sh in
-          let ctx = Printf.sprintf "%s/%s" pname (exec_str kind) in
-          let rng = Prng.create ~seed:3 in
-          let queries =
-            List.init 10 (fun id -> gen_query rng ~dim:1 ~domain:8 ~max_tau:1_000 ~id)
-          in
-          e.Engine.register_batch queries;
-          Alcotest.(check (list int)) (ctx ^ ": empty batch matures nothing") []
-            (e.Engine.feed_batch [||]);
-          Alcotest.(check int) (ctx ^ ": alive unchanged") 10 (e.Engine.alive ());
-          e.Engine.register_batch [];
-          Alcotest.(check int) (ctx ^ ": empty register batch is a no-op") 10 (e.Engine.alive ()))
-        [ ("queries", Shard.Queries); ("elements", Shard.Elements [| 3.; 6. |]) ])
+      let sh = Shard.create ~executor:kind ~shards:3 ~dim:1 (fun ~dim -> Dt_engine.make ~dim) in
+      Fun.protect ~finally:(fun () -> Shard.close sh) @@ fun () ->
+      let e = Shard.engine sh in
+      let ctx = exec_str kind in
+      let rng = Prng.create ~seed:3 in
+      let queries = List.init 10 (fun id -> gen_query rng ~dim:1 ~domain:8 ~max_tau:1_000 ~id) in
+      e.Engine.register_batch queries;
+      Alcotest.(check (list int)) (ctx ^ ": empty batch matures nothing") []
+        (e.Engine.feed_batch [||]);
+      Alcotest.(check int) (ctx ^ ": alive unchanged") 10 (e.Engine.alive ());
+      e.Engine.register_batch [];
+      Alcotest.(check int) (ctx ^ ": empty register batch is a no-op") 10 (e.Engine.alive ()))
     executors
 
 (* ---- one randomized episode: sharded vs unsharded step by step ---- *)
@@ -442,22 +396,15 @@ let episode cfg =
           Prng.bernoulli rng 0.5 ))
       cuts
   in
-  let router_cuts = gen_router_cuts rng ~shards:cfg.shards ~domain:cfg.domain in
   List.iter
     (fun (name, make) ->
       let ctx = Printf.sprintf "seed %d %s k=%d %s" cfg.seed name cfg.shards (exec_str cfg.kind) in
       let plain = (make () : Engine.t) in
       let sh = Shard.create ~executor:cfg.kind ~shards:cfg.shards ~dim:cfg.dim (fun ~dim:_ -> make ()) in
-      let shr =
-        Shard.create ~executor:cfg.kind ~partition:(Shard.Elements router_cuts) ~shards:cfg.shards
-          ~dim:cfg.dim (fun ~dim:_ -> make ())
-      in
-      (* both sharded modes run against the same unsharded reference:
-         element-partitioned = replicated = unsharded *)
-      let variants = [ ("replicated", Shard.engine sh); ("routed", Shard.engine shr) ] in
-      Fun.protect ~finally:(fun () -> Shard.close sh; Shard.close shr) @@ fun () ->
+      let e = Shard.engine sh in
+      Fun.protect ~finally:(fun () -> Shard.close sh) @@ fun () ->
       plain.register_batch (Array.to_list queries);
-      List.iter (fun (_, e) -> e.Engine.register_batch (Array.to_list queries)) variants;
+      e.Engine.register_batch (Array.to_list queries);
       let alive = ref (Array.to_list (Array.map (fun (q : Types.query) -> q.id) queries)) in
       let next_id = ref cfg.m in
       let off = ref 0 in
@@ -468,7 +415,7 @@ let episode cfg =
               let v = List.nth !alive (k mod List.length !alive) in
               alive := List.filter (fun i -> i <> v) !alive;
               plain.terminate v;
-              List.iter (fun (_, e) -> e.Engine.terminate v) variants
+              e.Engine.terminate v
           | _ -> ());
           (match reg_draw with
           | Some q ->
@@ -476,72 +423,56 @@ let episode cfg =
               incr next_id;
               alive := q.Types.id :: !alive;
               plain.register q;
-              List.iter (fun (_, e) -> e.Engine.register q) variants
+              e.Engine.register q
           | None -> ());
           let seg = Array.sub elems !off len in
           off := !off + len;
-          let matured_p, matured_vs =
-            if batched then
-              ( plain.feed_batch seg,
-                List.map (fun (vn, e) -> (vn, e.Engine.feed_batch seg)) variants )
+          let matured_p, matured_s =
+            if batched then (plain.feed_batch seg, e.Engine.feed_batch seg)
             else begin
-              let accp = ref [] in
-              let accvs = List.map (fun (vn, _) -> (vn, ref [])) variants in
+              (* per-element outputs are compared as they arrive *)
+              let acc = ref [] in
               Array.iter
                 (fun el ->
                   let mp = plain.process el in
-                  List.iter2
-                    (fun (vn, e) (_, acc) ->
-                      let mv = e.Engine.process el in
-                      if mp <> mv then
-                        Alcotest.failf "%s batch %d: process matured plain=[%s] %s=[%s]" ctx bi
-                          (ids_str mp) vn (ids_str mv);
-                      acc := List.rev_append mv !acc)
-                    variants accvs;
-                  accp := List.rev_append mp !accp)
+                  let ms = e.Engine.process el in
+                  if mp <> ms then
+                    Alcotest.failf "%s batch %d: process matured plain=[%s] sharded=[%s]" ctx bi
+                      (ids_str mp) (ids_str ms);
+                  acc := List.rev_append mp !acc)
                 seg;
-              ( Engine.sort_matured !accp,
-                List.map (fun (vn, acc) -> (vn, Engine.sort_matured !acc)) accvs )
+              let m = Engine.sort_matured !acc in
+              (m, m)
             end
           in
-          List.iter
-            (fun (vn, mv) ->
-              if matured_p <> mv then
-                Alcotest.failf "%s batch %d: matured plain=[%s] %s=[%s]" ctx bi
-                  (ids_str matured_p) vn (ids_str mv))
-            matured_vs;
+          if matured_p <> matured_s then
+            Alcotest.failf "%s batch %d: matured plain=[%s] sharded=[%s]" ctx bi
+              (ids_str matured_p) (ids_str matured_s);
           alive := List.filter (fun i -> not (List.mem i matured_p)) !alive;
-          List.iter
-            (fun (vn, e) ->
-              if plain.alive () <> e.Engine.alive () then
-                Alcotest.failf "%s batch %d: alive plain=%d %s=%d" ctx bi (plain.alive ()) vn
-                  (e.Engine.alive ());
-              let sp = plain.alive_snapshot () and sv = e.Engine.alive_snapshot () in
-              if snapshot_str sp <> snapshot_str sv then
-                Alcotest.failf "%s batch %d: snapshot plain=[%s] %s=[%s]" ctx bi (snapshot_str sp)
-                  vn (snapshot_str sv))
-            variants)
+          if plain.alive () <> e.Engine.alive () then
+            Alcotest.failf "%s batch %d: alive plain=%d sharded=%d" ctx bi (plain.alive ())
+              (e.Engine.alive ());
+          let sp = plain.alive_snapshot () and ss = e.Engine.alive_snapshot () in
+          if snapshot_str sp <> snapshot_str ss then
+            Alcotest.failf "%s batch %d: snapshot plain=[%s] sharded=[%s]" ctx bi
+              (snapshot_str sp) (snapshot_str ss))
         (List.combine cuts draws);
       (* Merged lifecycle counters must agree with the unsharded engine
          (each query registers/matures/terminates on exactly one shard);
-         elements_total is excluded by design — it is k * n under query
-         partitioning and n + forwarding under element partitioning; the
-         shard layer's own counter holds the stream total either way. *)
-      let pm = plain.metrics () in
+         elements_total is excluded by design — it is k * n, since every
+         shard scans the whole stream; the shard layer's own counter
+         holds the stream total. *)
+      let pm = plain.metrics () and sm = e.Engine.metrics () in
       List.iter
-        (fun (vn, e) ->
-          let sm = e.Engine.metrics () in
-          List.iter
-            (fun c ->
-              if Metrics.counter_value pm c <> Metrics.counter_value sm c then
-                Alcotest.failf "%s %s: counter %s plain=%d sharded=%d" ctx vn c
-                  (Metrics.counter_value pm c) (Metrics.counter_value sm c))
-            [ "registered_total"; "matured_total"; "terminated_total" ];
-          if Metrics.counter_value sm "shard_elements_total" <> cfg.n_elements then
-            Alcotest.failf "%s %s: shard_elements_total=%d, stream had %d" ctx vn
-              (Metrics.counter_value sm "shard_elements_total")
-              cfg.n_elements)
-        variants)
+        (fun c ->
+          if Metrics.counter_value pm c <> Metrics.counter_value sm c then
+            Alcotest.failf "%s: counter %s plain=%d sharded=%d" ctx c
+              (Metrics.counter_value pm c) (Metrics.counter_value sm c))
+        [ "registered_total"; "matured_total"; "terminated_total" ];
+      if Metrics.counter_value sm "shard_elements_total" <> cfg.n_elements then
+        Alcotest.failf "%s: shard_elements_total=%d, stream had %d" ctx
+          (Metrics.counter_value sm "shard_elements_total")
+          cfg.n_elements)
     (engines_for cfg.dim)
 
 let cfg_gen =
@@ -607,9 +538,7 @@ let factories_for dim =
 
 (* The sharded maturity log — timestamps included — must equal the
    unsharded one verbatim: same ids on the same elements, attributed at
-   the same batch barriers, for every k, partition, executor and batch
-   size. Element partitioning uses uniform cuts over the generator's key
-   domain, the same geometry the par bench sweeps. *)
+   the same batch barriers, for every k, executor and batch size. *)
 let scenario_equivalence ~dim ~seed ~batch ?(ks = [ 1; 2; 4 ]) () =
   let cfg =
     {
@@ -629,28 +558,19 @@ let scenario_equivalence ~dim ~seed ~batch ?(ks = [ 1; 2; 4 ]) () =
       let reference = Scenario.run cfg base in
       List.iter
         (fun shards ->
-          let partitions =
-            [
-              ("queries", Shard.Queries);
-              ( "elements",
-                Shard.Elements (Range_router.uniform_cuts ~shards ~lo:0.0 ~hi:Generator.domain) );
-            ]
-          in
           List.iter
             (fun kind ->
-              List.iter
-                (fun (pname, partition) ->
-                  let make, close_all = Shard.factory ~executor:kind ~partition ~shards base in
-                  let r = Fun.protect ~finally:close_all (fun () -> Scenario.run cfg make) in
-                  Alcotest.(check (list (pair int int)))
-                    (Printf.sprintf "%s d=%d seed=%d batch=%d k=%d %s/%s: maturity log verbatim"
-                       name dim seed batch shards (exec_str kind) pname)
-                    reference.Scenario.maturity_log r.Scenario.maturity_log;
-                  Alcotest.(check int)
-                    (Printf.sprintf "%s d=%d seed=%d batch=%d k=%d %s/%s: element count" name dim
-                       seed batch shards (exec_str kind) pname)
-                    reference.Scenario.elements r.Scenario.elements)
-                partitions)
+              let make, close_all = Shard.factory ~executor:kind ~shards base in
+              let r = Fun.protect ~finally:close_all (fun () -> Scenario.run cfg make) in
+              let ctx =
+                Printf.sprintf "%s d=%d seed=%d batch=%d k=%d %s" name dim seed batch shards
+                  (exec_str kind)
+              in
+              Alcotest.(check (list (pair int int)))
+                (ctx ^ ": maturity log verbatim")
+                reference.Scenario.maturity_log r.Scenario.maturity_log;
+              Alcotest.(check int) (ctx ^ ": element count") reference.Scenario.elements
+                r.Scenario.elements)
             executors)
         ks)
     (factories_for dim)
@@ -663,7 +583,7 @@ let test_scenario_pinned () =
     shard_seeds;
   match shard_seeds with
   | seed :: _ ->
-      (* k=8 spot check — the top of the par bench sweep — plus one 2D
+      (* k=8 spot check — the top of the shard bench sweep — plus one 2D
          rotation (cheaper than the full cross product) *)
       scenario_equivalence ~dim:1 ~seed ~batch:64 ~ks:[ 8 ] ();
       scenario_equivalence ~dim:2 ~seed ~batch:64 ()
@@ -675,13 +595,13 @@ let test_scenario_pinned () =
    FRESH sharded engine (Shard.factory as ~make), and the recovered
    engine must continue the stream exactly like an unsharded engine that
    saw everything. *)
-let test_durable_composition () =
+let durable_composition ?executor () =
   let dim = 1 in
   let rng = Prng.create ~seed:77 in
   let queries = List.init 40 (fun id -> gen_query rng ~dim ~domain:10 ~max_tau:400 ~id) in
   let part1 = Array.init 150 (fun _ -> gen_elem rng ~dim ~domain:10 ~max_weight:3) in
   let part2 = Array.init 150 (fun _ -> gen_elem rng ~dim ~domain:10 ~max_weight:3) in
-  let make, close_all = Shard.factory ~shards:3 (fun ~dim -> Dt_engine.make ~dim) in
+  let make, close_all = Shard.factory ?executor ~shards:3 (fun ~dim -> Dt_engine.make ~dim) in
   Fun.protect ~finally:close_all @@ fun () ->
   let dir = Io.mem_dir () in
   let wrapped, h = Durable.wrap ~dir (make ~dim) in
@@ -699,6 +619,13 @@ let test_durable_composition () =
     "recovered sharded engine continues bit-identically (part 2)" (plain.feed_batch part2)
     (recovered.Engine.feed_batch part2);
   Alcotest.(check int) "alive after part 2" (plain.alive ()) (recovered.Engine.alive ())
+
+let test_durable_composition () = durable_composition ()
+
+(* the same round trip with the WAL recovered into engines driven by the
+   build's default executor (worker domains where available) *)
+let test_durable_composition_default_executor () =
+  durable_composition ~executor:Executor.default_kind ()
 
 (* Net_shadow.wrap over a sharded engine: the networked protocol must
    land every maturity on the same element as the sharded engine (wrap
@@ -733,6 +660,9 @@ let test_shard_surface () =
         "dt+k3" ^ (match kind with Executor.Domains -> "/domains" | Executor.Seq -> "")
       in
       Alcotest.(check string) "engine name" expected_name e.Engine.name;
+      Alcotest.(check int) "worker domain count"
+        (match kind with Executor.Domains -> 3 | Executor.Seq -> 1)
+        (Shard.worker_domains sh);
       e.Engine.register_batch queries;
       ignore (e.Engine.feed_batch elems);
       ignore (e.Engine.process elems.(0));
@@ -771,81 +701,180 @@ let test_shard_surface () =
         (fun () -> ignore (e.Engine.alive ())))
     executors
 
-(* Element-partitioned surface: naming, pinning, forwarding accounting.
-   With cuts {3, 7} inside an 8-wide key domain most generated queries
-   straddle a cut, so forwarding and the straddler gauge are exercised
-   for real. *)
-let test_range_surface () =
-  let rng = Prng.create ~seed:9 in
-  let queries = List.init 30 (fun id -> gen_query rng ~dim:1 ~domain:8 ~max_tau:10_000 ~id) in
-  let elems = Array.init 100 (fun _ -> gen_elem rng ~dim:1 ~domain:8 ~max_weight:2) in
-  List.iter
-    (fun kind ->
-      let cuts = [| 3.; 7. |] in
-      let sh =
-        Shard.create ~executor:kind ~partition:(Shard.Elements cuts) ~shards:3 ~dim:1 (fun ~dim ->
-            Dt_engine.make ~dim)
-      in
-      let e = Shard.engine sh in
-      let expected_name =
-        "dt+k3/range" ^ (match kind with Executor.Domains -> "/domains" | Executor.Seq -> "")
-      in
-      Alcotest.(check string) "engine name" expected_name e.Engine.name;
-      Alcotest.(check int) "worker domain count"
-        (match kind with Executor.Domains -> 3 | Executor.Seq -> 1)
-        (Shard.worker_domains sh);
-      (match Shard.partition sh with
-      | Shard.Elements c -> Alcotest.(check (array (float 0.))) "cuts round-trip" cuts c
-      | Shard.Queries -> Alcotest.fail "partition should be Elements");
-      e.Engine.register_batch queries;
-      ignore (e.Engine.feed_batch elems);
-      ignore (e.Engine.process elems.(0));
-      (* alive queries are pinned to the shard owning their low endpoint *)
-      List.iter
-        (fun (q : Types.query) ->
-          match Shard.owner sh q.id with
-          | s ->
-              let lo = q.rect.Types.lo.(0) in
-              let expected = (if lo >= 3. then 1 else 0) + if lo >= 7. then 1 else 0 in
-              Alcotest.(check int) "pinned to the low-endpoint owner" expected s
-          | exception Not_found -> () (* matured queries have left the router *))
-        queries;
-      let m = e.Engine.metrics () in
-      let c name = Metrics.counter_value m name in
-      Alcotest.(check int) "stream elements counted once" 101 (c "shard_elements_total");
-      (* routed mode: merged inner elements_total is the stream plus
-         boundary forwarding, never the k-fold replication *)
-      Alcotest.(check int) "inner elements_total = stream + forwarded"
-        (101 + c "shard_forwarded_total")
-        (c "elements_total");
-      Alcotest.(check bool) "forwarding happened (straddling workload)" true
-        (c "shard_forwarded_total" > 0);
-      (match Metrics.get m "shard_straddlers" with
-      | Some (Metrics.Gauge g) -> Alcotest.(check bool) "straddler gauge is sane" true (g >= 0.)
-      | _ -> Alcotest.fail "shard_straddlers gauge missing");
-      Alcotest.check_raises "terminate unknown id raises" Not_found (fun () ->
-          e.Engine.terminate 424_242);
-      Shard.close sh;
-      Shard.close sh (* idempotent *))
-    executors
-
 let test_create_validation () =
   Alcotest.check_raises "shards < 1" (Invalid_argument "Shard.create: shards < 1") (fun () ->
       ignore (Shard.create ~shards:0 ~dim:1 (fun ~dim -> Baseline_engine.make ~dim)));
   Alcotest.check_raises "dim < 1" (Invalid_argument "Shard.create: dim < 1") (fun () ->
-      ignore (Shard.create ~shards:2 ~dim:0 (fun ~dim -> Baseline_engine.make ~dim)));
-  (* element-partition cut validation fires before any engine or domain
-     is created *)
-  Alcotest.check_raises "element partition: wrong cut count"
-    (Invalid_argument "Range_router: 3 shards need 2 cut points, got 1") (fun () ->
-      ignore
-        (Shard.create ~partition:(Shard.Elements [| 5. |]) ~shards:3 ~dim:1 (fun ~dim ->
-             Baseline_engine.make ~dim)));
-  Alcotest.check_raises "element partition: non-increasing cuts"
-    (Invalid_argument "Range_router: cut points must be strictly increasing") (fun () ->
-      ignore
-        (Shard.create ~partition:(Shard.Elements [| 5.; 5. |]) ~shards:3 ~dim:1 (fun ~dim ->
-             Baseline_engine.make ~dim)))
+      ignore (Shard.create ~shards:2 ~dim:0 (fun ~dim -> Baseline_engine.make ~dim)))
+
+let test_engine_names () =
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun shards ->
+          List.iter
+            (fun (inner, make) ->
+              let sh = Shard.create ~executor:kind ~shards ~dim:2 (fun ~dim:_ -> make ()) in
+              Fun.protect ~finally:(fun () -> Shard.close sh) @@ fun () ->
+              let e = Shard.engine sh in
+              let suffix = match kind with Executor.Domains -> "/domains" | Executor.Seq -> "" in
+              Alcotest.(check string) "name = <inner>+k<shards>[/domains]"
+                (Printf.sprintf "%s+k%d%s" (make ()).Engine.name shards suffix)
+                e.Engine.name;
+              let ctx = Printf.sprintf "%s k=%d %s" inner shards (exec_str kind) in
+              Alcotest.(check int) (ctx ^ ": dim passes through") 2 e.Engine.dim;
+              Alcotest.(check int) (ctx ^ ": shards") shards (Shard.shards sh);
+              Alcotest.(check string) (ctx ^ ": executor kind") (exec_str kind)
+                (exec_str (Shard.executor_kind sh)))
+            (engines_for 2))
+        [ 1; 2; 4 ])
+    executors
+
+(* After close, every engine closure and every shard accessor that
+   touches the per-shard engines raises — none may reach a joined
+   worker. *)
+let test_ops_after_close () =
+  let q = { Types.id = 1; rect = Types.rect_make [| (0., 5.) |]; threshold = 3 } in
+  let el = { Types.value = [| 1. |]; weight = 1 } in
+  List.iter
+    (fun kind ->
+      let sh = Shard.create ~executor:kind ~shards:2 ~dim:1 (fun ~dim -> Dt_engine.make ~dim) in
+      let e = Shard.engine sh in
+      e.Engine.register q;
+      Shard.close sh;
+      let closed = Invalid_argument "Shard: engine is closed" in
+      List.iter
+        (fun (op, f) ->
+          Alcotest.check_raises (Printf.sprintf "%s: %s after close" (exec_str kind) op) closed f)
+        [
+          ("register", fun () -> e.Engine.register { q with id = 2 });
+          ("register_batch", fun () -> e.Engine.register_batch [ { q with id = 3 } ]);
+          ("terminate", fun () -> e.Engine.terminate 1);
+          ("process", fun () -> ignore (e.Engine.process el));
+          ("feed_batch", fun () -> ignore (e.Engine.feed_batch [| el |]));
+          ("alive", fun () -> ignore (e.Engine.alive ()));
+          ("alive_snapshot", fun () -> ignore (e.Engine.alive_snapshot ()));
+          ("metrics", fun () -> ignore (e.Engine.metrics ()));
+          ("queries_per_shard", fun () -> ignore (Shard.queries_per_shard sh));
+          ("per_shard_metrics", fun () -> ignore (Shard.per_shard_metrics sh));
+        ])
+    executors
+
+(* queries_per_shard counts exactly the alive ids each shard owns,
+   through registrations (single and batched), terminations and
+   maturities. *)
+let test_queries_per_shard () =
+  let rng = Prng.create ~seed:21 in
+  let shards = 4 in
+  List.iter
+    (fun kind ->
+      let sh = Shard.create ~executor:kind ~shards ~dim:1 (fun ~dim -> Dt_engine.make ~dim) in
+      Fun.protect ~finally:(fun () -> Shard.close sh) @@ fun () ->
+      let e = Shard.engine sh in
+      let expect step =
+        let want = Array.make shards 0 in
+        List.iter
+          (fun ((q : Types.query), _) ->
+            let s = Rendezvous.owner ~shards q.id in
+            want.(s) <- want.(s) + 1)
+          (e.Engine.alive_snapshot ());
+        Alcotest.(check (array int))
+          (Printf.sprintf "%s: per-shard alive after %s" (exec_str kind) step)
+          want (Shard.queries_per_shard sh)
+      in
+      e.Engine.register_batch
+        (List.init 40 (fun id -> gen_query rng ~dim:1 ~domain:8 ~max_tau:60 ~id));
+      expect "register_batch";
+      for id = 40 to 49 do
+        e.Engine.register (gen_query rng ~dim:1 ~domain:8 ~max_tau:60 ~id)
+      done;
+      expect "register";
+      List.iter e.Engine.terminate [ 0; 5; 17; 42 ];
+      expect "terminate";
+      let matured =
+        e.Engine.feed_batch (Array.init 80 (fun _ -> gen_elem rng ~dim:1 ~domain:8 ~max_weight:3))
+      in
+      Alcotest.(check bool) (exec_str kind ^ ": some queries matured") true (matured <> []);
+      expect "maturity";
+      Alcotest.(check int) (exec_str kind ^ ": per-shard sum = alive") (e.Engine.alive ())
+        (Array.fold_left ( + ) 0 (Shard.queries_per_shard sh)))
+    executors
+
+(* The layer's own counters: one dispatch per routed operation (an empty
+   batch dispatches nothing but still counts as a batch), and the
+   balance gauges read the extremes of queries_per_shard. *)
+let test_layer_counters () =
+  let rng = Prng.create ~seed:4 in
+  List.iter
+    (fun kind ->
+      let sh = Shard.create ~executor:kind ~shards:3 ~dim:1 (fun ~dim -> Dt_engine.make ~dim) in
+      Fun.protect ~finally:(fun () -> Shard.close sh) @@ fun () ->
+      let e = Shard.engine sh in
+      let elem () = gen_elem rng ~dim:1 ~domain:8 ~max_weight:2 in
+      e.Engine.register_batch
+        (List.init 20 (fun id -> gen_query rng ~dim:1 ~domain:8 ~max_tau:10_000 ~id));
+      e.Engine.register_batch [];
+      e.Engine.register (gen_query rng ~dim:1 ~domain:8 ~max_tau:10_000 ~id:20);
+      e.Engine.terminate 3;
+      e.Engine.terminate 7;
+      ignore (e.Engine.process (elem ()));
+      ignore (e.Engine.feed_batch (Array.init 5 (fun _ -> elem ())));
+      ignore (e.Engine.feed_batch [||]);
+      let m = e.Engine.metrics () in
+      let c name = Metrics.counter_value m name in
+      let g name =
+        match Metrics.get m name with
+        | Some (Metrics.Gauge v) -> int_of_float v
+        | _ -> Alcotest.failf "gauge %s missing" name
+      in
+      let ctx s = exec_str kind ^ ": " ^ s in
+      Alcotest.(check int) (ctx "registered") 21 (c "shard_registered_total");
+      Alcotest.(check int) (ctx "terminated") 2 (c "shard_terminated_total");
+      Alcotest.(check int) (ctx "elements") 6 (c "shard_elements_total");
+      Alcotest.(check int) (ctx "batches, empty one included") 2 (c "shard_batches_total");
+      (* register_batch, register, 2 x terminate, process, one non-empty
+         feed_batch *)
+      Alcotest.(check int) (ctx "dispatches") 6 (c "shard_dispatches_total");
+      let per = Shard.queries_per_shard sh in
+      Alcotest.(check int) (ctx "min gauge") (Array.fold_left min max_int per)
+        (g "shard_queries_min");
+      Alcotest.(check int) (ctx "max gauge") (Array.fold_left max 0 per) (g "shard_queries_max");
+      Alcotest.(check int) (ctx "executor domains gauge")
+        (match kind with Executor.Domains -> 3 | Executor.Seq -> 0)
+        (g "shard_executor_domains"))
+    executors
+
+(* Shard.factory: every instance is an independent sharded engine on the
+   requested executor, and the closer shuts all of them (idempotently);
+   instances made after a close_all are fresh and closed by the next. *)
+let test_factory () =
+  let q id = { Types.id; rect = Types.rect_make [| (0., 5.) |]; threshold = 100 } in
+  List.iter
+    (fun kind ->
+      let make, close_all = Shard.factory ~executor:kind ~shards:2 (fun ~dim -> Dt_engine.make ~dim) in
+      let es = List.init 3 (fun _ -> make ~dim:1) in
+      List.iteri (fun i e -> e.Engine.register_batch (List.init (i + 1) q)) es;
+      Alcotest.(check (list int)) (exec_str kind ^ ": instances keep their own queries") [ 1; 2; 3 ]
+        (List.map (fun e -> e.Engine.alive ()) es);
+      List.iter
+        (fun e ->
+          Alcotest.(check string) (exec_str kind ^ ": executor reaches every instance")
+            ("dt+k2" ^ match kind with Executor.Domains -> "/domains" | Executor.Seq -> "")
+            e.Engine.name)
+        es;
+      close_all ();
+      close_all ();
+      List.iter
+        (fun e ->
+          Alcotest.check_raises (exec_str kind ^ ": closed by close_all")
+            (Invalid_argument "Shard: engine is closed") (fun () -> ignore (e.Engine.alive ())))
+        es;
+      let late = make ~dim:1 in
+      Alcotest.(check int) (exec_str kind ^ ": a later instance starts empty") 0 (late.Engine.alive ());
+      close_all ();
+      Alcotest.check_raises (exec_str kind ^ ": the later instance is closed too")
+        (Invalid_argument "Shard: engine is closed") (fun () -> ignore (late.Engine.alive ())))
+    executors
 
 let () =
   Alcotest.run "shard"
@@ -856,42 +885,48 @@ let () =
           Alcotest.test_case "balance" `Quick test_rendezvous_balance;
           Alcotest.test_case "k -> k+1 moves ids only to the new shard" `Quick
             test_rendezvous_monotone;
+          Alcotest.test_case "owner = argmax score, extreme ids included" `Quick
+            test_rendezvous_argmax;
         ] );
       ( "executor",
         [
           Alcotest.test_case "slot order, exceptions, close" `Quick test_executor_basics;
           Alcotest.test_case "kind strings" `Quick test_executor_strings;
-          Alcotest.test_case "post/barrier contract" `Quick test_executor_post_barrier;
+          Alcotest.test_case "every accepted spelling, one error text" `Quick
+            test_executor_spellings;
+          Alcotest.test_case "create validation, kind, worker count" `Quick test_executor_create;
+          Alcotest.test_case "run_on bounds, exceptions, close" `Quick test_executor_run_on;
+          Alcotest.test_case "each slot runs once per fan-out" `Quick test_executor_each_slot_once;
           Alcotest.test_case "teardown after raising tasks leaks no domains" `Slow
             test_executor_teardown_leak;
           Alcotest.test_case "Shard.create closes the pool when a factory raises" `Slow
             test_shard_create_no_leak;
-        ] );
-      ( "routing",
-        [
-          Alcotest.test_case "spsc ring" `Quick test_spsc_ring;
-          Alcotest.test_case "owner + span arithmetic" `Quick test_router_owner;
-          Alcotest.test_case "straddler subscriptions" `Quick test_router_subscriptions;
-          Alcotest.test_case "validation + uniform cuts" `Quick test_router_validation;
         ] );
       ( "equivalence",
         [
           QCheck_alcotest.to_alcotest prop_shard_equivalence;
           Alcotest.test_case "empty batches are no-ops everywhere" `Quick test_empty_batch;
           Alcotest.test_case
-            "pinned seeds: maturity log verbatim (k x partition x executor x batch)" `Slow
+            "pinned seeds: maturity log verbatim (k x executor x batch)" `Slow
             test_scenario_pinned;
         ] );
       ( "composition",
         [
           Alcotest.test_case "durable wrap + recovery into sharded engine" `Quick
             test_durable_composition;
+          Alcotest.test_case "durable wrap + recovery on the default executor" `Quick
+            test_durable_composition_default_executor;
           Alcotest.test_case "net shadow over sharded engine" `Quick test_net_shadow_composition;
         ] );
       ( "surface",
         [
           Alcotest.test_case "metrics, names, placement, close" `Quick test_shard_surface;
-          Alcotest.test_case "element-partitioned surface" `Quick test_range_surface;
           Alcotest.test_case "create validation" `Quick test_create_validation;
+          Alcotest.test_case "names and accessors across k and executors" `Quick test_engine_names;
+          Alcotest.test_case "every operation raises after close" `Quick test_ops_after_close;
+          Alcotest.test_case "queries_per_shard follows the alive set" `Quick
+            test_queries_per_shard;
+          Alcotest.test_case "layer counters and balance gauges" `Quick test_layer_counters;
+          Alcotest.test_case "factory instances and close_all" `Quick test_factory;
         ] );
     ]

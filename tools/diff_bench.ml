@@ -107,7 +107,7 @@ let print_tables ~file ~figure rows clock =
     List.iter
       (fun r ->
         (* Bench_targets.drift_cell renders zero-budget rows (e.g.
-           forwarded elements at k=1, approx bound violations) as text —
+           approx bound violations) as text —
            a naive division prints -nan%/+inf% for them. *)
         Printf.printf "| %s | %s | %.0f | %.0f | %.0f | %s | %s |\n" r.key r.counter r.budget
           r.actual (r.budget -. r.actual)

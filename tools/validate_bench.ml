@@ -18,19 +18,17 @@
 
    `perf` documents additionally carry repetition stability fields,
    micro-benchmark rows, and the batched-ingestion verdicts
-   ([dt_counters_no_increase] must be true). `shard` and `par` documents
-   carry the scaling-sweep shape: per-run shard counts, executor,
-   per-shard metric snapshots and the worker-domain count the run
-   actually used (cores = 1 is only consistent with the seq executor or
-   a single slot), plus the maturity-determinism verdict that must be
-   true (the bench aborts before emitting otherwise). `par` documents
-   must additionally claim >= 2 cores and element partitioning — the
-   bench refuses to emit them elsewhere.
+   ([dt_counters_no_increase] must be true). `shard` documents carry
+   the scaling-sweep shape: per-run shard counts, executor, per-shard
+   metric snapshots and the worker-domain count the run actually used
+   (cores = 1 is only consistent with the seq executor or a single
+   slot), plus the maturity-determinism verdict that must be true (the
+   bench aborts before emitting otherwise).
 
    With [--perf-budgets FILE] / [--shard-budgets FILE], every run of the
    corresponding document is also held to the checked-in deterministic
    work-counter budgets — keyed "engine/batch" for perf, "engine/kK" for
-   shard and par sweeps: actual counter <= budget, same scale and seed.
+   the shard sweep: actual counter <= budget, same scale and seed.
    [--alloc-budgets FILE] layers a second, independently-keyed budget
    set onto the same perf runs — the allocation gate
    (allocated_words_per_element, also deterministic per scale/seed
@@ -218,17 +216,17 @@ let check_perf_doc ~file doc =
       err "%s: dt_counters_no_increase is false — batching added protocol work" file
   | _ -> err "%s: perf document missing bool \"dt_counters_no_increase\"" file
 
-(* Per-run shape shared by the sharded sweeps (`shard` and `par`):
-   shard count, executor, per-shard metric snapshots, and an honest
-   core count — every run must record the worker-domain count it
-   actually used, and claiming 1 core is only consistent with the seq
-   executor (everything inline on the caller) or a single slot. *)
-let check_sweep_run ~file ~figure i run =
+(* Per-run shape of the sharded sweep: shard count, executor,
+   per-shard metric snapshots, and an honest core count — every run
+   must record the worker-domain count it actually used, and claiming 1
+   core is only consistent with the seq executor (everything inline on
+   the caller) or a single slot. *)
+let check_sweep_run ~file i run =
   let where = Printf.sprintf "runs[%d]" i in
   let shards = require_num ~file ~where "shards" run in
   (match str "executor" run with
   | Some _ -> ()
-  | None -> err "%s: %s: %s run missing string \"executor\"" file where figure);
+  | None -> err "%s: %s: shard run missing string \"executor\"" file where);
   (match (require_num ~file ~where "cores" run, str "executor" run, shards) with
   | Some c, Some executor, Some k ->
       if c < 1.0 then err "%s: %s: cores %.0f < 1" file where c;
@@ -240,12 +238,7 @@ let check_sweep_run ~file ~figure i run =
   | _ -> ());
   match mem "per_shard_metrics" run with
   | Some (Json.List (_ :: _)) -> ()
-  | _ -> err "%s: %s: %s run missing non-empty \"per_shard_metrics\"" file where figure
-
-let check_sweep_runs ~file ~figure doc =
-  match mem "runs" doc with
-  | Some (Json.List runs) -> List.iteri (check_sweep_run ~file ~figure) runs
-  | _ -> ()
+  | _ -> err "%s: %s: shard run missing non-empty \"per_shard_metrics\"" file where
 
 let check_speedup_obj ~file doc key =
   match mem key doc with
@@ -319,42 +312,9 @@ let check_shard_doc ~file doc =
   | None -> err "%s: shard document missing params.executor" file);
   check_speedup_obj ~file doc "shard_speedup_k4_vs_k1";
   check_verdict ~file doc "shard_maturity_deterministic" "the merged maturity log diverged";
-  check_sweep_runs ~file ~figure:"shard" doc
-
-(* par documents: element-partitioned parallel ingestion. The bench
-   refuses to emit this file at all on <2 cores, so a par document
-   claiming fewer is self-contradictory; it always runs the domains
-   executor over element partitioning. *)
-let check_par_doc ~file doc =
-  (match Option.bind (mem "params" doc) (mem "ks") with
-  | Some (Json.List (_ :: _)) -> ()
-  | _ -> err "%s: par document missing non-empty params.ks" file);
-  (match Option.bind (mem "params" doc) (num "cores") with
-  | Some c when c >= 2.0 -> ()
-  | Some c ->
-      err "%s: par params.cores = %.0f but the bench must refuse to emit below 2 cores" file c
-  | None -> err "%s: par document missing params.cores" file);
-  (match Option.bind (mem "params" doc) (str "executor") with
-  | Some "domains" -> ()
-  | Some e -> err "%s: par params.executor %S should be domains" file e
-  | None -> err "%s: par document missing params.executor" file);
-  (match Option.bind (mem "params" doc) (str "partition") with
-  | Some "elements" -> ()
-  | Some pt -> err "%s: par params.partition %S should be elements" file pt
-  | None -> err "%s: par document missing params.partition" file);
-  check_speedup_obj ~file doc "par_speedup_k8_vs_k1";
-  check_verdict ~file doc "par_maturity_deterministic" "the merged maturity log diverged";
-  (match mem "runs" doc with
-  | Some (Json.List runs) ->
-      List.iteri
-        (fun i run ->
-          match str "partition" run with
-          | Some "elements" -> ()
-          | Some pt -> err "%s: runs[%d]: par run partition %S should be elements" file i pt
-          | None -> err "%s: runs[%d]: par run missing string \"partition\"" file i)
-        runs
-  | _ -> ());
-  check_sweep_runs ~file ~figure:"par" doc
+  match mem "runs" doc with
+  | Some (Json.List runs) -> List.iteri (check_sweep_run ~file) runs
+  | _ -> ()
 
 (* Budgets file: { "scale": s, "seed": n, "budgets": { key: { counter:
    max, ... }, ... } }. Scale and seed must match the document's params —
@@ -418,7 +378,6 @@ let check_file ~perf_budgets ~shard_budgets ~alloc_budgets ~approx_budgets file 
           | _ -> err "%s: missing \"params\" object" file);
           if figure = "perf" then check_perf_doc ~file doc;
           if figure = "shard" then check_shard_doc ~file doc;
-          if figure = "par" then check_par_doc ~file doc;
           if figure = "approx" then check_approx_doc ~file doc;
           let run_budgets =
             let pick = function
