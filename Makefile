@@ -24,9 +24,8 @@ RTS_REPLICA_SEEDS ?= 2,11,23
 # paper-style scenarios); override with RTS_APPROX_SEEDS=a,b,c.
 RTS_APPROX_SEEDS ?= 7,21,63
 
-.PHONY: all build lint test bench-smoke bench-perf bench-alloc bench-shard \
-        bench-approx diff-bench check check-fault check-net check-shard \
-        check-serve check-replica check-approx clean
+.PHONY: all build lint test bench-smoke bench-gate check check-fault check-net \
+        check-shard check-serve check-replica check-approx clean
 
 all: build
 
@@ -51,73 +50,32 @@ bench-smoke: build
 	$(DUNE) exec bench/main.exe -- fig6 --scale $(SMOKE_SCALE) --json > /dev/null
 	$(DUNE) exec tools/validate_bench.exe BENCH_fig4.json BENCH_fig6.json
 
-# Perf smoke: run the batched-ingestion benchmark at the smoke scale
-# (deterministic work counters for a pinned seed), then hold the
-# BENCH_perf.json output to the checked-in budgets. Wall clock is
-# reported but NOT gated -- only work-counter regressions fail the job.
-bench-perf: build
+# The bench gate: run the three budgeted benchmarks at the smoke scale
+# (batched ingestion, the shard k = 1/2/4/8 curve whose merged maturity
+# log the bench itself asserts bit-identical to the unsharded run, and
+# the approximate tier whose never-early and top-n verdicts it asserts),
+# then validate all three documents against tools/budgets.json. Every
+# gated number is deterministic per (scale, seed): work counters under
+# their ceilings, allocated_words_per_element = 0 on every DT perf run,
+# approx_bound_violations = 0. Prints one markdown drift table per
+# document (budget / actual / headroom / drift / OK-LOOSE-OVER); wall
+# clock is listed but never gated.
+bench-gate: build
 	$(DUNE) exec bench/main.exe -- perf --scale $(SMOKE_SCALE) --reps 3 --json > /dev/null
-	$(DUNE) exec tools/validate_bench.exe -- --perf-budgets tools/perf_budgets.json BENCH_perf.json
-
-# Allocation gate: the same perf run, held to BOTH budget sets -- the
-# work counters AND the zero-allocation contract of the DT hot path
-# (allocated_words_per_element = 0 at every batch size, no tolerance:
-# Rts_obs.Alloc calibrates out its own bracket overhead, so a genuinely
-# allocation-free feed reports exactly 0 on every compiler leg). A
-# single boxed float argument or stray closure on the feed path fails
-# this target.
-bench-alloc: build
-	$(DUNE) exec bench/main.exe -- perf --scale $(SMOKE_SCALE) --reps 3 --json > /dev/null
-	$(DUNE) exec tools/validate_bench.exe -- \
-	  --perf-budgets tools/perf_budgets.json \
-	  --alloc-budgets tools/alloc_budgets.json BENCH_perf.json
-
-# Shard smoke: run the sharded-ingestion benchmark (k = 1/2/4/8 curve,
-# maturity log asserted bit-identical to the unsharded reference inside
-# the bench itself), then hold BENCH_shard.json to the checked-in
-# per-(engine, k) work-counter budgets. Counters are executor-invariant:
-# seq and domains executors do identical work, so the same budgets gate
-# both CI legs. Wall clock (and hence speedup) is informational only --
-# a single-core runner cannot show parallel speedups at all.
-bench-shard: build
 	$(DUNE) exec bench/main.exe -- shard --scale $(SMOKE_SCALE) --reps 3 --json > /dev/null
-	$(DUNE) exec tools/validate_bench.exe -- --shard-budgets tools/shard_budgets.json BENCH_shard.json
-
-# Approximate-tier bench smoke: sketch footprint, certified error vs a
-# brute-force exact scan, never-early + top-n parity verdicts (the bench
-# aborts before emitting JSON if either fails), held to the checked-in
-# per-engine budgets. Everything gated is deterministic per (scale,
-# seed) — the sketches use no hash families — so the budgets carry no
-# tolerance band, and approx_bound_violations must be exactly 0.
-bench-approx: build
 	$(DUNE) exec bench/main.exe -- approx --scale $(SMOKE_SCALE) --reps 3 --json > /dev/null
-	$(DUNE) exec tools/validate_bench.exe -- --approx-budgets tools/approx_budgets.json BENCH_approx.json
+	$(DUNE) exec tools/validate_bench.exe -- --budgets tools/budgets.json \
+	  BENCH_perf.json BENCH_shard.json BENCH_approx.json
 
 # Approximate-tier suite on its own: qcheck certified-bound containment
 # and never-early properties against brute-force references, top-n
 # threshold-search exactness, and the pinned-seed scenario sweep (every
-# approximate maturity also matures in the exact baseline, no earlier),
-# then the bench-approx budget gate. CI runs this as a separate job on
-# both compiler legs.
+# approximate maturity also matures in the exact baseline, no earlier).
+# Its bench budgets are checked by bench-gate. CI runs this as a
+# separate job on both compiler legs.
 check-approx: build
 	RTS_APPROX_SEEDS=$(RTS_APPROX_SEEDS) $(DUNE) exec test/test_approx.exe
-	$(MAKE) bench-approx
 	@echo "check-approx: OK"
-
-# Bench-budget drift report: for every budgeted work counter, print a
-# markdown delta table (budget / actual / headroom / drift) so a counter
-# creeping toward its ceiling is visible long before it trips the gate.
-# Exits 1 if any counter is OVER budget; LOOSE rows (actual < 50% of
-# budget) are informational hints to tighten the budget. Requires
-# BENCH_perf.json, BENCH_shard.json and BENCH_approx.json (run
-# bench-perf / bench-shard / bench-approx first, or let this target
-# produce them).
-diff-bench: bench-perf bench-shard bench-approx
-	$(DUNE) exec tools/diff_bench.exe -- \
-	  --budgets tools/perf_budgets.json BENCH_perf.json \
-	  --budgets tools/alloc_budgets.json BENCH_perf.json \
-	  --budgets tools/shard_budgets.json BENCH_shard.json \
-	  --budgets tools/approx_budgets.json BENCH_approx.json
 
 # Fault-injection suite on its own: crash the durable engine at every op
 # boundary (torn writes, bit flips, corrupt checkpoints) for the pinned

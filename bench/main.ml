@@ -1,6 +1,7 @@
 (* Benchmark harness reproducing every figure of the paper's evaluation
    (Section 8: Figures 3-8; the paper has no result tables), plus two
-   extras: a Bechamel steady-state microbenchmark and an ablation study.
+   extras: batched-ingestion, sharding and approximate-tier benchmarks and
+   an ablation study.
 
    All parameters default to 1/100 of the paper's scale with the tau/m
    ratio preserved (DESIGN.md, substitution 1), so every run keeps the
@@ -11,7 +12,7 @@
    Usage:
      dune exec bench/main.exe                 # everything, default scale
      dune exec bench/main.exe -- fig4 --scale 2
-     dune exec bench/main.exe -- micro
+     dune exec bench/main.exe -- perf --scale 0.05 --json
      dune exec bench/main.exe -- --help       # list targets            *)
 
 open Rts_core
@@ -593,50 +594,6 @@ let net p =
   pf "@."
 
 (* ---------------------------------------------------------------- *)
-(* Extra: Bechamel steady-state per-element microbenchmark           *)
-
-let micro p =
-  let m = max 1 (p.m / 10) in
-  header
-    (Printf.sprintf
-       "Micro: steady-state per-element cost (Bechamel OLS, m=%d alive queries, no maturity)" m);
-  let mk_test name dim (factory : dim:int -> Engine.t) =
-    let gen = Generator.create ~dim ~seed:p.seed () in
-    let engine = factory ~dim in
-    for id = 0 to m - 1 do
-      engine.Engine.register (Generator.query gen ~id ~threshold:max_int)
-    done;
-    let elems = Array.init 4096 (fun _ -> Generator.element gen) in
-    let i = ref 0 in
-    Bechamel.Test.make
-      ~name:(Printf.sprintf "%s/%dd" name dim)
-      (Bechamel.Staged.stage (fun () ->
-           incr i;
-           ignore (engine.Engine.process elems.(!i land 4095))))
-  in
-  let tests =
-    List.concat_map
-      (fun dim -> List.map (fun (name, f) -> mk_test name dim f) (engines_for dim))
-      [ 1; 2 ]
-  in
-  let open Bechamel in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw =
-    Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] (Test.make_grouped ~name:"micro" tests)
-  in
-  let ols = Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let res = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name o acc -> (name, o) :: acc) res [] in
-  pf "@[<h>%-28s %14s %10s@]@." "engine" "ns/element" "r^2";
-  List.iter
-    (fun (name, o) ->
-      let est = match Analyze.OLS.estimates o with Some (e :: _) -> e | _ -> nan in
-      let r2 = match Analyze.OLS.r_square o with Some r -> r | None -> nan in
-      pf "@[<h>%-28s %14.1f %10.4f@]@." name est r2)
-    (List.sort compare rows);
-  pf "@."
-
-(* ---------------------------------------------------------------- *)
 (* Perf: batched ingestion vs element-at-a-time, with deterministic  *)
 (* work counters. Static fig6-scale geometry (m, tau, n as fig6; no  *)
 (* terminations, static registration) so every batch size sees the   *)
@@ -649,11 +606,11 @@ let perf_counter_names =
 
 (* Steady-state allocation audit — the `allocated_words_per_element`
    gauge of BENCH_perf.json. Feed a warm engine (m/10 never-maturing
-   queries, like the bechamel micro harness below) a pool of
+   queries) a pool of
    pre-generated batches, then bracket [Gc.minor_words] around a
    multi-batch pass: [Rts_obs.Alloc] calibrates out the bracket's own
    boxed floats, so an allocation-free feed path reports exactly 0 —
-   which is what tools/alloc_budgets.json gates for the DT engine, with
+   which validate_bench requires of every DT run, at any scale, with
    no tolerance band. The untimed warmup pass first grows every reusable
    scratch buffer to its steady-state size: the audit asks "does the hot
    loop allocate per element?", not "do buffers grow once at startup?". *)
@@ -709,8 +666,7 @@ let perf p =
           let bcfg = { cfg with Scenario.batch = b } in
           let r, stability = measure ~traced:true p bcfg factory in
           (* The allocation audit rides along as a gauge in the run's
-             metrics object, so validate_bench/diff_bench gate it through
-             the same budget machinery as the work counters. *)
+             metrics object, where validate_bench holds it to 0. *)
           let alloc_w = alloc_words_per_element p factory b in
           let r =
             {
@@ -750,94 +706,6 @@ let perf p =
   pf "@.DT per-op: %.3f us at batch 1 -> %.3f us at batch 1024 (%.2fx); work counters %s.@."
     dt1 dt1024 speedup
     (if counter_regression then "REGRESSED (batch does more protocol work!)" else "no increase");
-  (* ---- Bechamel micro rows: descent, heap/signal path, batch sizes. *)
-  let micro_rows =
-    let mm = max 1 (p.m / 10) in
-    let mk_engine threshold (factory : dim:int -> Engine.t) =
-      let gen = Generator.create ~dim:1 ~seed:p.seed () in
-      let engine = factory ~dim:1 in
-      for id = 0 to mm - 1 do
-        engine.Engine.register (Generator.query gen ~id ~threshold)
-      done;
-      (engine, gen)
-    in
-    let mk_batch_test name (factory : dim:int -> Engine.t) b =
-      let engine, gen = mk_engine max_int factory in
-      let pool = Array.init 64 (fun _ -> Array.init b (fun _ -> Generator.element gen)) in
-      let i = ref 0 in
-      ( b,
-        Bechamel.Test.make
-          ~name:(Printf.sprintf "%s/batch%d" name b)
-          (Bechamel.Staged.stage (fun () ->
-               incr i;
-               ignore (engine.Engine.feed_batch pool.(!i land 63)))) )
-    in
-    let mk_descent_test () =
-      (* max_int thresholds: slack deadlines sit at infinity, so the loop
-         body is the pure root-to-leaf descent + counter increments. *)
-      let engine, gen = mk_engine max_int (fun ~dim -> Dt_engine.make ~dim) in
-      let elems = Array.init 4096 (fun _ -> Generator.element gen) in
-      let i = ref 0 in
-      ( 1,
-        Bechamel.Test.make ~name:"dt/descent"
-          (Bechamel.Staged.stage (fun () ->
-               incr i;
-               ignore (engine.Engine.process elems.(!i land 4095)))) )
-    in
-    let mk_heap_test () =
-      (* Finite tau: the DT slack machinery runs — heap pops, re-pushes,
-         round ends — without queries maturing inside the bechamel quota. *)
-      let engine, gen = mk_engine (max 2 p.tau) (fun ~dim -> Dt_engine.make ~dim) in
-      let elems = Array.init 4096 (fun _ -> Generator.element gen) in
-      let i = ref 0 in
-      ( 1,
-        Bechamel.Test.make ~name:"dt/heap"
-          (Bechamel.Staged.stage (fun () ->
-               incr i;
-               ignore (engine.Engine.process elems.(!i land 4095)))) )
-    in
-    let tests =
-      (mk_descent_test () :: mk_heap_test ()
-      :: List.concat_map
-           (fun (name, f) -> List.map (fun b -> mk_batch_test name f b) batches)
-           engines_1d)
-    in
-    let divisors =
-      List.map (fun (b, t) -> (Bechamel.Test.Elt.name (List.hd (Bechamel.Test.elements t)), b)) tests
-    in
-    let open Bechamel in
-    let bcfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
-    let raw =
-      Benchmark.all bcfg
-        [ Toolkit.Instance.monotonic_clock ]
-        (Test.make_grouped ~name:"perf" (List.map snd tests))
-    in
-    let ols = Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |] in
-    let res = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-    let rows = Hashtbl.fold (fun name o acc -> (name, o) :: acc) res [] in
-    pf "@.@[<h>%-28s %14s %10s@]@." "micro" "ns/element" "r^2";
-    List.filter_map
-      (fun (name, o) ->
-        let est = match Analyze.OLS.estimates o with Some (e :: _) -> e | _ -> nan in
-        let r2 = match Analyze.OLS.r_square o with Some r -> r | None -> nan in
-        let div =
-          List.fold_left
-            (fun acc (n, b) -> if n = name || "perf/" ^ n = name then b else acc)
-            1 divisors
-        in
-        let per_elem = est /. float_of_int div in
-        pf "@[<h>%-28s %14.1f %10.4f@]@." name per_elem r2;
-        if Float.is_finite per_elem then
-          Some
-            (Json.Obj
-               [
-                 ("name", Json.Str name);
-                 ("ns_per_element", Json.Num per_elem);
-                 ("r_square", Json.Num r2);
-               ])
-        else None)
-      (List.sort compare rows)
-  in
   if p.json then begin
     let doc =
       Json.Obj
@@ -856,7 +724,6 @@ let perf p =
                 ("gc", gc_params_json ());
               ] );
           ("runs", Json.List (List.rev !runs));
-          ("micro", Json.List micro_rows);
           ("dt_speedup_1024_vs_1", Json.Num speedup);
           ("dt_counters_no_increase", Json.Bool (not counter_regression));
         ]
@@ -877,8 +744,8 @@ let perf p =
 (* verbatim, or the target aborts. Wall clock is informational (CI    *)
 (* runners are often single-core — the recorded [cores] says whether  *)
 (* a speedup was even physically available); the gate is the merged   *)
-(* deterministic work counters, keyed "engine/k<K>" in                *)
-(* tools/shard_budgets.json.                                          *)
+(* deterministic work counters, keyed "shard/<engine>/k<K>" in       *)
+(* tools/budgets.json.                                                *)
 
 module Shard = Rts_shard.Shard
 module Executor = Rts_shard.Executor
@@ -1081,7 +948,7 @@ let ablation p =
 (* engines, and top-n search parity with the full sort. Everything    *)
 (* emitted is deterministic per (scale, seed): the sketches use no    *)
 (* hash families and the workload generator is a pinned PRNG, so      *)
-(* tools/approx_budgets.json gates the error/memory gauges with no    *)
+(* tools/budgets.json gates the error/memory gauges with no           *)
 (* tolerance band.                                                    *)
 
 module Approx = Rts_approx
@@ -1284,8 +1151,8 @@ let cmd name doc f =
     Term.(const (with_params f) $ scale_arg $ seed_arg $ json_arg $ reps_arg)
 
 (* The implementation behind every registry target. The target list
-   itself — names, docs, which figures are JSON-emitting, how budgets
-   are keyed — lives in {!Bench_targets}, shared with validate_bench, so
+   itself — names, docs, which figures carry strict traces and
+   budgets — lives in {!Bench_targets}, shared with validate_bench, so
    a target cannot exist here without the validator knowing it (and vice
    versa): [check_coverage] fails loudly at startup on any drift. *)
 let implementations : (string * (params -> unit)) list =
@@ -1300,7 +1167,6 @@ let implementations : (string * (params -> unit)) list =
     ("counting", counting);
     ("robust", robust);
     ("net", net);
-    ("micro", micro);
     ("perf", perf);
     ("shard", shard);
     ("ablation", ablation);
@@ -1335,7 +1201,8 @@ let () =
     Cmd.info "rts-bench"
       ~doc:
         "Regenerate the evaluation of 'Range Thresholding on Streams' (SIGMOD'16): one target \
-         per paper figure, plus a Bechamel microbenchmark and an ablation study."
+         per paper figure, plus batched, sharded and approximate-tier benchmarks and an \
+         ablation study."
   in
   let cmds =
     List.map

@@ -13,7 +13,7 @@ type stats = {
    them, writes need no [caml_modify] barrier, and int/float loads come
    back unboxed. Combined with the preallocated cursor and scratch
    buffers below, the batched 1D feed path allocates zero minor-heap
-   words per element — gated by tools/alloc_budgets.json in CI. *)
+   words per element — gated by validate_bench on every perf run. *)
 type farr = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type iarr = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t

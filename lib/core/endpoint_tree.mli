@@ -104,7 +104,7 @@ val process_batch : t -> elem array -> unit
     per-element equivalents — shared descents and aggregated bumps can
     only remove work. On a 1D tree the call allocates zero minor-heap
     words once the scratch buffers have reached the batch size (gated by
-    tools/alloc_budgets.json). *)
+    validate_bench on every perf run). *)
 
 val sort_kw : float array -> int array -> int -> unit
 (** [sort_kw keys wts n] co-sorts the first [n] entries of the parallel

@@ -5,8 +5,9 @@
     overhead (the boxed float each [Gc.minor_words] call returns)
     calibrated out — so a genuinely allocation-free section reports
     {e exactly} [0.], deterministically, on every compiler leg. That
-    exactness is what lets tools/alloc_budgets.json gate
-    [allocated_words_per_element = 0] in CI with no tolerance band.
+    exactness is what lets validate_bench require
+    [allocated_words_per_element = 0] of the DT engine with no tolerance
+    band.
 
     The counter is monotone: concurrent noise (finalizers, signal
     handlers) can only add words, never subtract, so {!words_min} over a

@@ -1,6 +1,5 @@
 module Prng = Rts_util.Prng
 module Replay = Rts_workload.Replay
-module Generator = Rts_workload.Generator
 module Io = Rts_resilience.Io
 module Fault = Rts_resilience.Fault
 module Wal = Rts_resilience.Wal
@@ -9,7 +8,7 @@ module Net_fault = Rts_net.Net_fault
 module Metrics = Rts_obs.Metrics
 module Server = Rts_serve.Server
 module Client = Rts_serve.Client
-module Frame = Rts_serve.Frame
+module Soak = Rts_serve.Soak
 
 type scenario = Clean | Kill of int | Wedge of { at : int; duration : int }
 
@@ -58,66 +57,6 @@ let default =
           };
       };
   }
-
-(* Deterministic seed mixing; same construction as Soak.mix (pinned
-   seeds appear in CI, so no Hashtbl.hash). *)
-let mix seed name incarnation =
-  let h = ref (seed * 1_000_003) in
-  String.iter (fun c -> h := (!h * 31) + Char.code c) name;
-  h := (!h * 31) + incarnation;
-  !h land 0x3FFFFFFF
-
-let draw_plan cfg rng =
-  let crash_at = 2 + Prng.int rng (max 1 (2 * cfg.crash_every)) in
-  let short_at = if Prng.int rng 3 = 0 then Some (crash_at - 1) else None in
-  {
-    Fault.crash_at_append = crash_at;
-    torn = Prng.bool rng;
-    bit_flip = Prng.int rng 3 = 0;
-    crash_at_atomic = (if Prng.int rng 4 = 0 then Some (1 + Prng.int rng 2) else None);
-    short_at_append = short_at;
-    enospc_at_append =
-      (if Prng.int rng 5 = 0 then Some (1 + Prng.int rng (max 1 cfg.crash_every)) else None);
-  }
-
-let tenant_name i = Printf.sprintf "t%d" i
-
-(* Same shape as the single-node soak's script: registrations up front,
-   batched elements, churn (terminate + re-register) sprinkled in. *)
-let script cfg ~tenant_idx =
-  let tenant = tenant_name tenant_idx in
-  let rng = Prng.create ~seed:(mix cfg.seed tenant 0x5c71) in
-  let gen = Generator.create ~dim:cfg.dim ~seed:(mix cfg.seed tenant 0x9e3d) () in
-  let next_id = ref 0 in
-  let known = ref [] in
-  let frames = ref [] in
-  let emit f = frames := f :: !frames in
-  let register () =
-    let id = !next_id in
-    incr next_id;
-    known := id :: !known;
-    let threshold = 1 + Prng.int rng (max 1 cfg.threshold) in
-    emit (Frame.Op { tenant; op = Replay.Register (Generator.query gen ~id ~threshold) })
-  in
-  for _ = 1 to cfg.queries do
-    register ()
-  done;
-  let remaining = ref cfg.elements in
-  while !remaining > 0 do
-    let n = min cfg.batch !remaining in
-    remaining := !remaining - n;
-    if n = 1 then emit (Frame.Op { tenant; op = Replay.Element (Generator.element gen) })
-    else emit (Frame.Batch { tenant; elems = Array.init n (fun _ -> Generator.element gen) });
-    if Prng.float rng 1.0 < cfg.churn then begin
-      (match !known with
-      | [] -> ()
-      | ids ->
-          let id = List.nth ids (Prng.int rng (List.length ids)) in
-          emit (Frame.Op { tenant; op = Replay.Terminate id }));
-      register ()
-    end
-  done;
-  List.rev !frames
 
 (* ---- pruned-segment archive ----------------------------------------- *)
 
@@ -233,9 +172,9 @@ let run ?(progress = fun _ -> ()) ~make cfg =
     let base = base_of node tenant in
     if incarnation < cfg.faulty_incarnations then
       let rng =
-        Prng.create ~seed:(mix cfg.seed (Printf.sprintf "%s@%d" tenant node) incarnation)
+        Prng.create ~seed:(Soak.mix cfg.seed (Printf.sprintf "%s@%d" tenant node) incarnation)
       in
-      Fault.wrap ~rng (draw_plan cfg rng) base
+      Fault.wrap ~rng (Soak.draw_plan ~crash_every:cfg.crash_every rng) base
     else base
   in
   let ccfg =
@@ -255,10 +194,14 @@ let run ?(progress = fun _ -> ()) ~make cfg =
   (* client 0 subscribes to everything; clients 1..tenants each drive
      one tenant's script *)
   for i = 0 to cfg.tenants - 1 do
-    Cluster.subscribe cluster 0 (tenant_name i)
+    Cluster.subscribe cluster 0 (Soak.tenant_name i)
   done;
   for i = 0 to cfg.tenants - 1 do
-    let frames = script cfg ~tenant_idx:i in
+    let frames =
+      Soak.script ~seed:cfg.seed ~dim:cfg.dim ~queries:cfg.queries
+        ~elements:cfg.elements ~batch:cfg.batch ~threshold:cfg.threshold ~churn:cfg.churn
+        ~tenant_idx:i
+    in
     let client = Cluster.client cluster (i + 1) in
     List.iter (fun f -> Client.enqueue client f) frames
   done;
@@ -308,7 +251,7 @@ let run ?(progress = fun _ -> ()) ~make cfg =
   let segment_records = ccfg.Cluster.server.Server.segment_records in
   let per_tenant =
     List.init cfg.tenants (fun i ->
-        let name = tenant_name i in
+        let name = Soak.tenant_name i in
         let scanned = Wal.scan ~dim:cfg.dim ~dir:(base_of promoted name) () in
         let archived = List.sort compare !(archive_of promoted name) in
         let chain_ok, archived_ops_rev, archived_end =

@@ -59,8 +59,8 @@ let mix seed name incarnation =
   h := (!h * 31) + incarnation;
   !h land 0x3FFFFFFF
 
-let draw_plan cfg rng =
-  let crash_at = 2 + Prng.int rng (max 1 (2 * cfg.crash_every)) in
+let draw_plan ~crash_every rng =
+  let crash_at = 2 + Prng.int rng (max 1 (2 * crash_every)) in
   let short_at =
     (* always one append before the crash: the partial record is the
        final one on the surviving log, so the scanner amputates it and
@@ -75,7 +75,7 @@ let draw_plan cfg rng =
     crash_at_atomic = (if Prng.int rng 4 = 0 then Some (1 + Prng.int rng 2) else None);
     short_at_append = short_at;
     enospc_at_append =
-      (if Prng.int rng 5 = 0 then Some (1 + Prng.int rng (max 1 cfg.crash_every)) else None);
+      (if Prng.int rng 5 = 0 then Some (1 + Prng.int rng (max 1 crash_every)) else None);
   }
 
 type tenant_report = {
@@ -105,10 +105,10 @@ let tenant_name i = Printf.sprintf "t%d" i
 
 (* Build each tenant's frame script: registrations, batched elements,
    churn. Returned in send order. *)
-let script cfg ~tenant_idx =
+let script ~seed ~dim ~queries ~elements ~batch ~threshold ~churn ~tenant_idx =
   let tenant = tenant_name tenant_idx in
-  let rng = Prng.create ~seed:(mix cfg.seed tenant 0x5c71) in
-  let gen = Generator.create ~dim:cfg.dim ~seed:(mix cfg.seed tenant 0x9e3d) () in
+  let rng = Prng.create ~seed:(mix seed tenant 0x5c71) in
+  let gen = Generator.create ~dim ~seed:(mix seed tenant 0x9e3d) () in
   let next_id = ref 0 in
   let known = ref [] in
   let frames = ref [] in
@@ -117,21 +117,21 @@ let script cfg ~tenant_idx =
     let id = !next_id in
     incr next_id;
     known := id :: !known;
-    let threshold = 1 + Prng.int rng (max 1 cfg.threshold) in
+    let threshold = 1 + Prng.int rng (max 1 threshold) in
     emit (Frame.Op { tenant; op = Replay.Register (Generator.query gen ~id ~threshold) })
   in
-  for _ = 1 to cfg.queries do
+  for _ = 1 to queries do
     register ()
   done;
-  let remaining = ref cfg.elements in
+  let remaining = ref elements in
   while !remaining > 0 do
-    let n = min cfg.batch !remaining in
+    let n = min batch !remaining in
     remaining := !remaining - n;
     if n = 1 then emit (Frame.Op { tenant; op = Replay.Element (Generator.element gen) })
     else
       emit
         (Frame.Batch { tenant; elems = Array.init n (fun _ -> Generator.element gen) });
-    if Prng.float rng 1.0 < cfg.churn then begin
+    if Prng.float rng 1.0 < churn then begin
       (match !known with
       | [] -> ()
       | ids ->
@@ -160,7 +160,7 @@ let run ?(progress = fun _ -> ()) ~make cfg =
     let base = base_of tenant in
     if incarnation < cfg.faulty_incarnations then
       let rng = Prng.create ~seed:(mix cfg.seed tenant incarnation) in
-      Fault.wrap ~rng (draw_plan cfg rng) base
+      Fault.wrap ~rng (draw_plan ~crash_every:cfg.crash_every rng) base
     else base
   in
   let server_config = { cfg.server with Server.dim = cfg.dim; max_tenants = cfg.tenants } in
@@ -175,7 +175,10 @@ let run ?(progress = fun _ -> ()) ~make cfg =
     Client.enqueue subscriber (Frame.Subscribe { tenant = tenant_name i; after = 0 })
   done;
   for i = 0 to cfg.tenants - 1 do
-    let frames = script cfg ~tenant_idx:i in
+    let frames =
+      script ~seed:cfg.seed ~dim:cfg.dim ~queries:cfg.queries ~elements:cfg.elements
+        ~batch:cfg.batch ~threshold:cfg.threshold ~churn:cfg.churn ~tenant_idx:i
+    in
     let client = Hub.client hub i in
     List.iter (fun f -> Client.enqueue client f) frames
   done;

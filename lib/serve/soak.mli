@@ -80,6 +80,38 @@ type report = {
           exercised. *)
 }
 
+(** {2 Workload pieces}
+
+    Shared with the replica soak ({!Rts_replica.Rsoak}), whose config
+    record differs, hence the labelled arguments. *)
+
+val mix : int -> string -> int -> int
+(** [mix seed name incarnation]: a deterministic 30-bit seed, independent
+    of [Hashtbl.hash] (not pinned across compilers; these seeds appear
+    in CI). *)
+
+val draw_plan : crash_every:int -> Rts_util.Prng.t -> Rts_resilience.Fault.plan
+(** One store life's fault plan: a crash point within [2 * crash_every]
+    appends, torn tail, bit flip, crash-at-checkpoint, a short write
+    armed one append before the crash, and sticky ENOSPC, each drawn
+    from the generator. *)
+
+val tenant_name : int -> string
+
+val script :
+  seed:int ->
+  dim:int ->
+  queries:int ->
+  elements:int ->
+  batch:int ->
+  threshold:int ->
+  churn:float ->
+  tenant_idx:int ->
+  Frame.client list
+(** One tenant's frames in send order: [queries] registrations, then
+    [elements] elements in {!Frame.Batch} frames of [batch], with a
+    terminate + register after a chunk with probability [churn]. *)
+
 val run : ?progress:(string -> unit) -> make:(dim:int -> Engine.t) -> config -> report
 (** Deterministic: same [config] (and engine kind) — same report. *)
 

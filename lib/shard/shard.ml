@@ -176,9 +176,6 @@ let metrics t =
   let total = Array.fold_left ( + ) 0 counts in
   let qmin = Array.fold_left min max_int counts in
   let qmax = Array.fold_left max 0 counts in
-  let domains =
-    match executor_kind t with Executor.Domains -> t.nshards | Executor.Seq -> 0
-  in
   (* [merge] lets the *second* operand win gauges, so the layer gauges —
      in particular the true [alive] total, which would otherwise read as
      the last shard's local gauge — go last. *)
@@ -189,7 +186,7 @@ let metrics t =
         ("shard_count", Metrics.Gauge (float_of_int t.nshards));
         ("shard_queries_min", Metrics.Gauge (float_of_int qmin));
         ("shard_queries_max", Metrics.Gauge (float_of_int qmax));
-        ("shard_executor_domains", Metrics.Gauge (float_of_int domains));
+        ("shard_executor_domains", Metrics.Gauge (float_of_int (worker_domains t)));
       ]
   in
   Metrics.merge_all (Array.to_list per_shard @ [ Metrics.snapshot t.reg; layer ])

@@ -85,7 +85,7 @@ val metrics : t -> Rts_obs.Metrics.snapshot
     [shard_terminated_total], [shard_elements_total] (stream elements,
     counted once), [shard_batches_total], [shard_dispatches_total],
     [shard_queries_min]/[shard_queries_max] balance gauges,
-    [shard_executor_domains]) merged over the per-shard engine
+    [shard_executor_domains], which is {!worker_domains}) merged over the per-shard engine
     snapshots; the [alive] gauge is the true total. *)
 
 val close : t -> unit

@@ -1,40 +1,23 @@
-(** The single registry of benchmark targets.
+(** The single registry of benchmark targets, and the checks every
+    [BENCH_<figure>.json] document must pass.
 
-    Both sides of the bench pipeline consume this table: [bench/main.ml]
-    builds its cmdliner command list (and the [all] sweep) from it, and
-    [tools/validate_bench.ml] uses it to decide which figures exist,
-    which must carry strictly-advancing traces, and how their
-    work-counter budget files are keyed. Before this table existed the
-    figure list was hardcoded in both places, so a new bench target
-    could be added to the bench without the validator ever seeing its
-    output — the registry makes that structurally impossible: the bench
-    asserts at startup that its implementations and this table cover
-    each other exactly, and the validator rejects any
-    [BENCH_<figure>.json] whose figure it does not know. *)
-
-type budget_keying =
-  | No_budgets  (** figure carries no checked-in work-counter budgets *)
-  | By_batch
-      (** budget entries are keyed ["<engine>/<batch>"] — the batched
-          ingestion sweep ([perf], [tools/perf_budgets.json]) *)
-  | By_shards
-      (** budget entries are keyed ["<engine>/k<shards>"] — the shard
-          scaling sweep ([shard], [tools/shard_budgets.json]) *)
-  | By_engine
-      (** budget entries are keyed by the bare engine name — the
-          approximate-tier sweep ([approx], [tools/approx_budgets.json]),
-          one run per engine *)
+    Both sides of the bench pipeline consume this module: [bench/main.ml]
+    builds its cmdliner command list (and the [all] sweep) from the
+    table, and [tools/validate_bench.ml] runs {!check} on each document.
+    The bench asserts at startup that its implementations and the table
+    cover each other exactly, and {!check} rejects any document whose
+    figure the table does not know, so a bench target cannot emit output
+    the validator silently skips. *)
 
 type t = {
   name : string;  (** target name = cmdliner subcommand = JSON "figure" *)
   doc : string;  (** one-line description (cmdliner [~doc]) *)
-  emits_json : bool;
-      (** writes [BENCH_<name>.json] under [--json]; the only exception
-          is [micro], whose Bechamel output has no stable JSON shape *)
   strict_trace : bool;
       (** every run's [trace[].elements] must strictly increase after
           the first point — the figures whose trajectories CI replots *)
-  budget_keying : budget_keying;
+  budgeted : bool;
+      (** every run is held to a work-counter entry of the budgets file,
+          keyed by {!budget_key}; a run with no entry is an error *)
 }
 
 val all : t list
@@ -44,9 +27,63 @@ val names : string list
 
 val find : string -> t option
 
+(** {2 Budgets} *)
+
+type budgets = {
+  scale : float;
+  seed : float;  (** counters are deterministic only per (scale, seed) *)
+  entries : (string * (string * float) list) list;
+      (** key -> (counter, ceiling) list *)
+}
+
+val budgets_of_json : Rts_obs.Json.t -> (budgets, string) result
+(** Parse [{ "scale": s, "seed": n, "budgets": { key: { counter: max,
+    ... }, ... } }]; [Error] names the first malformed part. *)
+
+val budget_key : figure:string -> Rts_obs.Json.t -> string option
+(** A run's budget key, ["<figure>/<engine>"] followed by ["/<batch>"]
+    when the run records a batch size or ["/k<shards>"] when it records
+    a shard count: ["perf/dt/64"], ["shard/baseline/k4"],
+    ["approx/crprecis"]. [None] when the run has no engine. *)
+
+type row = { key : string; counter : string; budget : float; actual : float }
+(** One budgeted counter of one run. *)
+
+val status : row -> string
+(** ["OVER"] when [actual > budget] (a regression; {!check} reports it
+    as an error), ["LOOSE"] when [actual < budget / 2] (the ceiling
+    would let a near-2x regression through), else ["OK"]. *)
+
 val drift_cell : budget:float -> actual:float -> string
-(** The drift column of [diff_bench]'s delta table: [(actual - budget) /
-    budget] as a signed percentage — except that zero-budget rows carry
-    no relative drift and render as ["n/a"] (met exactly) or
-    ["OVER (zero budget)"] instead of the [-nan%]/[+inf%] a naive
-    division produces. *)
+(** [(actual - budget) / budget] as a signed percentage — except that
+    zero-budget rows carry no relative drift and render as ["n/a"] (met
+    exactly) or ["OVER (zero budget)"] instead of the [-nan%]/[+inf%] a
+    naive division produces. *)
+
+(** {2 Document checks} *)
+
+type report = {
+  figure : string;
+  runs : int;
+  errors : string list;  (** empty iff the document passes *)
+  rows : row list;  (** budgeted counters, in run order; empty without budgets *)
+}
+
+val check : ?budgets:budgets -> Rts_obs.Json.t -> report
+(** Check one bench document. Always, at any scale:
+    - the shape every figure promises (figure, params, non-empty runs,
+      each with engine, total_seconds, per_op_us, elements, metrics and
+      a trace, strictly advancing for [strict_trace] figures; a median
+      inside its min/max envelope);
+    - the paper's O(h log tau) DT message budget, and the networked
+      message bound, never-early and ordinal verdicts of [net] runs;
+    - [perf]: the batching verdict, and [allocated_words_per_element]
+      exactly 0 on every [dt] run;
+    - [shard]: the sweep shape, honest core counts and the determinism
+      verdict;
+    - [approx]: the never-early and top-n verdicts, and
+      [approx_bound_violations] exactly 0 on every sketch run.
+
+    With [budgets], every run of a [budgeted] figure must also have an
+    entry, every counter must be at most its ceiling, and the document's
+    [params.scale]/[params.seed] must equal the budgets'. *)

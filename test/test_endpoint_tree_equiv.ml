@@ -13,8 +13,8 @@
    The suite also pins the headline allocation claim as a regression
    test: feeding the DT engine 1024-element batches allocates zero
    minor-heap words per element (native code only — bytecode boxes
-   local floats by design). This is the same invariant CI gates through
-   tools/alloc_budgets.json; keeping a copy in the test suite means a
+   local floats by design). This is the same invariant validate_bench
+   requires of every perf run; keeping a copy in the test suite means a
    regression fails `dune runtest` directly, without running the bench. *)
 
 open Rts_core
@@ -163,8 +163,8 @@ let prop_equiv =
 
 (* ---- pinned allocation regression ---- *)
 
-(* The CI bench gates allocated_words_per_element = 0 for the DT engine
-   at every batch size (tools/alloc_budgets.json); this is the in-suite
+(* validate_bench requires allocated_words_per_element = 0 for the DT
+   engine at every batch size of a perf run; this is the in-suite
    copy at batch 1024. Native only: bytecode has no float unboxing, so
    the zero-allocation property is not claimed there. *)
 let test_dt_alloc_free_1024 () =

@@ -840,7 +840,7 @@ let test_layer_counters () =
         (g "shard_queries_min");
       Alcotest.(check int) (ctx "max gauge") (Array.fold_left max 0 per) (g "shard_queries_max");
       Alcotest.(check int) (ctx "executor domains gauge")
-        (match kind with Executor.Domains -> 3 | Executor.Seq -> 0)
+        (match kind with Executor.Domains -> 3 | Executor.Seq -> 1)
         (g "shard_executor_domains"))
     executors
 

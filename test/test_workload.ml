@@ -226,8 +226,8 @@ let test_scenario_deterministic () =
   Alcotest.(check (list (pair int int))) "replay" r1.maturity_log r2.maturity_log;
   Alcotest.(check int) "same ops" r1.ops r2.ops
 
-(* Regression: diff_bench's drift column on zero-budget rows used to
-   render the 0/0 division as -nan%; such rows must come out as text. *)
+(* Regression: the drift column on zero-budget rows used to render the
+   0/0 division as -nan%; such rows must come out as text. *)
 let test_drift_cell () =
   let cell budget actual = Rts_workload.Bench_targets.drift_cell ~budget ~actual in
   Alcotest.(check string) "zero budget met" "n/a" (cell 0.0 0.0);
@@ -248,6 +248,142 @@ let test_drift_cell () =
          in
          has 0))
     [ (0.0, 0.0); (0.0, 5.0); (1.0, 0.0); (7.0, 7.0) ]
+
+(* The bench gate, driven on in-memory documents. [perf_doc] is a
+   minimal perf document that passes every check; each case below breaks
+   one rule and expects [Bench_targets.check] to name it. *)
+module Bench_targets = Rts_workload.Bench_targets
+module Json = Rts_obs.Json
+
+let perf_run ?(alloc = 0.0) engine batch counters =
+  Json.Obj
+    [
+      ("engine", Json.Str engine);
+      ("batch", Json.int batch);
+      ("total_seconds", Json.Num 0.01);
+      ("per_op_us", Json.Num 1.0);
+      ("elements", Json.int 100);
+      ( "metrics",
+        Json.Obj
+          (("allocated_words_per_element", Json.Num alloc)
+          :: List.map (fun (k, v) -> (k, Json.int v)) counters) );
+      ( "trace",
+        Json.List
+          (List.map
+             (fun e -> Json.Obj [ ("elements", Json.int e); ("avg_us", Json.Num 1.0) ])
+             [ 0; 50; 100 ]) );
+    ]
+
+let perf_doc ?(scale = 0.05) ?(seed = 42) runs =
+  Json.Obj
+    [
+      ("figure", Json.Str "perf");
+      ( "params",
+        Json.Obj
+          [
+            ("scale", Json.Num scale);
+            ("seed", Json.int seed);
+            ("batches", Json.List [ Json.int 1; Json.int 64 ]);
+          ] );
+      ("runs", Json.List runs);
+      ("dt_speedup_1024_vs_1", Json.Num 2.0);
+      ("dt_counters_no_increase", Json.Bool true);
+    ]
+
+let dt_run ?alloc batch heap = perf_run ?alloc "dt" batch [ ("dt_heap_ops_total", heap) ]
+
+let test_budgets =
+  match
+    Bench_targets.budgets_of_json
+      (Json.of_string
+         {|{ "scale": 0.05, "seed": 42, "budgets": {
+              "perf/dt/1": { "dt_heap_ops_total": 100 },
+              "perf/dt/64": { "dt_heap_ops_total": 100 } } }|})
+  with
+  | Ok b -> b
+  | Error msg -> failwith msg
+
+let gate_errors ?budgets doc = (Bench_targets.check ?budgets doc).Bench_targets.errors
+
+let has_error sub errors =
+  let n = String.length sub in
+  List.exists
+    (fun e ->
+      let rec at i = i + n <= String.length e && (String.sub e i n = sub || at (i + 1)) in
+      at 0)
+    errors
+
+let check_fails what sub errors =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: an error mentions %S (got [%s])" what sub (String.concat "; " errors))
+    true (has_error sub errors)
+
+let test_gate_passes () =
+  let r = Bench_targets.check ~budgets:test_budgets (perf_doc [ dt_run 1 80; dt_run 64 30 ]) in
+  Alcotest.(check (list string)) "no errors" [] r.Bench_targets.errors;
+  Alcotest.(check int) "runs" 2 r.Bench_targets.runs;
+  Alcotest.(check (list (pair string string)))
+    "rows in run order, OK then LOOSE"
+    [ ("perf/dt/1", "OK"); ("perf/dt/64", "LOOSE") ]
+    (List.map (fun row -> (row.Bench_targets.key, Bench_targets.status row)) r.Bench_targets.rows);
+  Alcotest.(check (list string)) "no budgets: no rows" []
+    (List.map
+       (fun row -> row.Bench_targets.key)
+       (Bench_targets.check (perf_doc [ dt_run 1 80 ])).Bench_targets.rows)
+
+let test_gate_over_budget () =
+  check_fails "counter over budget" "dt_heap_ops_total = 101 exceeds budget 100"
+    (gate_errors ~budgets:test_budgets (perf_doc [ dt_run 1 101 ]))
+
+let test_gate_missing_entry () =
+  check_fails "run with no entry" "no budgets entry for \"perf/dt/1024\""
+    (gate_errors ~budgets:test_budgets (perf_doc [ dt_run 1024 10 ]))
+
+let test_gate_scale_seed () =
+  check_fails "scale" "params.scale = 0.2"
+    (gate_errors ~budgets:test_budgets (perf_doc ~scale:0.2 [ dt_run 1 80 ]));
+  check_fails "seed" "params.seed = 7"
+    (gate_errors ~budgets:test_budgets (perf_doc ~seed:7 [ dt_run 1 80 ]))
+
+(* The nightly path: no budgets, any scale — the zero-allocation
+   contract still holds, with no tolerance. *)
+let test_gate_alloc_invariant () =
+  check_fails "dt allocates" "allocated_words_per_element = 1"
+    (gate_errors (perf_doc ~scale:0.2 [ dt_run ~alloc:1.0 64 30 ]));
+  Alcotest.(check (list string)) "other engines may allocate" []
+    (gate_errors (perf_doc [ perf_run ~alloc:300.0 "baseline" 1 [] ]))
+
+let test_gate_approx_violation () =
+  let run violations =
+    Json.Obj
+      [
+        ("engine", Json.Str "crprecis");
+        ("total_seconds", Json.Num 0.01);
+        ("per_op_us", Json.Num 1.0);
+        ("elements", Json.int 100);
+        ( "metrics",
+          Json.Obj
+            [
+              ("approx_bound_violations", Json.int violations);
+              ("approx_max_width", Json.int 10);
+              ("approx_max_observed_error", Json.int 3);
+              ("approx_sketch_words", Json.int 64);
+            ] );
+        ("trace", Json.List []);
+      ]
+  in
+  let doc violations =
+    Json.Obj
+      [
+        ("figure", Json.Str "approx");
+        ("params", Json.Obj [ ("probes", Json.int 8) ]);
+        ("runs", Json.List [ run violations ]);
+        ("approx_never_early", Json.Bool true);
+        ("topn_matches_sort", Json.Bool true);
+      ]
+  in
+  Alcotest.(check (list string)) "sound run passes" [] (gate_errors (doc 0));
+  check_fails "bound violation" "approx_bound_violations = 1" (gate_errors (doc 1))
 
 let () =
   Alcotest.run "workload"
@@ -278,5 +414,15 @@ let () =
           Alcotest.test_case "2d scenario" `Quick test_scenario_2d;
           Alcotest.test_case "deterministic replay" `Quick test_scenario_deterministic;
         ] );
-      ("bench-tools", [ Alcotest.test_case "drift cell rendering" `Quick test_drift_cell ]);
+      ( "bench-tools",
+        [
+          Alcotest.test_case "drift cell rendering" `Quick test_drift_cell;
+          Alcotest.test_case "document within budget passes" `Quick test_gate_passes;
+          Alcotest.test_case "counter over budget fails" `Quick test_gate_over_budget;
+          Alcotest.test_case "budgeted run without entry fails" `Quick test_gate_missing_entry;
+          Alcotest.test_case "scale or seed mismatch fails" `Quick test_gate_scale_seed;
+          Alcotest.test_case "dt allocation fails without budgets" `Quick
+            test_gate_alloc_invariant;
+          Alcotest.test_case "approx bound violation fails" `Quick test_gate_approx_violation;
+        ] );
     ]
