@@ -24,21 +24,17 @@ let pf = Format.printf
 
 (* ---------------------------------------------------------------- *)
 (* Engine rosters, as in the paper's Section 8 per dimensionality.  *)
+(* Names resolve through Engine_registry, which owns every factory; *)
+(* the approximate tier registers crprecis and heavy on install.     *)
 
-let engines_1d : (string * (dim:int -> Engine.t)) list =
-  [
-    ("dt", fun ~dim -> Dt_engine.make ~dim);
-    ("baseline", fun ~dim -> Baseline_engine.make ~dim);
-    ("interval-tree", fun ~dim:_ -> Stab1d_engine.make ());
-  ]
+let () = Rts_approx.Install.install ()
 
-let engines_2d : (string * (dim:int -> Engine.t)) list =
-  [
-    ("dt", fun ~dim -> Dt_engine.make ~dim);
-    ("baseline", fun ~dim -> Baseline_engine.make ~dim);
-    ("seg-intv", fun ~dim:_ -> Stab2d_engine.make ());
-    ("r-tree", fun ~dim -> Rtree_engine.make ~dim);
-  ]
+let roster names : (string * (dim:int -> Engine.t)) list =
+  List.map (fun name -> (name, fun ~dim -> Engine_registry.make ~name ~dim)) names
+
+let engines_1d = roster [ "dt"; "baseline"; "interval-tree" ]
+
+let engines_2d = roster [ "dt"; "baseline"; "seg-intv"; "r-tree" ]
 
 let engines_for dim = if dim = 1 then engines_1d else engines_2d
 
@@ -431,12 +427,7 @@ let fig8 p =
 (* ---------------------------------------------------------------- *)
 (* Extra: the "any constant d" claim — d = 3 comparison              *)
 
-let engines_3d : (string * (dim:int -> Engine.t)) list =
-  [
-    ("dt", fun ~dim -> Dt_engine.make ~dim);
-    ("baseline", fun ~dim -> Baseline_engine.make ~dim);
-    ("r-tree", fun ~dim -> Rtree_engine.make ~dim);
-  ]
+let engines_3d = roster [ "dt"; "baseline"; "r-tree" ]
 
 let dims p =
   header
@@ -515,16 +506,14 @@ let net p =
     [
       ("lossless", "", engines_1d);
       ("moderate", "drop=0.15,dup=0.1,reorder=0.25,delay=1-4", engines_1d);
-      ( "heavy",
-        "drop=0.4,dup=0.2,reorder=0.4,delay=1-6,spread=12",
-        [ ("dt", fun ~dim -> Dt_engine.make ~dim) ] );
-      ("degrading", "flaky=0:0.9,delay=1-3", [ ("dt", fun ~dim -> Dt_engine.make ~dim) ])
+      ("heavy", "drop=0.4,dup=0.2,reorder=0.4,delay=1-6,spread=12", roster [ "dt" ]);
+      ("degrading", "flaky=0:0.9,delay=1-3", roster [ "dt" ]);
     ]
   in
   pf "@[<h>%-12s %-14s %10s %9s %9s %9s %6s %9s %9s@]@." "spec" "engine" "seconds" "msgs"
     "useful" "bound" "ok" "retx" "degraded";
   List.iter
-    (fun (name, spec_str, roster) ->
+    (fun (name, spec_str, engines) ->
       let faults =
         match Net_fault.parse spec_str with Ok s -> s | Error e -> failwith e
       in
@@ -588,7 +577,7 @@ let net p =
             in
             runs_acc := run :: !runs_acc
           end)
-        roster)
+        engines)
     specs;
   emit_json p "net";
   pf "@."
@@ -779,12 +768,7 @@ let shard p =
       batch;
     }
   in
-  let roster =
-    [
-      ("dt", fun ~dim -> Dt_engine.make ~dim);
-      ("baseline", fun ~dim -> Baseline_engine.make ~dim);
-    ]
-  in
+  let engines = roster [ "dt"; "baseline" ] in
   pf "@[<h>%-14s %4s %12s %10s %9s %14s %12s@]@." "engine" "k" "per_op_us" "seconds"
     "speedup" "node_updates" "scan_updates";
   let runs = ref [] in
@@ -858,7 +842,7 @@ let shard p =
           runs := run :: !runs)
         ks;
       speedups := (name, Hashtbl.find per_op 1 /. Hashtbl.find per_op 4) :: !speedups)
-    roster;
+    engines;
   List.iter
     (fun (name, s) ->
       pf "@.%s: k=4 runs %.2fx %s than k=1 (executor=%s, %d core(s) available).@." name
@@ -1013,19 +997,13 @@ let approx p =
        p.m p.tau probes);
   let cfg = { (base_cfg p) with Scenario.dim = 1 } in
   (* The exact reference: first maturity timestamp per query id. *)
-  let exact = Scenario.run cfg (fun ~dim -> Baseline_engine.make ~dim) in
+  let exact = Scenario.run cfg (fun ~dim -> Engine_registry.make ~name:"baseline" ~dim) in
   let exact_ts = Hashtbl.create 1024 in
   List.iter
     (fun (ts, id) -> if not (Hashtbl.mem exact_ts id) then Hashtbl.add exact_ts id ts)
     exact.Scenario.maturity_log;
   let probe_gauges = approx_probe_gauges p ~probes in
-  let roster : (string * (dim:int -> Engine.t)) list =
-    [
-      ("crprecis", fun ~dim:_ -> Approx.Crprecis_engine.make ());
-      ("heavy", fun ~dim:_ -> Approx.Heavy_engine.make ());
-      ("dt", fun ~dim -> Dt_engine.make ~dim);
-    ]
-  in
+  let engines = roster [ "crprecis"; "heavy"; "dt" ] in
   let never_early = ref true in
   let runs = ref [] in
   pf "@[<h>%-10s %12s %10s %9s %9s %14s %12s %12s@]@." "engine" "per_op_us" "seconds"
@@ -1058,7 +1036,7 @@ let approx p =
         (gauge "approx_max_width")
         (gauge "approx_max_observed_error");
       if p.json then runs := result_json ~stability r :: !runs)
-    roster;
+    engines;
   (* Top-n parity: the binary threshold search against the full sort on a
      live engine mid-stream, at several n. *)
   let topn_matches =

@@ -4,8 +4,8 @@
     with the approximate tier the set is open — `rts_approx` installs its
     engines at startup without `lib/core` depending on it. The registry is
     the single source of truth for engine names: the CLI's `--engine`
-    completion, the bench roster and the test sweeps all resolve through
-    it, so a new engine library only has to call {!register} once.
+    parsing and help text and the bench rosters resolve through it, so a
+    new engine library only has to call {!register} once.
 
     Registration is not thread-safe (it happens during single-threaded
     startup) and duplicate names are an error — two libraries silently

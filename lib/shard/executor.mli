@@ -10,8 +10,8 @@
     The sharded engine is {e executor-oblivious} by construction: every
     observable output (matured ids, snapshots, merged metrics) is
     normalized after the barrier in deterministic shard order, so both
-    executors produce bit-identical results — `make check-shard`
-    asserts exactly that. *)
+    executors produce bit-identical results — the pinned-seed sweep of
+    [test/test_shard.ml] asserts exactly that. *)
 
 type kind = Seq | Domains
 

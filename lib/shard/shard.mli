@@ -20,7 +20,7 @@
     mutually disjoint), snapshots are re-sorted by id, metrics are
     folded in shard-index order. The result is bit-identical across
     shard counts, executors ([Seq] vs [Domains]) and domain schedules —
-    the property `make check-shard` and the CI shard-equivalence job pin
+    the property the pinned-seed sweep of [test/test_shard.ml] checks
     for every engine. Maturity {e timestamps} are attributed by the
     driver at batch barriers (sorted [(timestamp, query_id)]), so the
     sharded maturity log equals the unsharded one verbatim.

@@ -14,8 +14,8 @@
    - top-n exactness: the binary threshold search returns exactly the n
      nearest-maturity queries the fully sorted exact ranking puts first.
 
-   The pinned-seed Scenario sweep (RTS_APPROX_SEEDS, `make check-approx`,
-   the approx-equivalence CI job) re-checks never-early against the
+   The pinned-seed Scenario sweep (widened via RTS_APPROX_SEEDS)
+   re-checks never-early against the
    baseline engine on paper-style workloads, and that the approximate
    tier is not vacuous there (it does mature queries). *)
 
@@ -346,15 +346,9 @@ let test_engine_edges () =
   Alcotest.(check int) "finest level c=1" 1
     (Crprecis.collisions_at sk (Dyadic.depth (Crprecis.dyadic sk)))
 
-(* ---- pinned-seed paper scenarios (make check-approx) ---------------- *)
+(* ---- pinned-seed paper scenarios ------------------------------------ *)
 
-let approx_seeds =
-  match Sys.getenv_opt "RTS_APPROX_SEEDS" with
-  | None | Some "" -> [ 7; 21; 63 ]
-  | Some s ->
-      String.split_on_char ',' s
-      |> List.filter_map (fun x ->
-             match String.trim x with "" -> None | x -> Some (int_of_string x))
+let approx_seeds = Qcheck_env.seeds "RTS_APPROX_SEEDS" ~default:[ 7; 21; 63 ]
 
 let scenario_cfg seed =
   {

@@ -1,6 +1,8 @@
 (* Endpoint_tree: canonical-set structure (fanout bounds), exact counter
    semantics, DT telemetry bounds (the in-tree analogue of the
-   O(h log tau) message bound), removal, and weight accounting — the
+   O(h log tau) message bound), removal, weight accounting, per-element
+   maturity of many queries sharing node counters against a scalar model,
+   and the batched feeds (cursor, feed_sorted_kw, process_batch) — the
    building block underneath Dt_engine. *)
 
 open Rts_core
@@ -309,6 +311,271 @@ let prop_weight_exact =
         (fun ((qq : Types.query), _) -> Endpoint_tree.current_weight t qq.id = naive.(qq.id))
         batch)
 
+(* Many queries over shared node counters and slack heaps (the Section 4
+   composition): maturity attributed to the exact element that crosses
+   each threshold, against a per-query scalar model. *)
+
+let random_batch rng ~dim ~m ~domain ~max_tau =
+  List.init m (fun id ->
+      let bounds =
+        Array.init dim (fun _ ->
+            let a = float_of_int (Prng.int rng domain) in
+            (a, a +. 1. +. float_of_int (Prng.int rng (max 1 (domain / 2)))))
+      in
+      let threshold = 1 + Prng.int rng max_tau in
+      ({ Types.id; rect = Types.rect_make bounds; threshold }, threshold))
+
+let random_elem rng ~dim ~domain ~max_w =
+  {
+    Types.value = Array.init dim (fun _ -> float_of_int (Prng.int rng domain) +. 0.5);
+    weight = 1 + Prng.int rng max_w;
+  }
+
+(* Feeds [elems] one by one and returns false at the first element whose
+   matured set differs from the model's, or when a survivor's weight
+   differs at the end. *)
+let matches_model ?(eager = false) ~dim batch elems =
+  let fired = ref [] in
+  let t = Endpoint_tree.build ~eager ~dim ~on_mature:(fun id -> fired := id :: !fired) batch in
+  let acc = Hashtbl.create 64 in
+  List.iter (fun ((qq : Types.query), _) -> Hashtbl.replace acc qq.id (qq, 0)) batch;
+  let ok = ref true in
+  List.iter
+    (fun (e : Types.elem) ->
+      fired := [];
+      Endpoint_tree.process t e;
+      let expected = ref [] in
+      Hashtbl.filter_map_inplace
+        (fun id ((qq : Types.query), w) ->
+          let w = if Types.rect_contains qq.rect e.value then w + e.weight else w in
+          if w >= qq.threshold then begin
+            expected := id :: !expected;
+            None
+          end
+          else Some (qq, w))
+        acc;
+      if List.sort compare !fired <> List.sort compare !expected then ok := false)
+    elems;
+  Hashtbl.iter (fun id (_, w) -> if Endpoint_tree.current_weight t id <> w then ok := false) acc;
+  !ok && Endpoint_tree.alive_count t = Hashtbl.length acc
+
+let test_many_queries_vs_model () =
+  let rng = Prng.create ~seed:5 in
+  let batch = random_batch rng ~dim:1 ~m:200 ~domain:16 ~max_tau:500 in
+  let elems = List.init 3000 (fun _ -> random_elem rng ~dim:1 ~domain:16 ~max_w:10) in
+  Alcotest.(check bool) "200 queries: every maturity on its crossing element" true
+    (matches_model ~dim:1 batch elems)
+
+let test_quiet_elements_are_cheap () =
+  (* Large thresholds, unit weights: the slack heaps stay quiet, so
+     signals stay far below one per query per element. *)
+  let batch =
+    List.init 50 (fun id -> (q ~id ~threshold:1_000_000 [| (float_of_int id, 100.) |], 1_000_000))
+  in
+  let t = build1 batch in
+  let rng = Prng.create ~seed:6 in
+  for _ = 1 to 10_000 do
+    Endpoint_tree.process t (elem1 (Prng.float rng 100.) 1)
+  done;
+  let st = Endpoint_tree.stats t in
+  Alcotest.(check bool)
+    (Printf.sprintf "signals %d << 50 x 10000 naive" st.signals)
+    true (st.signals < 2_000)
+
+let test_remove_mid_round () =
+  (* Remove a query after it has consumed several DT rounds; the shared
+     node counters keep serving the others exactly. *)
+  let matured = ref [] in
+  let t =
+    build1 ~on_mature:(fun id -> matured := id :: !matured)
+      [
+        (q ~id:1 ~threshold:100_000 [| (0., 4.) |], 100_000);
+        (q ~id:2 ~threshold:500 [| (0., 2.) |], 500);
+        (q ~id:3 ~threshold:5_050 [| (0., 1.) |], 5_050);
+      ]
+  in
+  for i = 0 to 199 do
+    Endpoint_tree.process t (elem1 (float_of_int (i mod 4) +. 0.5) 100)
+  done;
+  Alcotest.(check (list int)) "2 matured long ago" [ 2 ] !matured;
+  Alcotest.(check int) "W(1)" 20_000 (Endpoint_tree.current_weight t 1);
+  Alcotest.(check int) "W(3)" 5_000 (Endpoint_tree.current_weight t 3);
+  Endpoint_tree.remove t 1;
+  Endpoint_tree.process t (elem1 0.5 49);
+  Alcotest.(check (list int)) "3 not yet at 5049" [ 2 ] !matured;
+  Endpoint_tree.process t (elem1 0.5 1);
+  Alcotest.(check (list int)) "only 3 fires, at 5050" [ 3; 2 ] !matured;
+  Alcotest.(check int) "none alive" 0 (Endpoint_tree.alive_count t)
+
+let test_huge_weight_overshoot () =
+  List.iter
+    (fun dim ->
+      let matured = ref [] in
+      let rng = Prng.create ~seed:dim in
+      let batch =
+        (q ~id:0 ~threshold:1_000_000 (Array.make dim (0., 100.)), 1_000_000)
+        :: List.tl (random_batch rng ~dim ~m:30 ~domain:100 ~max_tau:1_000_000)
+      in
+      let t =
+        Endpoint_tree.build ~dim ~on_mature:(fun id -> matured := id :: !matured) batch
+      in
+      Endpoint_tree.process t { Types.value = Array.make dim 99.5; weight = 50_000_000 };
+      Alcotest.(check bool)
+        (Printf.sprintf "dim %d: one element matures query 0" dim)
+        true (List.mem 0 !matured);
+      Alcotest.(check bool) (Printf.sprintf "dim %d: no id fires twice" dim) true
+        (List.length (List.sort_uniq compare !matured) = List.length !matured))
+    [ 1; 2 ]
+
+let test_signal_budget_2d () =
+  (* The 2D image of [telemetry bounds]: sum over queries of
+     O(h_q log tau) signals, with h_q the query's actual fanout. *)
+  let rng = Prng.create ~seed:7 in
+  let m = 60 and tau = 2_000 in
+  let batch =
+    List.init m (fun id ->
+        let side () =
+          let a = float_of_int (Prng.int rng 12) in
+          (a, a +. 3. +. float_of_int (Prng.int rng 6))
+        in
+        ({ Types.id; rect = Types.rect_make [| side (); side () |]; threshold = tau }, tau))
+  in
+  let t = Endpoint_tree.build ~dim:2 ~on_mature:(fun _ -> ()) batch in
+  let log2 x = log (float_of_int x) /. log 2. in
+  let budget =
+    List.fold_left
+      (fun s ((qq : Types.query), _) ->
+        s + int_of_float (8. *. float_of_int (Endpoint_tree.fanout t qq.id) *. (log2 tau +. 2.)))
+      0 batch
+  in
+  let i = ref 0 in
+  while Endpoint_tree.alive_count t > 0 && !i < 1_000_000 do
+    Endpoint_tree.process t (random_elem rng ~dim:2 ~domain:20 ~max_w:9);
+    incr i
+  done;
+  Alcotest.(check int) "all matured" 0 (Endpoint_tree.alive_count t);
+  let st = Endpoint_tree.stats t in
+  Alcotest.(check bool)
+    (Printf.sprintf "signals %d <= sum h_q O(log tau) = %d" st.signals budget)
+    true (st.signals <= budget)
+
+let test_eager_matches_lazy () =
+  (* The ablation switch drops the slack rounds but keeps maturity exact:
+     same crossing elements, and at least as many signals. *)
+  List.iter
+    (fun dim ->
+      let rng = Prng.create ~seed:(40 + dim) in
+      let batch = random_batch rng ~dim ~m:40 ~domain:10 ~max_tau:300 in
+      let elems = List.init 1500 (fun _ -> random_elem rng ~dim ~domain:10 ~max_w:6) in
+      Alcotest.(check bool) (Printf.sprintf "dim %d: lazy exact" dim) true
+        (matches_model ~dim batch elems);
+      Alcotest.(check bool) (Printf.sprintf "dim %d: eager exact" dim) true
+        (matches_model ~eager:true ~dim batch elems);
+      let signals eager =
+        let t = Endpoint_tree.build ~eager ~dim ~on_mature:(fun _ -> ()) batch in
+        List.iter (Endpoint_tree.process t) elems;
+        (Endpoint_tree.stats t).signals
+      in
+      let lazy_s = signals false and eager_s = signals true in
+      Alcotest.(check bool)
+        (Printf.sprintf "dim %d: eager signals %d >= lazy %d" dim eager_s lazy_s)
+        true (eager_s >= lazy_s))
+    [ 1; 2 ]
+
+(* Two trees over one batch: [a] fed by [process], [b] by a batched
+   entry point. After the batch they must agree on the matured set and
+   on every survivor's weight. *)
+let check_same_state name (a, fired_a) (b, fired_b) batch =
+  Alcotest.(check (list int)) (name ^ ": matured set")
+    (List.sort compare !fired_a) (List.sort compare !fired_b);
+  List.iter
+    (fun ((qq : Types.query), _) ->
+      if Endpoint_tree.is_alive a qq.id then
+        Alcotest.(check int)
+          (Printf.sprintf "%s: W(q%d)" name qq.id)
+          (Endpoint_tree.current_weight a qq.id)
+          (Endpoint_tree.current_weight b qq.id))
+    batch
+
+let test_cursor_contract () =
+  let rng = Prng.create ~seed:8 in
+  let batch = random_batch rng ~dim:1 ~m:50 ~domain:30 ~max_tau:400 in
+  let fresh () =
+    let fired = ref [] in
+    (build1 ~on_mature:(fun id -> fired := id :: !fired) batch, fired)
+  in
+  let ((a, _) as ta) = fresh () and ((b, _) as tb) = fresh () in
+  let elems =
+    Endpoint_tree.sort_batch (Array.init 800 (fun _ -> random_elem rng ~dim:1 ~domain:30 ~max_w:5))
+  in
+  Array.iter (Endpoint_tree.process a) elems;
+  let c = Endpoint_tree.cursor b in
+  Array.iter (Endpoint_tree.process_sorted c) elems;
+  Endpoint_tree.flush c;
+  Endpoint_tree.flush c;
+  check_same_state "flushed cursor (twice)" ta tb batch;
+  let c = Endpoint_tree.cursor b in
+  Endpoint_tree.process_sorted c (elem1 20. 1);
+  Alcotest.check_raises "decreasing key"
+    (Invalid_argument "Endpoint_tree.process_sorted: elements not sorted on the first dimension")
+    (fun () -> Endpoint_tree.process_sorted c (elem1 19. 1))
+
+let test_feed_sorted_kw () =
+  let rng = Prng.create ~seed:9 in
+  let batch = random_batch rng ~dim:1 ~m:50 ~domain:30 ~max_tau:400 in
+  let fresh () =
+    let fired = ref [] in
+    (build1 ~on_mature:(fun id -> fired := id :: !fired) batch, fired)
+  in
+  let ((a, _) as ta) = fresh () and ((b, _) as tb) = fresh () and ((c, _) as tc) = fresh () in
+  let n = 700 in
+  let elems = Array.init n (fun _ -> random_elem rng ~dim:1 ~domain:30 ~max_w:5) in
+  let keys = Array.map (fun (e : Types.elem) -> e.value.(0)) elems in
+  let wts = Array.map (fun (e : Types.elem) -> e.weight) elems in
+  let pairs k w = List.sort compare (Array.to_list (Array.map2 (fun k w -> (k, w)) k w)) in
+  let before = pairs keys wts in
+  Endpoint_tree.sort_kw keys wts n;
+  Alcotest.(check bool) "sort_kw: keys ascending" true
+    (Array.for_all Fun.id (Array.init (n - 1) (fun i -> keys.(i) <= keys.(i + 1))));
+  Alcotest.(check bool) "sort_kw: pairs kept together" true (before = pairs keys wts);
+  Array.iter (Endpoint_tree.process a) elems;
+  Endpoint_tree.feed_sorted_kw b keys wts n;
+  Endpoint_tree.process_batch c elems;
+  check_same_state "feed_sorted_kw" ta tb batch;
+  check_same_state "process_batch" ta tc batch;
+  let t2 = Endpoint_tree.build ~dim:2 ~on_mature:(fun _ -> ()) [] in
+  Alcotest.check_raises "2D tree"
+    (Invalid_argument "Endpoint_tree.feed_sorted_kw: tree is not one-dimensional") (fun () ->
+      Endpoint_tree.feed_sorted_kw t2 keys wts n)
+
+let test_process_validation () =
+  Alcotest.check_raises "dim < 1" (Invalid_argument "Endpoint_tree.build: dim < 1") (fun () ->
+      ignore (Endpoint_tree.build ~dim:0 ~on_mature:(fun _ -> ()) []));
+  let t = build1 [ (q ~id:1 ~threshold:5 [| (0., 10.) |], 5) ] in
+  Alcotest.check_raises "process: bad dimensionality"
+    (Invalid_argument "Endpoint_tree.process: bad dimensionality") (fun () ->
+      Endpoint_tree.process t { Types.value = [| 1.; 2. |]; weight = 1 });
+  Alcotest.check_raises "process: weight < 1"
+    (Invalid_argument "Endpoint_tree.process: weight < 1") (fun () ->
+      Endpoint_tree.process t (elem1 1. 0));
+  let c = Endpoint_tree.cursor t in
+  Alcotest.check_raises "process_sorted: bad dimensionality"
+    (Invalid_argument "Endpoint_tree.process_sorted: bad dimensionality") (fun () ->
+      Endpoint_tree.process_sorted c { Types.value = [||]; weight = 1 });
+  Alcotest.check_raises "process_sorted: weight < 1"
+    (Invalid_argument "Endpoint_tree.process_sorted: weight < 1") (fun () ->
+      Endpoint_tree.process_sorted c (elem1 1. 0));
+  Alcotest.(check int) "refused elements count nothing" 0 (Endpoint_tree.current_weight t 1)
+
+let prop_maturity_exact =
+  QCheck.Test.make ~count:100 ~name:"tree maturity = scalar model (random)"
+    QCheck.(quad small_int (int_range 1 3) (int_range 1 40) (int_range 1 400))
+    (fun (seed, dim, m, max_tau) ->
+      let rng = Prng.create ~seed in
+      let batch = random_batch rng ~dim ~m ~domain:12 ~max_tau in
+      let elems = List.init 300 (fun _ -> random_elem rng ~dim ~domain:16 ~max_w:8) in
+      matches_model ~eager:(Prng.bernoulli rng 0.2) ~dim batch elems)
+
 let () =
   Alcotest.run "endpoint_tree"
     [
@@ -329,6 +596,25 @@ let () =
           Alcotest.test_case "one-sided query" `Quick test_one_sided_query;
           Alcotest.test_case "build validation" `Quick test_build_validation;
           Alcotest.test_case "space counts" `Quick test_space_counts;
+          Alcotest.test_case "process validation" `Quick test_process_validation;
         ] );
-      ("property", [ QCheck_alcotest.to_alcotest prop_weight_exact ]);
+      ( "shared counters",
+        [
+          Alcotest.test_case "200 queries vs model" `Quick test_many_queries_vs_model;
+          Alcotest.test_case "quiet elements are cheap" `Quick test_quiet_elements_are_cheap;
+          Alcotest.test_case "remove mid-round" `Quick test_remove_mid_round;
+          Alcotest.test_case "huge weight overshoot" `Quick test_huge_weight_overshoot;
+          Alcotest.test_case "signal budget 2d" `Quick test_signal_budget_2d;
+          Alcotest.test_case "eager matches lazy" `Quick test_eager_matches_lazy;
+        ] );
+      ( "batched feeds",
+        [
+          Alcotest.test_case "cursor contract" `Quick test_cursor_contract;
+          Alcotest.test_case "feed_sorted_kw and process_batch" `Quick test_feed_sorted_kw;
+        ] );
+      ( "property",
+        [
+          QCheck_alcotest.to_alcotest prop_weight_exact;
+          QCheck_alcotest.to_alcotest prop_maturity_exact;
+        ] );
     ]

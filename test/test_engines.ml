@@ -325,6 +325,28 @@ let prop_equivalence =
       ignore n;
       true)
 
+(* The registry is how the CLI and the bench rosters name engines: the
+   core roster in order, each buildable at a dimensionality it supports,
+   and the user-facing refusals. *)
+let test_registry () =
+  let core = [ "dt"; "dt-eager"; "baseline"; "interval-tree"; "seg-intv"; "r-tree" ] in
+  Alcotest.(check (list string)) "core roster in registration order" core
+    (Engine_registry.names ());
+  List.iter2
+    (fun name dim ->
+      let e = Engine_registry.make ~name ~dim in
+      Alcotest.(check int) (Printf.sprintf "%s at dim %d starts empty" name dim) 0
+        (e.Engine.alive ()))
+    core [ 3; 2; 1; 1; 2; 3 ];
+  Alcotest.check_raises "fixed-dimension guard" (Failure "seg-intv engine is 2D only")
+    (fun () -> ignore (Engine_registry.make ~name:"seg-intv" ~dim:1));
+  Alcotest.check_raises "unknown name lists the roster"
+    (Failure ("unknown engine \"nope\" (known: " ^ String.concat ", " core ^ ")"))
+    (fun () -> ignore (Engine_registry.make ~name:"nope" ~dim:1));
+  Alcotest.check_raises "duplicate name refused"
+    (Invalid_argument "Engine_registry.register: duplicate engine \"dt\"") (fun () ->
+      Engine_registry.register ~name:"dt" ~doc:"" (fun ~dim -> Baseline_engine.make ~dim))
+
 let () =
   Alcotest.run "engines"
     [
@@ -345,4 +367,5 @@ let () =
           Alcotest.test_case "negative coordinates" `Quick test_negative_coordinates;
         ] );
       ("property", [ QCheck_alcotest.to_alcotest prop_equivalence ]);
+      ("registry", [ Alcotest.test_case "names, dims and refusals" `Quick test_registry ]);
     ]

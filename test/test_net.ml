@@ -6,8 +6,8 @@
    traffic must stay within the O(h log tau) bound. Degraded links trade
    the bound for per-update traffic but keep never-early detection.
 
-   Pinned seeds come from RTS_NET_SEEDS (comma-separated); `make
-   check-net` pins them for reproducible CI sweeps. *)
+   The seed sweeps run on pinned seeds; RTS_NET_SEEDS (comma-separated)
+   replaces them. *)
 
 module Dt = Rts_dt.Distributed_tracking
 module Nt = Rts_dt.Net_tracking
@@ -20,17 +20,15 @@ module Engine = Rts_core.Engine
 module Prng = Rts_util.Prng
 module Metrics = Rts_obs.Metrics
 
-let seeds =
-  match Sys.getenv_opt "RTS_NET_SEEDS" with
-  | None | Some "" -> [ 7; 19; 101 ]
-  | Some s -> String.split_on_char ',' s |> List.map String.trim |> List.map int_of_string
+let seeds = Qcheck_env.seeds "RTS_NET_SEEDS" ~default:[ 7; 19; 101 ]
 
 let nt_config ?(faults = Net_fault.none) ?(seed = 1) ?(reliable = Reliable.default) () =
   { Nt.default with Nt.faults; seed; reliable }
 
 (* Drive classic and networked instances in lockstep over the same
    schedule; check the maturity ordinal and the never-early invariant at
-   every step. Returns (classic, networked, ordinal). *)
+   every step, and that both end on the same total (also when the
+   schedule stops short of tau). Returns (classic, networked, ordinal). *)
 let lockstep ~h ~tau ~config schedule =
   let classic = Dt.create ~h ~tau in
   let net = Nt.create ~config ~h ~tau () in
@@ -51,6 +49,7 @@ let lockstep ~h ~tau ~config schedule =
         if m_classic then ordinal := Some (i + 1)
       end)
     schedule;
+  Alcotest.(check int) "classic total = networked total" (Dt.total classic) (Nt.total net);
   (classic, net, !ordinal)
 
 let random_schedule ~rng ~h ~n ~max_by =
@@ -294,28 +293,33 @@ let test_fault_parse () =
 
 (* ---- deterministic replay: same spec + seed => identical trajectory;
    different seed => (almost surely) different fault pattern, same
-   ordinal. ---- *)
+   ordinal. Every run is held step by step against the classic protocol
+   under the default (degrading) reliability config, including runs cut
+   short of tau. ---- *)
 
 let test_deterministic_replay () =
   let h = 4 and tau = 500 in
-  let faults =
-    { Net_fault.none with Net_fault.drop = 0.3; duplicate = 0.2; reorder = 0.3; delay_max = 4 }
-  in
-  let run seed =
+  let run ~faults ~n seed =
     let rng = Prng.create ~seed:99 in
-    let schedule = random_schedule ~rng ~h ~n:(tau + 10) ~max_by:3 in
-    let net = Nt.create ~config:(nt_config ~faults ~seed ()) ~h ~tau () in
-    let ordinal = ref None in
-    List.iteri
-      (fun i (site, by) ->
-        if !ordinal = None && Nt.increment net ~site ~by then ordinal := Some (i + 1))
-      schedule;
-    (!ordinal, Nt.messages net, Nt.deliveries net, Nt.retransmits net, Nt.stale net)
+    let schedule = random_schedule ~rng ~h ~n ~max_by:3 in
+    let _, net, ordinal = lockstep ~h ~tau ~config:(nt_config ~faults ~seed ()) schedule in
+    (ordinal, Nt.messages net, Nt.deliveries net, Nt.retransmits net, Nt.stale net)
   in
-  let a = run 5 and b = run 5 and c = run 6 in
-  Alcotest.(check bool) "same seed, identical trajectory" true (a = b);
   let ord_of (o, _, _, _, _) = o in
-  Alcotest.(check bool) "different seed, same ordinal" true (ord_of a = ord_of c)
+  List.iter
+    (fun faults ->
+      let spec = Net_fault.to_string faults in
+      let a = run ~faults ~n:(tau + 10) 5 and b = run ~faults ~n:(tau + 10) 5 in
+      let c = run ~faults ~n:(tau + 10) 6 in
+      Alcotest.(check bool) (spec ^ ": same seed, identical trajectory") true (a = b);
+      Alcotest.(check bool) (spec ^ ": different seed, same ordinal") true (ord_of a = ord_of c);
+      (* At most 3 per step over tau / 4 steps: no maturity, equal totals. *)
+      Alcotest.(check bool) (spec ^ ": no maturity short of tau") true
+        (ord_of (run ~faults ~n:(tau / 4) 7) = None))
+    [
+      { Net_fault.none with Net_fault.drop = 0.3; duplicate = 0.2; reorder = 0.3; delay_max = 4 };
+      { Net_fault.none with Net_fault.drop = 0.25; duplicate = 0.15; reorder = 0.3; delay_max = 4 };
+    ]
 
 (* ---- three engines under one faulty shadow: identical maturity logs,
    all bit-identical to the zero-fault run. ---- *)

@@ -3,7 +3,7 @@
    top of per-node storage faults and a lossy network, verified
    bit-identically against the archived-chain oracle (never-early,
    exactly-once maturities across fenced failover; WAL disk bounded by
-   segment pruning). Pinned CI seeds via RTS_REPLICA_SEEDS. *)
+   segment pruning). Pinned seeds, widened via RTS_REPLICA_SEEDS. *)
 
 open Rts_core
 open Rts_workload
@@ -164,14 +164,12 @@ let prop_rsoak =
         QCheck.Test.fail_reportf "seed %d:@\n%a" seed Rsoak.pp report;
       true)
 
-(* the seeds check-replica pins in CI — default config: 3 serving
-   nodes, kill AND wedge legs, full 10× checkpoint-interval volume *)
+(* the pinned seeds (RTS_REPLICA_SEEDS widens them) — default config:
+   3 serving nodes, kill AND wedge legs, full 10× checkpoint-interval
+   volume *)
+let replica_seeds = Qcheck_env.seeds "RTS_REPLICA_SEEDS" ~default:[ 2; 11; 23 ]
+
 let test_pinned_seeds () =
-  let seeds =
-    match Sys.getenv_opt "RTS_REPLICA_SEEDS" with
-    | None | Some "" -> [ 2; 11 ]
-    | Some s -> String.split_on_char ',' s |> List.filter_map int_of_string_opt
-  in
   List.iter
     (fun seed ->
       let kill =
@@ -186,7 +184,7 @@ let test_pinned_seeds () =
       Alcotest.(check bool)
         (Printf.sprintf "seed %d wedge fenced zombie frames" seed)
         true (wedge.Rsoak.fenced > 0))
-    seeds
+    replica_seeds
 
 let () =
   Alcotest.run "replica"

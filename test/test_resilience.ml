@@ -665,14 +665,8 @@ let run_crash_case c =
 
 (* Exhaustive sweep: crash at EVERY append boundary of the trace, for
    each fixed seed, cycling torn/bit-flip so all damage shapes appear at
-   many positions. Seeds are overridable via RTS_FAULT_SEEDS (used by
-   `make check-fault` to pin the CI set). *)
-let fault_seeds () =
-  match Sys.getenv_opt "RTS_FAULT_SEEDS" with
-  | Some s ->
-      String.split_on_char ',' s
-      |> List.filter_map (fun x -> int_of_string_opt (String.trim x))
-  | None -> [ 11; 23; 47 ]
+   many positions. RTS_FAULT_SEEDS widens the pinned seeds. *)
+let fault_seeds = Qcheck_env.seeds "RTS_FAULT_SEEDS" ~default:[ 11; 23; 47 ]
 
 let test_crash_equivalence_exhaustive () =
   let nops = 60 in
@@ -696,7 +690,7 @@ let test_crash_equivalence_exhaustive () =
                engine = (if crash_at mod 2 = 0 then "dt" else "baseline");
              })
       done)
-    (fault_seeds ())
+    fault_seeds
 
 let test_crash_during_checkpoint_publication () =
   (* Die inside write_atomic: the checkpoint either never existed or

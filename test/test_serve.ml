@@ -1,7 +1,7 @@
 (* rts-serve daemon core: frame codec round-trips, typed admission
    refusals, backpressure, supervised wedge recovery, and the soak
    harness's never-early / exactly-once guarantee on both a qcheck
-   seed sweep and the pinned CI seeds (RTS_SERVE_SEEDS). *)
+   seed sweep and the pinned seeds (widened via RTS_SERVE_SEEDS). *)
 
 open Rts_core
 open Rts_workload
@@ -398,14 +398,11 @@ let prop_soak_never_early =
         QCheck.Test.fail_reportf "seed %d:@\n%a" seed Soak.pp_report report;
       true)
 
-(* the seeds check-serve pins in CI — full default config, so this leg
-   also exercises 3 tenants, ENOSPC draws and heavier churn *)
+(* the pinned seeds (RTS_SERVE_SEEDS widens them) — full default config,
+   so this leg also exercises 3 tenants, ENOSPC draws and heavier churn *)
+let serve_seeds = Qcheck_env.seeds "RTS_SERVE_SEEDS" ~default:[ 3; 13; 29 ]
+
 let test_pinned_seeds () =
-  let seeds =
-    match Sys.getenv_opt "RTS_SERVE_SEEDS" with
-    | None | Some "" -> [ 3; 13; 29 ]
-    | Some s -> String.split_on_char ',' s |> List.filter_map int_of_string_opt
-  in
   List.iter
     (fun seed ->
       let report = Soak.run ~make { Soak.default with Soak.seed } in
@@ -415,7 +412,7 @@ let test_pinned_seeds () =
         (Printf.sprintf "seed %d exercised crashes" seed)
         true
         (report.Soak.crashes > 0))
-    seeds
+    serve_seeds
 
 let () =
   Alcotest.run "serve"

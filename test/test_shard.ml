@@ -16,8 +16,8 @@
      batch cut points, mid-stream registrations and terminations) over
      every engine, comparing the sharded engine step by step against the
      unsharded reference;
-   - pinned-seed Scenario regressions (`make check-shard` widens the
-     seed list via RTS_SHARD_SEEDS) asserting maturity-log equality for
+   - pinned-seed Scenario regressions (RTS_SHARD_SEEDS widens the seed
+     list) asserting maturity-log equality for
      k in {1,2,4} x executors x batch in {1,64};
    - wrapper composition: Durable.wrap around a sharded engine recovers
      into an equivalent sharded engine, and Net_shadow cross-checks a
@@ -509,16 +509,8 @@ let prop_shard_equivalence =
 
 (* ---- pinned-seed Scenario regressions ------------------------------ *)
 
-(* RTS_SHARD_SEEDS widens the pinned list (same idiom as RTS_FAULT_SEEDS /
-   RTS_NET_SEEDS); `make check-shard` and the CI shard-equivalence job
-   pin it explicitly. *)
-let shard_seeds =
-  match Sys.getenv_opt "RTS_SHARD_SEEDS" with
-  | None | Some "" -> [ 5; 17; 91 ]
-  | Some s ->
-      String.split_on_char ',' s
-      |> List.filter_map (fun x ->
-             match String.trim x with "" -> None | x -> Some (int_of_string x))
+(* the pinned seeds (RTS_SHARD_SEEDS widens them) *)
+let shard_seeds = Qcheck_env.seeds "RTS_SHARD_SEEDS" ~default:[ 5; 17; 91 ]
 
 let factories_for dim =
   match dim with

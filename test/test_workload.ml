@@ -385,6 +385,35 @@ let test_gate_approx_violation () =
   Alcotest.(check (list string)) "sound run passes" [] (gate_errors (doc 0));
   check_fails "bound violation" "approx_bound_violations = 1" (gate_errors (doc 1))
 
+(* ---- pinned seed lists from RTS_<SUITE>_SEEDS ---- *)
+
+let test_seed_env () =
+  let parse v = Qcheck_env.parse_seeds ~var:"RTS_X_SEEDS" ~default:[ 1; 2 ] v in
+  let ok name expected v =
+    match parse v with
+    | Ok got -> Alcotest.(check (list int)) name expected got
+    | Error e -> Alcotest.failf "%s: unexpected error %s" name e
+  in
+  let fails name v =
+    match parse v with
+    | Ok got ->
+        Alcotest.failf "%s: accepted as [%s]" name
+          (String.concat ";" (List.map string_of_int got))
+    | Error e ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: error names the variable (%s)" name e)
+          true
+          (String.starts_with ~prefix:"RTS_X_SEEDS=" e)
+  in
+  ok "unset -> default" [ 1; 2 ] None;
+  ok "empty -> default" [ 1; 2 ] (Some "");
+  ok "blank -> default" [ 1; 2 ] (Some "  ");
+  ok "entries trimmed" [ 7; 19 ] (Some " 7, 19");
+  ok "one seed" [ 3 ] (Some "3");
+  fails "trailing comma" (Some "7,");
+  fails "not a number" (Some "x");
+  fails "one bad entry" (Some "3,x,5")
+
 let () =
   Alcotest.run "workload"
     [
@@ -425,4 +454,5 @@ let () =
             test_gate_alloc_invariant;
           Alcotest.test_case "approx bound violation fails" `Quick test_gate_approx_violation;
         ] );
+      ("seed-env", [ Alcotest.test_case "RTS_*_SEEDS parsing" `Quick test_seed_env ]);
     ]
