@@ -5,22 +5,36 @@
     position in the op stream it reflects, so {!Recovery} can restore
     the engine and replay only the WAL suffix past it.
 
-    File format ([checkpoint-<gen>.ckpt], text):
+    File format ([checkpoint-<gen>.ckpt], format 2, binary,
+    little-endian):
 
     {v
-    RTSCKPT,1,<gen>,<dim>,<ops>,<elements>,<count>,<crc32-hex8>
-    <consumed>,<id>,<threshold>,<lo1>,<hi1>[,...]
-    ...                                       (count lines)
+    offset  size            field
+    0       7               magic "RTSCKPT"
+    7       1               version byte (2)
+    8       5 x 8           gen, dim, ops, elements, count   (int64)
+    48      count x E       entries, E = 24 + 16 * dim bytes each:
+                              id, threshold, consumed        (int64)
+                              dim x (lo, hi)                 (float64 bits)
+    n - 4   4               CRC-32 of bytes [0, n - 4)
     v}
 
-    The CRC covers the header fields themselves (everything before the
-    CRC field, newline-joined with the payload) and every byte after the
-    header line, and [count] pins the number of entries, so truncation,
-    bit rot and short reads — in the metadata as much as the entries —
-    all surface as {!Corrupt}. Publication is atomic ({!Io.dir.write_atomic}:
-    write temp, fsync, rename): a crash mid-checkpoint leaves the
-    previous generation untouched and at worst a stray [*.tmp] that
-    {!prune} sweeps. Generations only ever increase; older ones are kept
+    Floats are stored as their raw bits, so a round trip is bit-exact
+    (infinite bounds, [-0.0] and subnormals included) and costs no
+    decimal formatting. The CRC covers the header as much as the
+    entries, and the file length must equal exactly
+    [48 + count * E + 4], so truncation, bit rot and short reads all
+    surface as {!Corrupt}. {!load} checks, in order and before it
+    allocates anything proportional to [count]: the minimum length, the
+    magic and version (a format-1 text file, [RTSCKPT,1,...], is refused
+    with a message naming format 1), the CRC, the header ranges ([dim]
+    capped at [max_int / 32], so the length arithmetic cannot overflow),
+    the exact payload length, and then each entry (consumed in
+    \[0, threshold), no duplicate id, [lo < hi] in every dimension,
+    which no NaN bound satisfies). Publication is atomic
+    ({!Io.dir.write_atomic}: write temp, fsync, rename): a crash
+    mid-checkpoint leaves the previous generation untouched and at worst
+    a stray [*.tmp] that {!prune} sweeps. Generations only ever increase; older ones are kept
     as fallbacks until pruned. *)
 
 open Rts_core
@@ -50,7 +64,9 @@ val write :
   dir:Io.dir -> gen:int -> dim:int -> ops:int -> elements:int ->
   (Types.query * int) list -> string
 (** Serialize and atomically publish one generation; returns the file
-    name. Entries are [(q, consumed)] as produced by [alive_snapshot]. *)
+    name. Entries are [(q, consumed)] as produced by [alive_snapshot].
+    Raises [Invalid_argument] on a negative [gen], a [dim] below 1, or an
+    entry whose rectangle is not [dim]-dimensional. *)
 
 val load : dir:Io.dir -> string -> meta * (Types.query * int) list
 (** Read back and fully validate one checkpoint file. Raises {!Corrupt}. *)

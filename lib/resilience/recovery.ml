@@ -38,6 +38,18 @@ let rec drop n = function
   | [] -> []
   | _ :: rest -> drop (n - 1) rest
 
+exception Gap of { checkpoint_ops : int; wal_base : int }
+
+let () =
+  Printexc.register_printer (function
+    | Gap { checkpoint_ops; wal_base } ->
+        Some
+          (Printf.sprintf
+             "Recovery.Gap: the newest valid checkpoint covers op %d but the WAL starts after \
+              op %d"
+             checkpoint_ops wal_base)
+    | _ -> None)
+
 let recover ~dim ~make ~dir () =
   let checkpoint, generations_skipped = newest_valid ~dir in
   let checkpoint_gen, checkpoint_ops, checkpoint_elements, entries =
@@ -50,9 +62,15 @@ let recover ~dim ~make ~dir () =
         (Some meta.gen, meta.ops, meta.elements, entries)
     | None -> (None, 0, 0, [])
   in
+  let wal = Wal.scan ~dim ~dir () in
+  (* Segments below the checkpoint floor are pruned, so a chain with
+     [base] > 0 leans on a checkpoint reaching [base]. If every such
+     generation was refused as corrupt, ops [checkpoint_ops + 1 .. base]
+     are in neither place: refuse rather than resume without them. *)
+  if checkpoint_ops < wal.Wal.base then
+    raise (Gap { checkpoint_ops; wal_base = wal.Wal.base });
   let engine = make ~dim in
   if entries <> [] then engine.Engine.register_batch (adjust entries);
-  let wal = Wal.scan ~dim ~dir () in
   (* The checkpoint may cover ops whose WAL records were lost with the
      torn tail (the checkpoint is synced after the WAL, so normally
      wal.records >= checkpoint_ops; a mid-log corruption can still
@@ -61,8 +79,8 @@ let recover ~dim ~make ~dir () =
      two positions. *)
   (* The WAL chain may not reach back to op 0: segments below the
      checkpoint floor are pruned, so [wal.base] ops are simply absent.
-     They are covered by the checkpoint (pruning never outruns it), so
-     replay starts [checkpoint_ops - base] records into the chain. *)
+     They are covered by the checkpoint (checked above), so replay
+     starts [checkpoint_ops - base] records into the chain. *)
   let suffix = drop (checkpoint_ops - wal.Wal.base) wal.Wal.ops in
   let outcome =
     try Replay.replay_ops engine suffix

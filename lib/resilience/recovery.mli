@@ -36,12 +36,20 @@ type report = {
       (** [(global element ordinal, query id)] fired during replay. *)
 }
 
+exception Gap of { checkpoint_ops : int; wal_base : int }
+(** The WAL chain starts after op [wal_base] (older segments were
+    pruned), but the newest checkpoint that validates covers only
+    [checkpoint_ops] < [wal_base] ops — none at all (0) when every
+    generation was refused. The ops in between survive nowhere, so the
+    directory cannot be recovered. *)
+
 val recover :
   dim:int -> make:(dim:int -> Engine.t) -> dir:Io.dir -> unit -> Engine.t * report
 (** [recover ~dim ~make ~dir ()] rebuilds an engine from the durable
     state in [dir]. An empty directory yields a fresh engine and a
     zero report. Raises [Invalid_argument] if a valid checkpoint's
-    dimensionality differs from [dim]; {!Rts_workload.Replay.Engine_error}
+    dimensionality differs from [dim]; {!Gap} if that checkpoint does
+    not reach the start of the WAL chain; {!Rts_workload.Replay.Engine_error}
     (with absolute op ordinals) if the WAL suffix is inconsistent with
     the checkpoint — which, given per-record CRCs, indicates a bug or
     tampering rather than a crash. *)

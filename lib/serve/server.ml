@@ -357,6 +357,10 @@ let start_life t tenant =
       (try close_life () with _ -> ());
       tenant.health <- Crashed { disk_full = true };
       false
+  | exception (Recovery.Gap _ as e) ->
+      (* unrecoverable directory: a restart would only meet it again *)
+      (try close_life () with _ -> ());
+      raise e
 
 let fresh_tenant t name =
   {

@@ -19,6 +19,11 @@ val substring : ?crc:t -> string -> pos:int -> len:int -> t
 (** CRC of [String.sub s pos len] without allocating the copy. Raises
     [Invalid_argument] if the range is out of bounds. *)
 
+val subbytes : ?crc:t -> bytes -> pos:int -> len:int -> t
+(** {!substring} over a [bytes] buffer still being filled — how a
+    checkpoint image is checksummed before its CRC is written into its
+    last four bytes. *)
+
 val to_hex : t -> string
 (** Fixed-width lowercase hex, always 8 characters (["cbf43926"]). *)
 

@@ -15,6 +15,10 @@ module Metrics = Rts_obs.Metrics
 let q ~id ~threshold (lo, hi) = { Types.id; rect = Types.interval lo hi; threshold }
 let e v w = { Types.value = [| v |]; weight = w }
 
+(* Pinned seeds of the crash sweeps and the checkpoint decoder fuzz;
+   RTS_FAULT_SEEDS widens them. *)
+let fault_seeds = Qcheck_env.seeds "RTS_FAULT_SEEDS" ~default:[ 11; 23; 47 ]
+
 let rec drop n = function
   | rest when n <= 0 -> rest
   | [] -> []
@@ -44,6 +48,35 @@ let test_crc32_hex () =
     (fun s ->
       Alcotest.(check bool) ("rejects " ^ s) true (Crc32.of_hex s = None))
     [ "cbf4392"; "cbf439261"; "zzzzzzzz"; ""; "cbf4 926" ]
+
+(* Table-free reference: shift the register one bit at a time. *)
+let crc_bitwise s =
+  let c = ref 0xffffffff in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done)
+    s;
+  Int32.of_int (!c lxor 0xffffffff)
+
+(* The table-driven CRC, fed in random chunks, equals the bitwise one. *)
+let prop_crc32_matches_bitwise =
+  QCheck.Test.make ~count:(Qcheck_env.count 300) ~name:"crc32 = bitwise reference (random chunks)"
+    QCheck.(pair string (small_list small_nat))
+    (fun (s, cuts) ->
+      let n = String.length s in
+      let cuts = List.sort_uniq compare (List.map (fun c -> if n = 0 then 0 else c mod (n + 1)) cuts) in
+      let crc, last =
+        List.fold_left
+          (fun (crc, pos) cut -> (Crc32.substring ~crc s ~pos ~len:(cut - pos), cut))
+          (0l, 0) cuts
+      in
+      let chunked = Crc32.substring ~crc s ~pos:last ~len:(n - last) in
+      let b = Bytes.of_string s in
+      chunked = crc_bitwise s && Crc32.string s = chunked
+      && Crc32.subbytes b ~pos:0 ~len:n = chunked)
 
 (* ------------------------------------------------------------------ *)
 (* Wal                                                                 *)
@@ -267,11 +300,10 @@ let expect_corrupt label f =
 
 (* No single-bit flip anywhere in the file — header metadata included —
    may yield a DIFFERENT valid checkpoint. This is what the
-   header-covering CRC buys: a flipped [ops] digit can no longer
-   masquerade as a valid checkpoint at the wrong position. (The one
-   benign flip: the case bit of a hex letter in the CRC field itself,
-   which parses to the same value — the loaded state is bit-identical,
-   so it is allowed to succeed.) *)
+   header-covering CRC buys: a flipped [ops] bit can no longer
+   masquerade as a valid checkpoint at the wrong position. (A flip that
+   loads to the identical state would be allowed to succeed; CRC-32
+   catches every single-bit flip, so none does.) *)
 let test_checkpoint_detects_every_bit_flip () =
   let dir = Io.mem_dir () in
   let name = Checkpoint.write ~dir ~gen:0 ~dim:1 ~ops:10 ~elements:7 sample_entries in
@@ -333,6 +365,186 @@ let test_checkpoint_generations_and_prune () =
     (List.map fst (Checkpoint.generations ~dir));
   Alcotest.(check bool) "tmp swept" true
     (not (List.mem "checkpoint-leftover.tmp" (dir.Io.list_files ())))
+
+(* Edge values survive a write/load bit for bit: open-ended bounds,
+   -0.0, a subnormal, max_float, extreme ids and thresholds. *)
+let test_checkpoint_bit_exact_roundtrip () =
+  let subnormal = Int64.float_of_bits 1L in
+  let cuts = [| neg_infinity; -0.; subnormal; max_float; infinity |] in
+  List.iter
+    (fun dim ->
+      let entries =
+        List.mapi
+          (fun i (id, threshold, consumed) ->
+            let bounds = Array.init dim (fun k -> (cuts.((i + k) mod 4), cuts.(((i + k) mod 4) + 1))) in
+            ({ Types.id; rect = Types.rect_make bounds; threshold }, consumed))
+          [
+            (min_int, max_int, max_int - 1);
+            (max_int, max_int - 1, 0);
+            (0, 1, 0);
+            (-1, max_int, 12345);
+            (42, max_int - 7, max_int - 8);
+          ]
+      in
+      let dir = Io.mem_dir () in
+      let name = Checkpoint.write ~dir ~gen:max_int ~dim ~ops:max_int ~elements:(max_int - 1) entries in
+      let meta, loaded = Checkpoint.load ~dir name in
+      Alcotest.(check (list int)) "meta" [ max_int; dim; max_int; max_int - 1; 5 ]
+        [ meta.Checkpoint.gen; meta.dim; meta.ops; meta.elements; meta.count ];
+      let bits (q : Types.query) =
+        Array.to_list (Array.map Int64.bits_of_float (Array.append q.rect.lo q.rect.hi))
+      in
+      List.iter2
+        (fun ((q : Types.query), c) ((q' : Types.query), c') ->
+          Alcotest.(check (list int)) "ints" [ q.id; q.threshold; c ] [ q'.id; q'.threshold; c' ];
+          Alcotest.(check (list int64)) "bounds bit-identical" (bits q) (bits q'))
+        entries loaded)
+    (* 1500: engines take any dimension, so the writer must too, or a
+       durable run would die at its first checkpoint *)
+    [ 1; 2; 3; 1500 ]
+
+(* A format-1 text checkpoint, as older builds wrote it (its own CRC
+   included): [RTSCKPT,1,gen,dim,ops,elements,count,crc] then one
+   [consumed,id,threshold,lo,hi] line per entry. *)
+let v1_text_image ~gen ~ops ~elements entries =
+  let payload =
+    String.concat ""
+      (List.map
+         (fun ((q : Types.query), consumed) ->
+           Printf.sprintf "%d,%d,%d,%g,%g\n" consumed q.id q.threshold q.rect.lo.(0) q.rect.hi.(0))
+         entries)
+  in
+  let header = Printf.sprintf "RTSCKPT,1,%d,1,%d,%d,%d" gen ops elements (List.length entries) in
+  Printf.sprintf "%s,%s\n%s" header (Crc32.to_hex (Crc32.string (header ^ "\n" ^ payload))) payload
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let test_checkpoint_refuses_text_format () =
+  List.iter
+    (fun entries ->
+      let dir = Io.mem_dir () in
+      let name = Checkpoint.filename 0 in
+      dir.Io.write_atomic name (v1_text_image ~gen:0 ~ops:3 ~elements:2 entries);
+      match Checkpoint.load ~dir name with
+      | exception Checkpoint.Corrupt msg ->
+          if not (contains ~sub:"format 1" msg) then Alcotest.failf "message %S names no format 1" msg
+      | _ -> Alcotest.fail "a text checkpoint loaded")
+    [ []; sample_entries ]
+
+(* Re-seal a forged image: recompute the trailing CRC, so the checks
+   after the checksum are the ones that must catch the forgery. *)
+let reseal b =
+  let n = Bytes.length b in
+  Bytes.set_int32_le b (n - 4) (Crc32.subbytes b ~pos:0 ~len:(n - 4));
+  Bytes.to_string b
+
+let load_image image =
+  let d = Io.mem_dir () in
+  d.Io.write_atomic "c.ckpt" image;
+  Checkpoint.load ~dir:d "c.ckpt"
+
+(* Only [Corrupt] may escape the decoder; anything else fails. *)
+let load_untrusted label image =
+  match load_image image with
+  | exception Checkpoint.Corrupt _ -> `Corrupt
+  | exception e -> Alcotest.failf "%s: %s escaped the decoder" label (Printexc.to_string e)
+  | _ -> `Loaded
+
+let fuzz_base_images () =
+  let dir = Io.mem_dir () in
+  let image name = Option.get (dir.Io.read_file name) in
+  let e2 =
+    [
+      ({ Types.id = 3; rect = Types.rect_make [| (0., 1.); (neg_infinity, 2.) |]; threshold = 9 }, 8);
+      ({ Types.id = 4; rect = Types.rect_make [| (-5., 5.); (1., infinity) |]; threshold = 1 }, 0);
+    ]
+  in
+  [|
+    image (Checkpoint.write ~dir ~gen:0 ~dim:1 ~ops:10 ~elements:7 sample_entries);
+    image (Checkpoint.write ~dir ~gen:1 ~dim:2 ~ops:12 ~elements:3 e2);
+    image (Checkpoint.write ~dir ~gen:2 ~dim:1 ~ops:0 ~elements:0 []);
+  |]
+
+(* Random bit flips (1-8 bits), truncations and splices of two images,
+   per pinned seed. *)
+let test_checkpoint_mutation_fuzz () =
+  let images = fuzz_base_images () in
+  let rounds = Qcheck_env.count 300 in
+  List.iter
+    (fun seed ->
+      let rng = Prng.create ~seed in
+      for round = 1 to rounds do
+        let a = images.(Prng.int rng (Array.length images)) in
+        let b = images.(Prng.int rng (Array.length images)) in
+        let label kind = Printf.sprintf "seed %d round %d %s" seed round kind in
+        let flipped = Bytes.of_string a in
+        for _ = 0 to Prng.int rng 8 do
+          let i = Prng.int rng (Bytes.length flipped) in
+          Bytes.set flipped i (Char.chr (Char.code (Bytes.get flipped i) lxor (1 lsl Prng.int rng 8)))
+        done;
+        ignore (load_untrusted (label "flip") (Bytes.to_string flipped));
+        ignore (load_untrusted (label "truncate") (String.sub a 0 (Prng.int rng (String.length a))));
+        let cut_a = Prng.int rng (String.length a + 1) and cut_b = Prng.int rng (String.length b + 1) in
+        let spliced = String.sub a 0 cut_a ^ String.sub b cut_b (String.length b - cut_b) in
+        ignore (load_untrusted (label "splice") spliced);
+        (* a flip re-sealed with a fresh CRC reaches the semantic checks *)
+        ignore (load_untrusted (label "resealed flip") (reseal flipped))
+      done)
+    fault_seeds
+
+(* Forged headers and entries with a recomputed CRC: each must be
+   refused by the check behind the checksum. Image 0 is dim 1 with two
+   entries of 40 bytes from offset 48. *)
+let test_checkpoint_forged_fields () =
+  let base = (fuzz_base_images ()).(0) in
+  let forge label edits =
+    let b = Bytes.of_string base in
+    List.iter (fun (off, v) -> Bytes.set_int64_le b off v) edits;
+    match load_untrusted label (reseal b) with
+    | `Corrupt -> ()
+    | `Loaded -> Alcotest.failf "%s: forged image loaded" label
+  in
+  let i = Int64.of_int and bits = Int64.bits_of_float in
+  let gen, dim, ops, elements, count = (8, 16, 24, 32, 40) in
+  let e0, e1 = (48, 88) in
+  forge "count = max_int" [ (count, i max_int) ];
+  forge "count + 1" [ (count, 3L) ];
+  forge "count - 1" [ (count, 1L) ];
+  forge "count = -1" [ (count, -1L) ];
+  (* 40 * (2 + 2^60) wraps to 80 in 63-bit arithmetic *)
+  forge "count overflowing the length product" [ (count, i (2 + (1 lsl 60))) ];
+  forge "count beyond the int range" [ (count, Int64.max_int) ];
+  forge "dim = 0" [ (dim, 0L) ];
+  forge "dim huge" [ (dim, i (1 lsl 40)) ];
+  forge "dim = int64 max" [ (dim, Int64.max_int) ];
+  forge "dim = 2 (payload no longer fits)" [ (dim, 2L) ];
+  forge "negative gen" [ (gen, -1L) ];
+  forge "negative ops" [ (ops, -1L) ];
+  forge "elements > ops" [ (elements, 11L) ];
+  forge "NaN lo" [ (e0 + 24, bits Float.nan) ];
+  forge "NaN hi" [ (e1 + 32, bits Float.nan) ];
+  forge "lo = hi" [ (e0 + 24, bits 10.) ];
+  forge "lo > hi" [ (e1 + 24, bits 5.) ];
+  forge "duplicate id" [ (e1, 1L) ];
+  forge "consumed = threshold" [ (e0 + 16, 7L) ];
+  forge "consumed > threshold" [ (e1 + 16, 3L) ];
+  forge "negative consumed" [ (e1 + 16, -1L) ];
+  forge "threshold = 0" [ (e1 + 8, 0L) ];
+  forge "id beyond the int range" [ (e0, Int64.min_int) ];
+  forge "threshold beyond the int range" [ (e0 + 8, Int64.max_int) ];
+  (* a different version byte, CRC recomputed *)
+  let b = Bytes.of_string base in
+  Bytes.set_uint8 b 7 3;
+  (match load_untrusted "version 3" (reseal b) with
+  | `Corrupt -> ()
+  | `Loaded -> Alcotest.fail "version 3 loaded");
+  (* the unforged base still loads *)
+  match load_untrusted "base" base with
+  | `Loaded -> ()
+  | `Corrupt -> Alcotest.fail "base image refused"
 
 (* ------------------------------------------------------------------ *)
 (* Recovery (hand-built cases)                                         *)
@@ -456,6 +668,60 @@ let test_recover_empty_newest_segment () =
   Alcotest.(check (list (pair int int))) "maturity re-fired" [ (3, 1) ]
     r.Recovery.maturities;
   Alcotest.(check int) "q1 gone" 0 (engine.Engine.alive ())
+
+(* A directory left by a text-checkpoint build: its only checkpoint is
+   format 1. Recovery skips it like any corrupt generation and rebuilds
+   from the whole WAL. *)
+let test_recover_skips_text_checkpoint () =
+  let dir = populated_dir () in
+  (match Checkpoint.generations ~dir with
+  | [ (0, name) ] ->
+      dir.Io.write_atomic name
+        (v1_text_image ~gen:0 ~ops:3 ~elements:2 [ (q ~id:1 ~threshold:4 (0., 10.), 2) ])
+  | _ -> Alcotest.fail "expected exactly generation 0");
+  let engine, r = Recovery.recover ~dim:1 ~make:make_dt ~dir () in
+  Alcotest.(check int) "text generation skipped" 1 r.Recovery.generations_skipped;
+  Alcotest.(check bool) "no checkpoint used" true (r.Recovery.checkpoint_gen = None);
+  Alcotest.(check int) "full WAL replayed" 4 r.Recovery.ops_replayed;
+  Alcotest.(check (list (pair int int))) "same maturity log from the WAL" [ (3, 1) ]
+    r.Recovery.maturities;
+  Alcotest.(check int) "q1 gone" 0 (engine.Engine.alive ())
+
+(* The same text generation over a pruned chain: the WAL no longer
+   holds the ops the refused checkpoints covered, so recovery must
+   refuse instead of replaying from the chain's base with no state. *)
+let test_recover_refuses_gap_below_wal_base () =
+  let text_over dir names =
+    List.iter
+      (fun name ->
+        dir.Io.write_atomic name
+          (v1_text_image ~gen:0 ~ops:3 ~elements:2 [ (q ~id:1 ~threshold:4 (0., 10.), 2) ]))
+      names
+  in
+  let pruned () =
+    let h, dir = segmented_dir () in
+    Durable.checkpoint_now h;
+    Durable.rotate_wal h;
+    Alcotest.(check bool) "segments pruned" true (Durable.prune_wal h ~below:max_int > 0);
+    Durable.close h;
+    Alcotest.(check int) "chain base" 4 (Wal.scan ~dim:1 ~dir ()).Wal.base;
+    (dir, List.map snd (Checkpoint.generations ~dir))
+  in
+  let expect_gap label dir ~checkpoint_ops =
+    match Recovery.recover ~dim:1 ~make:make_dt ~dir () with
+    | exception Recovery.Gap g ->
+        Alcotest.(check (pair int int)) label (checkpoint_ops, 4) (g.checkpoint_ops, g.wal_base)
+    | _ -> Alcotest.failf "%s: recovered across a gap" label
+  in
+  (* every generation refused: nothing reaches op 4 *)
+  let dir, names = pruned () in
+  Alcotest.(check int) "two generations" 2 (List.length names);
+  text_over dir names;
+  expect_gap "no valid checkpoint" dir ~checkpoint_ops:0;
+  (* only the newest refused: the older one stops at op 3 *)
+  let dir, names = pruned () in
+  text_over dir [ List.hd names ];
+  expect_gap "older checkpoint below the base" dir ~checkpoint_ops:3
 
 let test_recover_dim_mismatch () =
   let dir = Io.mem_dir () in
@@ -665,8 +931,7 @@ let run_crash_case c =
 
 (* Exhaustive sweep: crash at EVERY append boundary of the trace, for
    each fixed seed, cycling torn/bit-flip so all damage shapes appear at
-   many positions. RTS_FAULT_SEEDS widens the pinned seeds. *)
-let fault_seeds = Qcheck_env.seeds "RTS_FAULT_SEEDS" ~default:[ 11; 23; 47 ]
+   many positions. *)
 
 let test_crash_equivalence_exhaustive () =
   let nops = 60 in
@@ -887,6 +1152,7 @@ let () =
         [
           Alcotest.test_case "known vectors" `Quick test_crc32_vectors;
           Alcotest.test_case "hex round-trip" `Quick test_crc32_hex;
+          QCheck_alcotest.to_alcotest prop_crc32_matches_bitwise;
         ] );
       ( "wal",
         [
@@ -917,6 +1183,13 @@ let () =
           Alcotest.test_case "semantic validation" `Quick test_checkpoint_semantic_validation;
           Alcotest.test_case "generations and prune" `Quick
             test_checkpoint_generations_and_prune;
+          Alcotest.test_case "bit-exact round-trip at dim 1-3 and 1500" `Quick
+            test_checkpoint_bit_exact_roundtrip;
+          Alcotest.test_case "format-1 text refused" `Quick test_checkpoint_refuses_text_format;
+          Alcotest.test_case "mutation fuzz: only Corrupt escapes" `Quick
+            test_checkpoint_mutation_fuzz;
+          Alcotest.test_case "forged fields behind a valid CRC" `Quick
+            test_checkpoint_forged_fields;
         ] );
       ( "recovery",
         [
@@ -929,6 +1202,10 @@ let () =
             test_recover_checkpoint_only_dir;
           Alcotest.test_case "empty newest segment" `Quick
             test_recover_empty_newest_segment;
+          Alcotest.test_case "format-1 text checkpoint skipped" `Quick
+            test_recover_skips_text_checkpoint;
+          Alcotest.test_case "checkpoint short of the pruned WAL refused" `Quick
+            test_recover_refuses_gap_below_wal_base;
           Alcotest.test_case "dimension mismatch" `Quick test_recover_dim_mismatch;
           Alcotest.test_case "metrics" `Quick test_recovery_metrics;
         ] );
