@@ -3,7 +3,7 @@
 DUNE ?= dune
 SMOKE_SCALE ?= 0.05
 
-.PHONY: all build lint test bench-smoke bench-gate check clean
+.PHONY: all build lint test bench-smoke bench-gate check loc clean
 
 all: build
 
@@ -64,6 +64,22 @@ check: build test bench-smoke
 	$(DUNE) exec bin/rts_serve.exe -- failover-soak --seed 7 --scenario wedge \
 	  --segment-records 16 --quiet
 	@echo "check: OK"
+
+# Lines in tracked files per source directory (lib also split into .ml
+# and .mli), read from the working tree. LOC_BASE=<commit> adds each
+# row's net change since that commit, e.g. `make -s loc LOC_BASE=HEAD~1`.
+# Informational: nothing gates on it.
+LOC_PATHS = lib 'lib/*.ml' 'lib/*.mli' bin bench tools test perfbench
+LOC_BASE ?=
+
+loc:
+	@for p in $(LOC_PATHS); do \
+	  n=$$(git ls-files -z -- "$$p" | xargs -0 cat 2>/dev/null | wc -l); \
+	  if [ -n "$(LOC_BASE)" ]; then \
+	    d=$$(git diff --numstat $(LOC_BASE) -- "$$p" | awk '{n += $$1 - $$2} END {printf "%+d", n}'); \
+	    printf '%-10s %7d %7s\n' "$$p" "$$n" "$$d"; \
+	  else printf '%-10s %7d\n' "$$p" "$$n"; fi; \
+	done
 
 clean:
 	$(DUNE) clean

@@ -121,11 +121,13 @@ let send_ack t node tenant =
       (Rep.to_string (Rep.Ack { epoch = node.nepoch; tenant; durable = dp }))
   end
 
-(* The durable floor advances in fsync-cadence steps, so after the last
-   op of a burst there is always an unacked tail. The settle sweep —
-   armed whenever a tail exists, re-armed until it is gone — forces a
-   sync and acks the rest, letting the primary's ack floor (and with it
-   the parked maturity pushes) reach the top at quiescence. *)
+(* The durable position a replica acks is its WAL's fsynced-through
+   record ordinal (cadence, rotation and checkpoint syncs alike), so
+   after the last op of a burst there is usually an unacked tail. The
+   settle sweep — armed whenever a tail exists, re-armed until it is
+   gone — forces a sync and acks the rest, letting the primary's ack
+   floor (and with it the parked maturity pushes) reach the top at
+   quiescence. *)
 let rec arm_sweep t node =
   if (not node.sweep_armed) && node.alive && not t.stopped then begin
     node.sweep_armed <- true;

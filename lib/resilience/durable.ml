@@ -32,22 +32,33 @@ let checkpoint_now h =
   h.last_checkpoint_ops <- h.ops;
   Checkpoint.prune ~dir:h.dir ~keep:h.cfg.keep
 
-let maybe_checkpoint h =
-  if h.ops - h.last_checkpoint_ops >= h.cfg.checkpoint_every then checkpoint_now h
+let checkpoint_due h = h.ops - h.last_checkpoint_ops >= h.cfg.checkpoint_every
+
+let maybe_checkpoint h = if checkpoint_due h then checkpoint_now h
 
 (* Apply-then-log: the engine validates first, so a rejected op raises
    before anything reaches the WAL. Crash between apply and append
    merely shortens the durable prefix by one op — the producer re-feeds
    it after recovery, which is the same at-least-once window any
    crash already opens. *)
-let log_no_checkpoint h op =
+let log h op =
   Wal.append h.wal op;
   h.ops <- h.ops + 1;
   match op with Replay.Element _ -> h.elements <- h.elements + 1 | _ -> ()
 
-let log h op =
-  log_no_checkpoint h op;
-  maybe_checkpoint h
+let apply h op =
+  let matured =
+    match op with
+    | Replay.Register q ->
+        h.inner.Engine.register q;
+        []
+    | Replay.Terminate id ->
+        h.inner.Engine.terminate id;
+        []
+    | Replay.Element e -> h.inner.Engine.process e
+  in
+  log h op;
+  matured
 
 let durability_metrics h =
   Metrics.of_assoc
@@ -96,13 +107,15 @@ let wrap ?(config = default) ?report ?wal_epoch ?(segment_records = 0) ~dir (eng
   let recovery_metrics =
     match report with Some r -> Recovery.metrics r | None -> Metrics.empty
   in
+  let step op =
+    let matured = apply h op in
+    maybe_checkpoint h;
+    matured
+  in
   let wrapped =
     {
       engine with
-      Engine.register =
-        (fun q ->
-          engine.Engine.register q;
-          log h (Replay.Register q));
+      Engine.register = (fun q -> ignore (step (Replay.Register q)));
       register_batch =
         (fun qs ->
           engine.Engine.register_batch qs;
@@ -110,17 +123,10 @@ let wrap ?(config = default) ?report ?wal_epoch ?(segment_records = 0) ~dir (eng
              checkpoint taken mid-batch would describe engine state the
              op count does not cover, and replaying the rest of the
              batch over it would re-register live ids. *)
-          List.iter (fun q -> log_no_checkpoint h (Replay.Register q)) qs;
+          List.iter (fun q -> log h (Replay.Register q)) qs;
           maybe_checkpoint h);
-      terminate =
-        (fun id ->
-          engine.Engine.terminate id;
-          log h (Replay.Terminate id));
-      process =
-        (fun e ->
-          let matured = engine.Engine.process e in
-          log h (Replay.Element e);
-          matured);
+      terminate = (fun id -> ignore (step (Replay.Terminate id)));
+      process = (fun e -> step (Replay.Element e));
       feed_batch =
         (fun elems ->
           let matured = engine.Engine.feed_batch elems in
@@ -130,7 +136,7 @@ let wrap ?(config = default) ?report ?wal_epoch ?(segment_records = 0) ~dir (eng
              the append loop widens the at-least-once window to the whole
              batch — the producer re-feeds from its last acknowledged
              batch boundary, exactly as it re-feeds a single element. *)
-          Array.iter (fun e -> log_no_checkpoint h (Replay.Element e)) elems;
+          Array.iter (fun e -> log h (Replay.Element e)) elems;
           maybe_checkpoint h;
           matured);
       metrics =
@@ -155,3 +161,7 @@ let prune_wal h ~below =
   Wal.prune ~dir:h.dir ~below:(min below h.last_checkpoint_ops) ()
 
 let wal_rotations h = Wal.rotations h.wal
+
+let synced h = Wal.synced h.wal
+
+let last_checkpoint_ops h = h.last_checkpoint_ops

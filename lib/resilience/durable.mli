@@ -7,9 +7,10 @@
       checksummed {!Wal} in [dir] — {e after} applying it, so an op the
       engine rejects (duplicate id, bad query) never pollutes the log
       and can never poison a future recovery;
-    - every [checkpoint_every] ops, fsyncs the WAL and atomically
-      publishes a {!Checkpoint} generation built from the engine's
-      [alive_snapshot], then prunes generations beyond [keep];
+    - whenever {!checkpoint_due} holds after an op (after the whole
+      batch for [register_batch] / [feed_batch]), fsyncs the WAL and
+      atomically publishes a {!Checkpoint} generation built from the
+      engine's [alive_snapshot], then prunes generations beyond [keep];
     - folds the durability counters ([wal_records_total],
       [wal_fsyncs_total], [checkpoints_total]) — and, when a
       {!Recovery.report} is supplied, the [recovery_*] metrics — into
@@ -21,6 +22,14 @@
     its report names that position so the producer resumes exactly
     there. The fault-injection suite asserts the resulting maturity log
     is bit-identical to an uninterrupted run for {e every} crash point.
+
+    The handle is the one ledger of this durable state: the op count,
+    the fsynced-through position ({!synced}), the checkpoint floor
+    ({!last_checkpoint_ops}) and the checkpoint cadence
+    ({!checkpoint_due}). An owner that must choose its own checkpoint
+    moments — [rts-serve] checkpoints only at quiescent drain ticks,
+    after a read-back verify — applies through {!apply}, which never
+    checkpoints, and asks {!checkpoint_due} when it is ready.
 
     Restarting over a non-empty [dir]: recover first and wrap the
     recovered engine ([wrap ~report]) — wrapping a {e fresh} engine over
@@ -57,6 +66,24 @@ val wrap :
     the log (raises {!Wal.Fenced} if the chain carries a higher one);
     [segment_records] > 0 enables WAL rotation at that segment size.
     Raises [Invalid_argument] on a nonsensical config. *)
+
+val apply : handle -> Rts_workload.Replay.op -> int list
+(** Apply one op to the inner engine, then log it; returns the ids the
+    op matured. Never checkpoints. Raises what the engine raises for a
+    rejected op, before anything is logged. *)
+
+val checkpoint_due : handle -> bool
+(** At least [checkpoint_every] ops were logged since the last
+    checkpoint (or since [wrap]). The wrapped engine checkpoints exactly
+    when this holds after an op or batch. *)
+
+val synced : handle -> int
+(** The op ordinal the WAL is fsynced through ({!Wal.synced}): rotation
+    and checkpoint syncs included. Still readable after {!close}. *)
+
+val last_checkpoint_ops : handle -> int
+(** The op ordinal the newest checkpoint covers; at [wrap], the
+    recovered position. *)
 
 val sync : handle -> unit
 (** Force the WAL durable now, regardless of batching. *)

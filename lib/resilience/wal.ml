@@ -104,19 +104,22 @@ let active_header ~epoch ~base = with_crc (Printf.sprintf "%s,1,%d,%d" active_ma
 let segment_header ~epoch ~base ~count =
   with_crc (Printf.sprintf "%s,1,%d,%d,%d" segment_magic epoch base count)
 
-(* Split a header line [body,crc] and verify the CRC; returns the
-   comma-separated body fields. *)
-let parse_header_line line =
-  match String.rindex_opt line ',' with
+(* Split [data]'s first line [body,crc] and verify the CRC; returns the
+   comma-separated body fields and the line's length with its newline. *)
+let header_fields data =
+  match String.index_opt data '\n' with
   | None -> None
-  | Some c ->
-      let body = String.sub line 0 c in
-      let crc = String.sub line (c + 1) (String.length line - c - 1) in
-      if String.length crc <> 8 then None
-      else (
-        match Crc32.of_hex crc with
-        | Some v when Crc32.string body = v -> Some (String.split_on_char ',' body)
-        | _ -> None)
+  | Some nl -> (
+      match String.rindex_from_opt data nl ',' with
+      | None -> None
+      | Some c ->
+          let body = String.sub data 0 c in
+          let crc = String.sub data (c + 1) (nl - c - 1) in
+          if String.length crc <> 8 then None
+          else (
+            match Crc32.of_hex crc with
+            | Some v when Crc32.string body = v -> Some (String.split_on_char ',' body, nl + 1)
+            | _ -> None))
 
 let int_field s = if s <> "" && String.for_all is_digit s then Some (int_of_string s) else None
 
@@ -133,15 +136,12 @@ let parse_active_header data =
   if not starts_with_magic then None
   else
     let invalid = Some (0, 0, -1) in
-    match String.index_opt data '\n' with
-    | None -> invalid
-    | Some nl -> (
-        match parse_header_line (String.sub data 0 nl) with
-        | Some [ magic; "1"; e; b ] when magic = active_magic -> (
-            match (int_field e, int_field b) with
-            | Some epoch, Some base -> Some (epoch, base, nl + 1)
-            | _ -> invalid)
+    match header_fields data with
+    | Some ([ magic; "1"; e; b ], hlen) when magic = active_magic -> (
+        match (int_field e, int_field b) with
+        | Some epoch, Some base -> Some (epoch, base, hlen)
         | _ -> invalid)
+    | _ -> invalid
 
 (* Scan the active file image: header (any form) plus records. *)
 let scan_active ~dim data =
@@ -154,21 +154,25 @@ let scan_active ~dim data =
       let ops, records, valid, disc = scan_range ~dim data ~pos:hlen in
       (epoch, base, ops, records, hlen + valid, disc)
 
-let scan_segment_string ~dim data =
-  match String.index_opt data '\n' with
-  | None -> None
-  | Some nl -> (
-      match parse_header_line (String.sub data 0 nl) with
-      | Some [ magic; "1"; e; b; c ] when magic = segment_magic -> (
-          match (int_field e, int_field b, int_field c) with
-          | Some epoch, Some base, Some count ->
-              let ops, records, _, disc = scan_range ~dim data ~pos:(nl + 1) in
-              (* A cold segment is published atomically: anything short
-                 of exactly [count] intact records means it is damaged
-                 and cannot be trusted as a link in the chain. *)
-              if records = count && disc = 0 then Some (epoch, base, count, ops) else None
-          | _ -> None)
+(* [Some (epoch, base, count, header_len)] if [data] begins with a
+   valid cold-segment header. *)
+let parse_segment_header data =
+  match header_fields data with
+  | Some ([ magic; "1"; e; b; c ], hlen) when magic = segment_magic -> (
+      match (int_field e, int_field b, int_field c) with
+      | Some epoch, Some base, Some count -> Some (epoch, base, count, hlen)
       | _ -> None)
+  | _ -> None
+
+let scan_segment_string ~dim data =
+  match parse_segment_header data with
+  | None -> None
+  | Some (epoch, base, count, hlen) ->
+      let ops, records, _, disc = scan_range ~dim data ~pos:hlen in
+      (* A cold segment is published atomically: anything short of
+         exactly [count] intact records means it is damaged and cannot
+         be trusted as a link in the chain. *)
+      if records = count && disc = 0 then Some (epoch, base, count, ops) else None
 
 (* ---------------- segment naming ---------------- *)
 
@@ -191,19 +195,10 @@ let segments ~dir ?(file = default_file) () =
          match segment_base_of_name ~file name with
          | None -> None
          | Some base -> (
-             match dir.Io.read_file name with
-             | None -> None
-             | Some data -> (
-                 match String.index_opt data '\n' with
-                 | None -> None
-                 | Some nl -> (
-                     match parse_header_line (String.sub data 0 nl) with
-                     | Some [ magic; "1"; e; b; c ] when magic = segment_magic -> (
-                         match (int_field e, int_field b, int_field c) with
-                         | Some epoch, Some b', Some count when b' = base ->
-                             Some { seg_file = name; seg_base = base; seg_count = count; seg_epoch = epoch }
-                         | _ -> None)
-                     | _ -> None))))
+             match Option.bind (dir.Io.read_file name) parse_segment_header with
+             | Some (epoch, b, count, _) when b = base ->
+                 Some { seg_file = name; seg_base = base; seg_count = count; seg_epoch = epoch }
+             | _ -> None))
   |> List.sort (fun a b -> compare a.seg_base b.seg_base)
 
 (* ---------------- chain scan ---------------- *)
@@ -433,6 +428,7 @@ let close w =
   end
 
 let records w = w.existing.base + w.existing.records + w.appended
+let synced w = records w - w.since_sync
 let appended w = w.appended
 let fsyncs w = w.fsyncs
 let rotations w = w.rotations

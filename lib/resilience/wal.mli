@@ -50,9 +50,10 @@
 
     Durability: {!append} buffers in the OS via {!Io.file.append};
     records become crash-proof when the writer fsyncs — every
-    [fsync_every] records, or explicitly via {!sync} (the {!Durable}
-    wrapper syncs before each checkpoint so the checkpoint never claims
-    ops the log could lose). *)
+    [fsync_every] records, at every rotation, or explicitly via {!sync}
+    (the {!Durable} wrapper syncs before each checkpoint so the
+    checkpoint never claims ops the log could lose). {!synced} says how
+    far that reaches. *)
 
 open Rts_workload
 
@@ -164,6 +165,13 @@ val close : writer -> unit
 val records : writer -> int
 (** Total ops ever logged through this chain: the chain's base plus
     available records plus this writer's appends. *)
+
+val synced : writer -> int
+(** The chain ordinal of the last record an fsync covers: {!records}
+    minus the records appended since the last {!sync}. Every fsync goes
+    through {!sync} — the [fsync_every] cadence, an explicit call,
+    {!rotate} and {!close} — so this is exact. Records the writer found
+    on opening count as synced. *)
 
 val appended : writer -> int
 (** Records appended through this writer. *)

@@ -68,6 +68,9 @@ type tenant = {
   mutable incarnation : int;
   mutable engine : Engine.t;
   mutable handle : Durable.handle option;
+      (* the running life's. When the life ends it is kept, closed, so
+         [durable_floor] still reads what its WAL writer last reported;
+         it is live only while Serving and not shut down. *)
   mutable life_dir : Io.dir option;
   mutable close_life : unit -> unit;
   mutable health : health;
@@ -80,16 +83,8 @@ type tenant = {
          WAL record became durable (fsync boundary, surviving unsynced
          prefix) — recovery decides from [report.ops_total] whether this
          op committed (finish its bookkeeping) or not (re-apply it). *)
-  mutable last_checkpoint : int;  (* op ordinal of the last checkpoint *)
   mutable applied : int;  (* op ordinal = WAL record ordinal *)
   mutable elements : int;  (* element ordinal *)
-  mutable sync_base : int;
-      (* fsync cadence base: op ordinal of the last explicit WAL sync
-         (life start, checkpoint, or sync). Wal.sync resets the
-         writer's since-sync counter, so auto-fsync boundaries land at
-         sync_base + k*fsync_every — durable_floor must re-base on
-         every explicit sync or it overestimates durability. *)
-  mutable synced : int;  (* explicitly synced through this op ordinal *)
   mutable accepted : int;
   mutable rejected : int;  (* benign engine rejections *)
   mutable pending_registers : int;
@@ -168,15 +163,11 @@ let has_work tenant =
   || (not (Queue.is_empty tenant.backlog))
   || not (Spsc_ring.is_empty tenant.ring)
 
-let durable_floor t tenant =
-  let fsync_every = max 1 t.config.durable.Durable.fsync_every in
-  let batched =
-    tenant.sync_base + (tenant.applied - tenant.sync_base) / fsync_every * fsync_every
-  in
-  max tenant.synced batched
+let durable_floor tenant =
+  match tenant.handle with Some h -> Durable.synced h | None -> 0
 
-let wal_lag t tenant =
-  tenant.applied - durable_floor t tenant + Queue.length tenant.backlog
+let wal_lag tenant =
+  tenant.applied - durable_floor tenant + Queue.length tenant.backlog
   + Spsc_ring.length tenant.ring
   + (match tenant.in_flight with Some _ -> 1 | None -> 0)
 
@@ -192,16 +183,18 @@ let push_floor t tenant =
   | Some r when t.role = Primary -> r.ack_floor ~tenant:tenant.name
   | _ -> max_int
 
+let push t tenant ~ordinal ~ids =
+  List.iter
+    (fun dst -> t.send ~dst (Frame.Matured { tenant = tenant.name; ordinal; ids }))
+    tenant.subscribers
+
 (* Stage one op's maturities: append to the tenant log (the log is the
    oracle of what this node attributed, pushed or not), then either push
    now or park behind the replication ack floor. *)
 let emit_maturity t tenant ~ord ~ordinal ~ids =
   tenant.log <- List.rev_append (List.map (fun id -> (ordinal, id)) ids) tenant.log;
   Metrics.add t.c_matured (List.length ids);
-  if ord <= push_floor t tenant then
-    List.iter
-      (fun dst -> t.send ~dst (Frame.Matured { tenant = tenant.name; ordinal; ids }))
-      tenant.subscribers
+  if ord <= push_floor t tenant then push t tenant ~ordinal ~ids
   else Queue.add (ord, ordinal, ids) tenant.pending_pushes
 
 (* Release parked pushes whose op every replica now holds durably. The
@@ -213,22 +206,21 @@ let flush_pending t tenant =
     match Queue.peek_opt tenant.pending_pushes with
     | Some (ord, ordinal, ids) when ord <= floor ->
         ignore (Queue.pop tenant.pending_pushes);
-        List.iter
-          (fun dst -> t.send ~dst (Frame.Matured { tenant = tenant.name; ordinal; ids }))
-          tenant.subscribers;
+        push t tenant ~ordinal ~ids;
         go ()
     | _ -> ()
   in
   go ()
 
-(* Replay entries are dropped only below [last_checkpoint] — the
-   ordinal covered by CRC-verified durability (a published checkpoint,
-   or the recovery scan at life start). The fsync-based [durable_floor]
-   is NOT a safe prune bound: a torn write can silently truncate a
-   record the writer believes fsynced, and the scanner then amputates
-   it — the op must still be in the replay queue to be resubmitted. *)
-let prune_replay tenant =
-  let floor = tenant.last_checkpoint in
+(* Replay entries are dropped only below the handle's checkpoint floor
+   — the ordinal covered by CRC-verified durability (a published
+   checkpoint, or the recovery scan at life start). The fsync-based
+   [durable_floor] is NOT a safe prune bound: a torn write can silently
+   truncate a record the writer believes fsynced, and the scanner then
+   amputates it — the op must still be in the replay queue to be
+   resubmitted. *)
+let prune_replay tenant h =
+  let floor = Durable.last_checkpoint_ops h in
   let rec go () =
     match Queue.peek_opt tenant.replay with
     | Some (ord, _) when ord <= floor ->
@@ -246,7 +238,6 @@ let end_life tenant =
   (match tenant.handle with
   | Some h -> ( try Durable.close h with _ -> ())
   | None -> ());
-  tenant.handle <- None;
   (try tenant.close_life () with _ -> ());
   tenant.close_life <- (fun () -> ())
 
@@ -260,12 +251,8 @@ let start_life t tenant =
   let make, close_life = life_factory t in
   match
     let engine, report = Recovery.recover ~dim:t.config.dim ~make ~dir () in
-    (* checkpointing is driven by [maybe_checkpoint] at quiescent drain
-       points; the wrapper's own mid-apply cadence is disabled so a
-       checkpoint can never consume the in-flight op's maturities *)
-    let config = { t.config.durable with Durable.checkpoint_every = max_int } in
     let engine, handle =
-      Durable.wrap ~config ~report
+      Durable.wrap ~config:t.config.durable ~report
         ?wal_epoch:(if t.epoch > 0 then Some t.epoch else None)
         ~segment_records:t.config.segment_records ~dir engine
     in
@@ -278,9 +265,6 @@ let start_life t tenant =
       tenant.close_life <- close_life;
       tenant.applied <- report.Recovery.ops_total;
       tenant.elements <- report.Recovery.elements_total;
-      tenant.sync_base <- report.Recovery.ops_total;
-      tenant.synced <- report.Recovery.ops_total;
-      tenant.last_checkpoint <- report.Recovery.ops_total;
       tenant.health <- Serving;
       tenant.wedged <- false;
       tenant.last_progress <- Vclock.now t.clock;
@@ -375,11 +359,8 @@ let fresh_tenant t name =
     backlog = Queue.create ();
     replay = Queue.create ();
     in_flight = None;
-    last_checkpoint = 0;
     applied = 0;
     elements = 0;
-    sync_base = 0;
-    synced = 0;
     accepted = 0;
     rejected = 0;
     pending_registers = 0;
@@ -401,21 +382,14 @@ let fresh_tenant t name =
    (the WAL record may or may not have reached disk before the fault),
    so [start_life] decides from the recovery report. Benign engine
    rejections (duplicate register, unknown terminate) consume no
-   ordinal: the Durable wrapper logs after applying, so a rejected op
-   never reaches the WAL. *)
+   ordinal: [Durable.apply] logs after applying, so a rejected op never
+   reaches the WAL. It never checkpoints: checkpoints wait for a
+   quiescent drain tick ([maybe_checkpoint]). Ops are applied only
+   while a life runs, so the handle is live. *)
 let apply_op t tenant op =
   tenant.in_flight <- Some (tenant.applied + 1, op);
-  let e = tenant.engine in
-  match
-    match op with
-    | Replay.Register q ->
-        e.Engine.register q;
-        []
-    | Replay.Terminate id ->
-        e.Engine.terminate id;
-        []
-    | Replay.Element el -> e.Engine.process el
-  with
+  let h = Option.get tenant.handle in
+  match Durable.apply h op with
   | matured ->
       tenant.in_flight <- None;
       tenant.applied <- tenant.applied + 1;
@@ -425,7 +399,7 @@ let apply_op t tenant op =
       | Replay.Register _ -> tenant.pending_registers <- tenant.pending_registers - 1
       | Replay.Terminate _ -> ());
       Queue.add (tenant.applied, op) tenant.replay;
-      prune_replay tenant;
+      prune_replay tenant h;
       Metrics.incr t.c_applied;
       tenant.last_progress <- Vclock.now t.clock;
       (* Exactly-once, never-early notification across restarts: ops at
@@ -492,17 +466,15 @@ let verify_wal t tenant =
           (Fault.Crash
              (Printf.sprintf "wal verify: %d records on disk (base %d), %d ops applied"
                 (scanned.Wal.base + scanned.Wal.records)
-                scanned.Wal.base tenant.applied));
-      tenant.synced <- tenant.applied;
-      tenant.sync_base <- tenant.applied
+                scanned.Wal.base tenant.applied))
   | _ -> ()
 
 (* Checkpoint at a quiescent point — never from inside an apply. This
    keeps the invariant [start_life] relies on: a checkpoint can never
    cover the in-flight op, so a committed in-flight op is always in the
    replayed WAL suffix and its maturities are recoverable from the
-   report. (The Durable wrapper's own cadence is disabled at [wrap]
-   time for the same reason.) The WAL is read-back verified first so a
+   report. (For the same reason ops go through [Durable.apply], which
+   never checkpoints.) The WAL is read-back verified first so a
    checkpoint never publishes over a silently torn record. *)
 let checkpoint_tenant t tenant =
   match tenant.handle with
@@ -510,11 +482,8 @@ let checkpoint_tenant t tenant =
   | Some h ->
       verify_wal t tenant;
       Durable.checkpoint_now h;
-      tenant.synced <- tenant.applied;
-      tenant.sync_base <- tenant.applied;
-      tenant.last_checkpoint <- tenant.applied;
       trace tenant.name "checkpoint at %d" tenant.applied;
-      prune_replay tenant;
+      prune_replay tenant h;
       (* with rotation on, closed segments wholly below both the new
          checkpoint and the replica ack floor are dead weight: recovery
          starts from the checkpoint, and every replica already holds
@@ -532,8 +501,9 @@ let checkpoint_tenant t tenant =
       end
 
 let maybe_checkpoint t tenant =
-  if tenant.applied - tenant.last_checkpoint >= t.config.durable.Durable.checkpoint_every
-  then checkpoint_tenant t tenant
+  match tenant.handle with
+  | Some h when Durable.checkpoint_due h -> checkpoint_tenant t tenant
+  | _ -> ()
 
 (* ---- supervision --------------------------------------------------- *)
 
@@ -550,14 +520,18 @@ and drain_tick t tenant =
   tenant.drain_armed <- false;
   if t.shutting || tenant.wedged || tenant.health <> Serving then ()
   else begin
-    (try
-       drain_some t tenant ~budget:t.config.drain_per_tick;
-       maybe_checkpoint t tenant
-     with
-    | Fault.Crash _ -> mark_crashed t tenant ~disk_full:false
-    | Io.No_space -> mark_crashed t tenant ~disk_full:true);
+    guard_storage t tenant (fun () ->
+        drain_some t tenant ~budget:t.config.drain_per_tick;
+        maybe_checkpoint t tenant);
     arm_drain t tenant
   end
+
+(* Run [f]; a storage fault inside it crashes the tenant, to be
+   supervised as usual. *)
+and guard_storage t tenant f =
+  try f () with
+  | Fault.Crash _ -> mark_crashed t tenant ~disk_full:false
+  | Io.No_space -> mark_crashed t tenant ~disk_full:true
 
 and mark_crashed t tenant ~disk_full =
   trace tenant.name "crash disk_full=%b applied=%d in_flight=%s backlog=%d ring=%d"
@@ -618,11 +592,10 @@ and iter_tenants t f =
    checkpoint time; at quiescence the floor has caught up, so one final
    checkpoint releases the segments a lagging replica pinned. *)
 let checkpoint_all t =
-  iter_tenants t (fun tenant ->
-      if tenant.health = Serving && not tenant.wedged then
-        try checkpoint_tenant t tenant with
-        | Fault.Crash _ -> mark_crashed t tenant ~disk_full:false
-        | Io.No_space -> mark_crashed t tenant ~disk_full:true)
+  if not t.shutting then
+    iter_tenants t (fun tenant ->
+        if tenant.health = Serving && not tenant.wedged then
+          guard_storage t tenant (fun () -> checkpoint_tenant t tenant))
 
 (* ---- admission ----------------------------------------------------- *)
 
@@ -638,7 +611,7 @@ let admission t tenant ops =
   (* replication lag rides the same gate as local durability lag: an op
      is a liability until it is durable here AND on every replica, so
      both backlogs bound intake (quorum-lag shedding). *)
-  let lag tenant = wal_lag t tenant + replica_lag t tenant in
+  let lag tenant = wal_lag tenant + replica_lag t tenant in
   match tenant.health with
   | Crashed { disk_full = true } -> Some Frame.Disk_full
   | Crashed { disk_full = false } ->
@@ -753,7 +726,7 @@ let tenant_gauges t =
          let x = Hashtbl.find t.tenants name in
          [
            ( Printf.sprintf "serve_wal_backlog_%s" name,
-             Metrics.Gauge (float_of_int (wal_lag t x)) );
+             Metrics.Gauge (float_of_int (wal_lag x)) );
            ( Printf.sprintf "serve_replica_lag_%s" name,
              Metrics.Gauge (float_of_int (replica_lag t x)) );
          ])
@@ -767,14 +740,10 @@ let shutdown t =
           (match tenant.health with
           | Crashed _ -> ignore (restart t tenant)
           | Serving -> tenant.wedged <- false);
-          if tenant.health = Serving then begin
-            try
-              drain_some t tenant ~budget:max_int;
-              verify_wal t tenant
-            with
-            | Fault.Crash _ -> mark_crashed t tenant ~disk_full:false
-            | Io.No_space -> mark_crashed t tenant ~disk_full:true
-          end;
+          if tenant.health = Serving then
+            guard_storage t tenant (fun () ->
+                drain_some t tenant ~budget:max_int;
+                verify_wal t tenant);
           if has_work tenant || tenant.health <> Serving then pump ()
         in
         pump ();
@@ -940,7 +909,7 @@ let flush_pushes t name =
   match find t name with Some tenant -> flush_pending t tenant | None -> ()
 
 let durable_position t name =
-  match find t name with Some tenant -> durable_floor t tenant | None -> 0
+  match find t name with Some tenant -> durable_floor tenant | None -> 0
 
 let pending_push_count t name =
   match find t name with Some x -> Queue.length x.pending_pushes | None -> 0
@@ -954,10 +923,6 @@ let inject_wedge t name =
       arm_watchdog t
 
 let sync_all t =
-  iter_tenants t (fun tenant ->
-      match (tenant.health, tenant.handle) with
-      | Serving, Some _ -> (
-          try verify_wal t tenant with
-          | Fault.Crash _ -> mark_crashed t tenant ~disk_full:false
-          | Io.No_space -> mark_crashed t tenant ~disk_full:true)
-      | _ -> ())
+  if not t.shutting then
+    iter_tenants t (fun tenant ->
+        if tenant.health = Serving then guard_storage t tenant (fun () -> verify_wal t tenant))

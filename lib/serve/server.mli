@@ -198,8 +198,10 @@ val flush_pushes : t -> string -> unit
     covers. The replication layer calls this when an ack advances. *)
 
 val durable_position : t -> string -> int
-(** The tenant's locally durable op ordinal (fsync-cadence floor) — what
-    a replica reports in its acks. 0 for unknown tenants. *)
+(** The tenant's locally durable op ordinal — its WAL writer's
+    fsynced-through ordinal ({!Rts_resilience.Durable.synced}), as the
+    last life reported it while none runs — what a replica reports in
+    its acks. 0 for unknown tenants. *)
 
 val pending_push_count : t -> string -> int
 (** Maturity groups parked behind the replication ack floor. *)

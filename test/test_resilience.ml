@@ -255,6 +255,25 @@ let test_wal_rotation_crash_overlap () =
   Alcotest.(check bool) "no duplicated prefix" true
     (s.Wal.ops = sample_ops @ [ Replay.Element (e 9. 1) ])
 
+let test_wal_rotation_syncs () =
+  (* fsync every 3 records, rotate every 4: the rotation's sync moves
+     the fsync cadence, and [synced] must follow it *)
+  let dir = Io.mem_dir () in
+  let w = Wal.writer ~dim:1 ~fsync_every:3 ~segment_records:4 ~dir () in
+  let synced_after =
+    List.map
+      (fun op ->
+        Wal.append w op;
+        Wal.synced w)
+      (sample_ops @ sample_ops)
+  in
+  Alcotest.(check (list int)) "cadence, then rotation, then cadence from there"
+    [ 0; 0; 3; 4; 4; 4; 7; 8; 8; 8 ] synced_after;
+  Wal.append w (Replay.Element (e 3. 1));
+  Wal.rotate w;
+  Alcotest.(check int) "an explicit rotate syncs everything" (Wal.records w) (Wal.synced w);
+  Wal.close w
+
 let test_fsync_dir_errno_classifier () =
   (* "directory fsync unsupported" errnos are swallowed; real I/O
      failures must raise — a checkpoint rename that never reached
@@ -813,6 +832,54 @@ let test_durable_register_batch_checkpoint_boundary () =
   Alcotest.(check int) "all five alive" 5 (engine.Engine.alive ());
   Alcotest.(check int) "nothing replayed twice" 0 r.Recovery.ops_replayed
 
+let test_durable_checkpoint_due () =
+  let dir = Io.mem_dir () in
+  let cfg = { Durable.fsync_every = 2; checkpoint_every = 5; keep = 2 } in
+  let durable, h = Durable.wrap ~config:cfg ~dir (Baseline_engine.make ~dim:1) in
+  let due = ref [] in
+  for i = 1 to 5 do
+    ignore (Durable.apply h (Replay.Element (e (float_of_int i) 1)));
+    due := Durable.checkpoint_due h :: !due
+  done;
+  Alcotest.(check (list bool)) "due at exactly checkpoint_every ops"
+    [ false; false; false; false; true ] (List.rev !due);
+  Durable.checkpoint_now h;
+  Alcotest.(check bool) "not due right after a checkpoint" false (Durable.checkpoint_due h);
+  Alcotest.(check int) "checkpoint floor" 5 (Durable.last_checkpoint_ops h);
+  (* the wrapped engine checkpoints on the same predicate *)
+  for i = 1 to 4 do
+    ignore (durable.Engine.process (e (float_of_int i) 1))
+  done;
+  Alcotest.(check int) "wrapper: 4 ops, no checkpoint yet" 1
+    (Metrics.counter_value (durable.Engine.metrics ()) "checkpoints_total");
+  ignore (durable.Engine.process (e 5. 1));
+  Alcotest.(check int) "wrapper: checkpoint at the 5th op" 2
+    (Metrics.counter_value (durable.Engine.metrics ()) "checkpoints_total");
+  Alcotest.(check int) "wrapper: floor follows" 10 (Durable.last_checkpoint_ops h);
+  Durable.close h
+
+let test_durable_apply_never_checkpoints () =
+  let ops = trace 9 60 in
+  let dir = Io.mem_dir () in
+  let every = 4 in
+  let cfg = { Durable.fsync_every = 3; checkpoint_every = every; keep = 2 } in
+  let durable, h = Durable.wrap ~config:cfg ~dir (Dt_engine.make ~dim:1) in
+  let checkpoints () =
+    Metrics.counter_value (durable.Engine.metrics ()) "checkpoints_total"
+  in
+  let applied = List.filteri (fun i _ -> i < 3 * every) ops in
+  let matured = List.concat_map (fun op -> Durable.apply h op) applied in
+  Alcotest.(check int) "no checkpoint across 3 x checkpoint_every applies" 0 (checkpoints ());
+  Alcotest.(check bool) "but one is due" true (Durable.checkpoint_due h);
+  Alcotest.(check int) "floor unmoved" 0 (Durable.last_checkpoint_ops h);
+  let prefix = Replay.replay_ops (Baseline_engine.make ~dim:1) applied in
+  Alcotest.(check (list int)) "apply returns the engine's maturities"
+    (List.map snd prefix.Replay.maturities) matured;
+  Alcotest.(check int) "the fsync cadence still runs" (3 * every) (Durable.synced h);
+  Durable.close h;
+  let s = Wal.scan ~dim:1 ~dir () in
+  Alcotest.(check bool) "every applied op logged" true (s.Wal.ops = applied)
+
 let test_durable_bad_config () =
   let dir = Io.mem_dir () in
   let bad cfg =
@@ -1170,6 +1237,7 @@ let () =
           Alcotest.test_case "epoch fencing" `Quick test_wal_epoch_fencing;
           Alcotest.test_case "rotation crash-window overlap" `Quick
             test_wal_rotation_crash_overlap;
+          Alcotest.test_case "rotation syncs: synced = records" `Quick test_wal_rotation_syncs;
           Alcotest.test_case "fsync_dir errno classifier" `Quick
             test_fsync_dir_errno_classifier;
         ] );
@@ -1214,6 +1282,10 @@ let () =
           Alcotest.test_case "wrapper is transparent" `Quick test_durable_is_transparent;
           Alcotest.test_case "register_batch vs checkpoint boundary" `Quick
             test_durable_register_batch_checkpoint_boundary;
+          Alcotest.test_case "checkpoint_due at exactly checkpoint_every" `Quick
+            test_durable_checkpoint_due;
+          Alcotest.test_case "apply never checkpoints" `Quick
+            test_durable_apply_never_checkpoints;
           Alcotest.test_case "bad config rejected" `Quick test_durable_bad_config;
         ] );
       ( "crash-equivalence",

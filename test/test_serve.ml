@@ -312,6 +312,79 @@ let test_stats_tenant_gauges () =
     (contains body "serve_wal_backlog_t 0")
 
 (* ------------------------------------------------------------------ *)
+(* Durable floor: never ahead of what an fsync covered                 *)
+(* ------------------------------------------------------------------ *)
+
+(* A mem dir that counts the records appended to the WAL's active file
+   (one [append] per record, across rotations) and remembers how many
+   of them the last fsync covered. *)
+let counting_dir () =
+  let d = Io.mem_dir () in
+  let appended = ref 0 and fsynced = ref 0 in
+  let open_append name =
+    let f = d.Io.open_append name in
+    if name <> Wal.default_file then f
+    else
+      {
+        Io.append =
+          (fun s ->
+            f.Io.append s;
+            incr appended);
+        sync =
+          (fun () ->
+            f.Io.sync ();
+            fsynced := !appended);
+        close = f.Io.close;
+      }
+  in
+  ({ d with Io.open_append }, fsynced)
+
+(* A replica acks [durable_position] as durable, and the primary
+   releases parked maturity pushes on those acks, so the position must
+   never count a record no fsync has covered — also when rotation syncs
+   shift the fsync cadence. *)
+let test_durable_position_fsynced () =
+  List.iter
+    (fun (fsync_every, segment_records) ->
+      let label = Printf.sprintf "fsync_every %d, segment_records %d" fsync_every segment_records in
+      let dir, fsynced = counting_dir () in
+      let config =
+        {
+          Server.default with
+          Server.dim = 1;
+          queue_capacity = 256;
+          durable = { Rts_resilience.Durable.default with fsync_every; checkpoint_every = 67 };
+          segment_records;
+        }
+      in
+      let clock = Vclock.create () in
+      let server =
+        Server.create ~config ~clock ~make
+          ~provider:(fun ~tenant:_ ~incarnation:_ -> dir)
+          ~send:(fun ~dst:_ _ -> ())
+          ()
+      in
+      let register, element = gen_ops ~dim:1 ~seed:31 in
+      for i = 0 to 200 do
+        let op = if i mod 10 = 0 then register ~id:i ~threshold:30 else element () in
+        Server.handle server ~src:0 (Frame.Op { tenant = "t"; op })
+      done;
+      let steps = ref 0 in
+      while Vclock.run_next clock do
+        incr steps;
+        let claimed = Server.durable_position server "t" in
+        if claimed > !fsynced then
+          Alcotest.failf "%s: step %d, applied %d: durable_position %d > fsynced %d" label
+            !steps (Server.applied_ops server "t") claimed !fsynced
+      done;
+      Alcotest.(check int) (label ^ ": every op applied") 201 (Server.applied_ops server "t");
+      Server.shutdown server;
+      Alcotest.(check int) (label ^ ": shutdown syncs the rest") 201 !fsynced;
+      Alcotest.(check int) (label ^ ": closed handle still reports it") 201
+        (Server.durable_position server "t"))
+    [ (5, 48); (7, 16); (4, 10); (5, 0); (1, 48) ]
+
+(* ------------------------------------------------------------------ *)
 (* Supervision: injected wedge -> watchdog restart, nothing lost       *)
 (* ------------------------------------------------------------------ *)
 
@@ -433,6 +506,11 @@ let () =
           Alcotest.test_case "subscribe watermark backfill" `Quick
             test_subscribe_watermark_backfill;
           Alcotest.test_case "stats tenant gauges" `Quick test_stats_tenant_gauges;
+        ] );
+      ( "durability",
+        [
+          Alcotest.test_case "durable_position never ahead of fsync" `Quick
+            test_durable_position_fsynced;
         ] );
       ("supervision", [ Alcotest.test_case "wedge restart" `Quick test_wedge_restart ]);
       ( "soak",
