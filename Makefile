@@ -54,14 +54,19 @@ bench-gate: build
 	  BENCH_perf.json BENCH_shard.json BENCH_approx.json
 
 # What CI's build-test job runs on both compiler legs: the tests, the
-# bench smoke, then the soaks through the real rts-serve binary — the
-# combined storage+network fault soak, and two replicated failover
-# soaks (primary kill, then wedge) under aggressive segment rotation.
+# bench smoke, then three soaks through the real rts-serve binary — one
+# server under storage+network faults and tenant wedges (zero replicas,
+# no rotation), and two replicated failover soaks (primary kill, then
+# wedge) under aggressive segment rotation.
 check: build test bench-smoke
-	$(DUNE) exec bin/rts_serve.exe -- soak --seed 3 --quiet
-	$(DUNE) exec bin/rts_serve.exe -- failover-soak --seed 3 \
+	$(DUNE) exec bin/rts_serve.exe -- soak --seed 3 --replicas 0 \
+	  --segment-records 0 --scenario clean --tenants 3 --queries 40 \
+	  --elements 600 --churn 0.15 --faulty-incarnations 4 --crash-every 150 \
+	  --wedges 2 --net-faults drop=0.1,dup=0.05,reorder=0.2 \
+	  --fsync-every 7 --checkpoint-every 97 --quiet
+	$(DUNE) exec bin/rts_serve.exe -- soak --seed 3 \
 	  --segment-records 16 --checkpoint-every 43 --quiet
-	$(DUNE) exec bin/rts_serve.exe -- failover-soak --seed 7 --scenario wedge \
+	$(DUNE) exec bin/rts_serve.exe -- soak --seed 7 --scenario wedge \
 	  --segment-records 16 --quiet
 	@echo "check: OK"
 

@@ -281,7 +281,7 @@ let run_cmd engine_kind dim closed queries_file quiet stats wal_dir checkpoint_e
         if report.Recovery.ops_total > 0 then
           Format.eprintf "rts-cli: recovered durable state from %s@.%a@." path Recovery.pp_report
             report;
-        let config = { Durable.default with checkpoint_every; fsync_every } in
+        let config = { Durable.checkpoint_every; fsync_every } in
         let wrapped, h = Durable.wrap ~config ~report ~dir engine in
         (wrapped, Some h, report.Recovery.ops_total > 0)
   in

@@ -1,9 +1,10 @@
 (* rts-serve: supervised multi-tenant serving daemon over the RTS
    engines, plus its combined-fault soak driver.
 
-     rts-serve soak                      # combined crash+net fault soak
-     rts-serve soak --tenants 16 --queries 65536 --elements 200000
-     rts-serve failover-soak --scenario wedge   # replicated serving + failover
+     rts-serve soak                      # replicated serving, primary kill
+     rts-serve soak --scenario wedge     # wedged primary, fenced zombie
+     rts-serve soak --replicas 0 --segment-records 0 --scenario clean
+                                         # one server, crash+net faults
      rts-serve session --wal state/      # one-tenant frame loop on stdin
 
    The session speaks the wire protocol one frame per line:
@@ -21,7 +22,6 @@ module Frame = Rts_serve.Frame
 module Server = Rts_serve.Server
 module Client = Rts_serve.Client
 module Hub = Rts_serve.Hub
-module Soak = Rts_serve.Soak
 module Cluster = Rts_replica.Cluster
 module Rsoak = Rts_replica.Rsoak
 module Io = Rts_resilience.Io
@@ -134,143 +134,6 @@ let net_rto_jitter_arg =
 
 let soak_cmd engine_kind dim seed tenants queries elements batch threshold churn
     faulty_incarnations crash_every wedges net_faults net_rto net_rto_max net_degrade_after
-    net_rto_jitter queue_capacity drain_per_tick fsync_every checkpoint_every wal_lag_limit
-    query_quota shards executor quiet =
-  protect @@ fun () ->
-  let executor =
-    Option.map
-      (fun s ->
-        match Rts_shard.Executor.kind_of_string s with
-        | Ok k -> k
-        | Error msg -> fail "--executor: %s" msg)
-      executor
-  in
-  let cfg =
-    {
-      Soak.tenants;
-      queries;
-      elements;
-      batch;
-      threshold;
-      churn;
-      dim;
-      seed;
-      faulty_incarnations;
-      crash_every;
-      wedges;
-      net = net_faults;
-      reliable =
-        reliable_config ~rto:net_rto ~rto_max:net_rto_max ~degrade_after:net_degrade_after
-          ~jitter:net_rto_jitter;
-      server =
-        {
-          Server.default with
-          Server.dim;
-          queue_capacity;
-          drain_per_tick;
-          wal_lag_limit;
-          query_quota;
-          shards;
-          executor;
-          durable =
-            { Rts_resilience.Durable.default with fsync_every; checkpoint_every };
-        };
-    }
-  in
-  let progress = if quiet then fun _ -> () else fun s -> Printf.eprintf "rts-serve: %s\n%!" s in
-  let report = Soak.run ~progress ~make:(fun ~dim -> make_engine engine_kind ~dim) cfg in
-  Format.printf "%a@." Soak.pp_report report;
-  if report.Soak.ok then 0 else 1
-
-let soak_term =
-  let tenants = Arg.(value & opt int 3 & info [ "tenants" ] ~docv:"N" ~doc:"Tenant count.") in
-  let queries =
-    Arg.(value & opt int 40 & info [ "queries" ] ~docv:"M" ~doc:"Initial registrations per tenant.")
-  in
-  let elements =
-    Arg.(value & opt int 600 & info [ "elements" ] ~docv:"N" ~doc:"Stream elements per tenant.")
-  in
-  let batch =
-    Arg.(value & opt int 8 & info [ "batch" ] ~docv:"B" ~doc:"Elements per batch frame.")
-  in
-  let threshold =
-    Arg.(value & opt int 2500 & info [ "threshold" ] ~docv:"TAU" ~doc:"Max maturity threshold.")
-  in
-  let churn =
-    Arg.(
-      value & opt float 0.15
-      & info [ "churn" ] ~docv:"P" ~doc:"Per-chunk terminate+register probability.")
-  in
-  let faulty =
-    Arg.(
-      value & opt int 4
-      & info [ "faulty-incarnations" ] ~docv:"K"
-          ~doc:"Fault-wrapped storage lives per tenant (0 = clean disks).")
-  in
-  let crash_every =
-    Arg.(
-      value & opt int 150
-      & info [ "crash-every" ] ~docv:"N" ~doc:"Mean WAL appends between drawn crash points.")
-  in
-  let wedges =
-    Arg.(value & opt int 2 & info [ "wedges" ] ~docv:"N" ~doc:"Wedge injections during the run.")
-  in
-  let net_faults =
-    Arg.(
-      value
-      & opt net_fault_conv Soak.default.Soak.net
-      & info [ "net-faults" ] ~docv:"SPEC"
-          ~doc:"Network fault spec on every client link (e.g. 'drop=0.2,dup=0.1,reorder=0.3').")
-  in
-  let queue_capacity =
-    Arg.(
-      value & opt int 16
-      & info [ "queue-capacity" ] ~docv:"N" ~doc:"Per-tenant ingest ring capacity.")
-  in
-  let drain =
-    Arg.(
-      value & opt int 6
-      & info [ "drain-per-tick" ] ~docv:"N" ~doc:"Ops applied per drain tick (pacing).")
-  in
-  let fsync_every =
-    Arg.(value & opt int 7 & info [ "fsync-every" ] ~docv:"N" ~doc:"WAL fsync batching.")
-  in
-  let checkpoint_every =
-    Arg.(value & opt int 97 & info [ "checkpoint-every" ] ~docv:"N" ~doc:"Checkpoint cadence.")
-  in
-  let wal_lag =
-    Arg.(
-      value & opt int 512
-      & info [ "wal-lag-limit" ] ~docv:"N" ~doc:"Admission limit on not-yet-durable ops.")
-  in
-  let quota =
-    Arg.(
-      value & opt int 4096
-      & info [ "query-quota" ] ~docv:"N" ~doc:"Per-tenant alive-query quota.")
-  in
-  let shards =
-    Arg.(value & opt int 1 & info [ "shards" ] ~docv:"K" ~doc:"Shards per tenant engine.")
-  in
-  let executor =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "executor" ] ~docv:"KIND" ~doc:"Shard executor: seq or domains.")
-  in
-  let quiet = Arg.(value & flag & info [ "quiet" ] ~doc:"Suppress progress lines.") in
-  Term.(
-    const soak_cmd $ engine_arg $ dim_arg $ seed_arg $ tenants $ queries $ elements $ batch
-    $ threshold $ churn $ faulty $ crash_every $ wedges $ net_faults $ net_rto_arg
-    $ net_rto_max_arg $ net_degrade_after_arg $ net_rto_jitter_arg $ queue_capacity $ drain
-    $ fsync_every $ checkpoint_every $ wal_lag $ quota $ shards $ executor $ quiet)
-
-let soak_doc = "Combined-fault soak: crash+short-write+ENOSPC storage faults and network faults \
-                under multi-tenant churn, verified bit-identical against the WAL oracle."
-
-(* ---------------- failover-soak ---------------- *)
-
-let failover_cmd engine_kind dim seed tenants queries elements batch threshold churn
-    faulty_incarnations crash_every net_faults net_rto net_rto_max net_degrade_after
     net_rto_jitter replicas scenario kill_at wedge_at wedge_duration segment_records
     queue_capacity drain_per_tick fsync_every checkpoint_every hb_every hb_timeout quiet =
   protect @@ fun () ->
@@ -294,6 +157,7 @@ let failover_cmd engine_kind dim seed tenants queries elements batch threshold c
       seed;
       faulty_incarnations;
       crash_every;
+      wedges;
       scenario;
       cluster =
         {
@@ -313,7 +177,7 @@ let failover_cmd engine_kind dim seed tenants queries elements batch threshold c
               drain_per_tick;
               segment_records;
               durable =
-                { Rts_resilience.Durable.default with fsync_every; checkpoint_every };
+                { Rts_resilience.Durable.fsync_every; checkpoint_every };
             };
         };
     }
@@ -323,7 +187,7 @@ let failover_cmd engine_kind dim seed tenants queries elements batch threshold c
   Format.printf "%a@." Rsoak.pp report;
   if report.Rsoak.ok then 0 else 1
 
-let failover_term =
+let soak_term =
   let tenants = Arg.(value & opt int 2 & info [ "tenants" ] ~docv:"N" ~doc:"Tenant count.") in
   let queries =
     Arg.(value & opt int 30 & info [ "queries" ] ~docv:"M" ~doc:"Initial registrations per tenant.")
@@ -352,6 +216,12 @@ let failover_term =
     Arg.(
       value & opt int 180
       & info [ "crash-every" ] ~docv:"N" ~doc:"Mean WAL appends between drawn crash points.")
+  in
+  let wedges =
+    Arg.(
+      value & opt int Rsoak.default.Rsoak.wedges
+      & info [ "wedges" ] ~docv:"N"
+          ~doc:"Tenant wedge injections on the current primary during the run.")
   in
   let net_faults =
     Arg.(
@@ -423,17 +293,18 @@ let failover_term =
   in
   let quiet = Arg.(value & flag & info [ "quiet" ] ~doc:"Suppress progress lines.") in
   Term.(
-    const failover_cmd $ engine_arg $ dim_arg $ seed_arg $ tenants $ queries $ elements $ batch
-    $ threshold $ churn $ faulty $ crash_every $ net_faults $ net_rto_arg $ net_rto_max_arg
+    const soak_cmd $ engine_arg $ dim_arg $ seed_arg $ tenants $ queries $ elements $ batch
+    $ threshold $ churn $ faulty $ crash_every $ wedges $ net_faults $ net_rto_arg $ net_rto_max_arg
     $ net_degrade_after_arg $ net_rto_jitter_arg $ replicas $ scenario $ kill_at $ wedge_at
     $ wedge_duration $ segment_records $ queue_capacity $ drain $ fsync_every $ checkpoint_every
     $ hb_every $ hb_timeout $ quiet)
 
-let failover_doc =
-  "Replica-topology soak: primary/replica WAL shipping over a lossy fabric with storage faults \
-   on every node, a scripted primary kill or wedge, fenced automatic failover, and \
-   bit-identical verification of the promoted node's (archive ++ chain) oracle against its \
-   maturity log and the subscriber's merged push stream."
+let soak_doc =
+  "Combined-fault soak: multi-tenant churn with storage faults on every node, network faults, \
+   optional tenant wedges and, with replicas, a scripted primary kill or wedge and fenced \
+   failover; the promoted node's (archive ++ chain) oracle must equal its maturity log and the \
+   subscriber's merged push stream bit for bit. --replicas 0 --segment-records 0 --scenario \
+   clean is the single-server soak."
 
 (* ---------------- session ---------------- *)
 
@@ -535,6 +406,5 @@ let () =
        (Cmd.group ~default info_main
           [
             Cmd.v (Cmd.info "soak" ~doc:soak_doc) soak_term;
-            Cmd.v (Cmd.info "failover-soak" ~doc:failover_doc) failover_term;
             Cmd.v (Cmd.info "session" ~doc:session_doc) session_term;
           ]))

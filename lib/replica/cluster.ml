@@ -506,11 +506,15 @@ let create ?(config = default) ~make ~provider ~base_dir () =
   Array.iter (fun node -> Server.set_epoch node.server 1) nodes;
   Array.iteri
     (fun i node ->
-      if i = 0 then
-        node.replicator <-
-          Some
-            (make_replicator t node ~epoch:1
-               ~replicas:(List.init (config.serving - 1) (fun k -> k + 1)))
+      if i = 0 then begin
+        (* a lone serving node has no one to replicate to or fail over
+           to: it runs as a plain, unreplicated Server *)
+        if config.serving > 1 then
+          node.replicator <-
+            Some
+              (make_replicator t node ~epoch:1
+                 ~replicas:(List.init (config.serving - 1) (fun k -> k + 1)))
+      end
       else begin
         Server.set_role node.server Server.Replica;
         install_replica_hooks t node

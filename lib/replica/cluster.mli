@@ -44,7 +44,9 @@ module Server = Rts_serve.Server
 module Client = Rts_serve.Client
 
 type config = {
-  serving : int;  (** serving nodes; node 0 is the initial primary *)
+  serving : int;
+      (** serving nodes; node 0 is the initial primary. With one, node 0
+          runs unreplicated: no replicator, no heartbeats, no failover. *)
   clients : int;
   server : Server.config;  (** per-node server config (dim lives here) *)
   reliable : Rts_net.Reliable.config;

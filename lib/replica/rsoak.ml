@@ -1,5 +1,6 @@
 module Prng = Rts_util.Prng
 module Replay = Rts_workload.Replay
+module Generator = Rts_workload.Generator
 module Io = Rts_resilience.Io
 module Fault = Rts_resilience.Fault
 module Wal = Rts_resilience.Wal
@@ -8,7 +9,7 @@ module Net_fault = Rts_net.Net_fault
 module Metrics = Rts_obs.Metrics
 module Server = Rts_serve.Server
 module Client = Rts_serve.Client
-module Soak = Rts_serve.Soak
+module Frame = Rts_serve.Frame
 
 type scenario = Clean | Kill of int | Wedge of { at : int; duration : int }
 
@@ -23,6 +24,7 @@ type config = {
   seed : int;
   faulty_incarnations : int;
   crash_every : int;
+  wedges : int;
   scenario : scenario;
   cluster : Cluster.config;
 }
@@ -41,6 +43,7 @@ let default =
     seed = 1;
     faulty_incarnations = 2;
     crash_every = 180;
+    wedges = 0;
     scenario = Kill 120;
     cluster =
       {
@@ -53,10 +56,82 @@ let default =
             drain_per_tick = 6;
             segment_records = 48;
             durable =
-              { Rts_resilience.Durable.default with fsync_every = 5; checkpoint_every = 67 };
+              { Rts_resilience.Durable.fsync_every = 5; checkpoint_every = 67 };
           };
       };
   }
+
+(* ---- workload --------------------------------------------------------- *)
+
+(* Deterministic seed mixing (independent of Hashtbl.hash, which is not
+   pinned across compiler versions — these seeds appear in CI). *)
+let mix seed name incarnation =
+  let h = ref (seed * 1_000_003) in
+  String.iter (fun c -> h := (!h * 31) + Char.code c) name;
+  h := (!h * 31) + incarnation;
+  !h land 0x3FFFFFFF
+
+let draw_plan ~crash_every rng =
+  let crash_at = 2 + Prng.int rng (max 1 (2 * crash_every)) in
+  let short_at =
+    (* always one append before the crash: the partial record is the
+       final one on the surviving log, so the scanner amputates it and
+       recovery resubmits the op — a short write that nothing ever
+       crashes on would be silent data loss (see Fault.plan docs) *)
+    if Prng.int rng 3 = 0 then Some (crash_at - 1) else None
+  in
+  {
+    Fault.crash_at_append = crash_at;
+    torn = Prng.bool rng;
+    bit_flip = Prng.int rng 3 = 0;
+    crash_at_atomic = (if Prng.int rng 4 = 0 then Some (1 + Prng.int rng 2) else None);
+    short_at_append = short_at;
+    enospc_at_append =
+      (if Prng.int rng 5 = 0 then Some (1 + Prng.int rng (max 1 crash_every)) else None);
+  }
+
+let tenant_name i = Printf.sprintf "t%d" i
+
+(* One tenant's frames in send order: registrations, batched elements,
+   churn. *)
+let script cfg ~tenant_idx =
+  let tenant = tenant_name tenant_idx in
+  let rng = Prng.create ~seed:(mix cfg.seed tenant 0x5c71) in
+  let gen = Generator.create ~dim:cfg.dim ~seed:(mix cfg.seed tenant 0x9e3d) () in
+  let next_id = ref 0 in
+  let known = ref [] in
+  let frames = ref [] in
+  let emit f = frames := f :: !frames in
+  let register () =
+    let id = !next_id in
+    incr next_id;
+    known := id :: !known;
+    let threshold = 1 + Prng.int rng (max 1 cfg.threshold) in
+    emit (Frame.Op { tenant; op = Replay.Register (Generator.query gen ~id ~threshold) })
+  in
+  for _ = 1 to cfg.queries do
+    register ()
+  done;
+  let remaining = ref cfg.elements in
+  while !remaining > 0 do
+    let n = min cfg.batch !remaining in
+    remaining := !remaining - n;
+    if n = 1 then emit (Frame.Op { tenant; op = Replay.Element (Generator.element gen) })
+    else
+      emit
+        (Frame.Batch { tenant; elems = Array.init n (fun _ -> Generator.element gen) });
+    if Prng.float rng 1.0 < cfg.churn then begin
+      (match !known with
+      | [] -> ()
+      | ids ->
+          (* possibly already matured or terminated — exercising the
+             benign-rejection path is the point *)
+          let id = List.nth ids (Prng.int rng (List.length ids)) in
+          emit (Frame.Op { tenant; op = Replay.Terminate id }));
+      register ()
+    end
+  done;
+  List.rev !frames
 
 (* ---- pruned-segment archive ----------------------------------------- *)
 
@@ -88,7 +163,10 @@ let archive_wrap ~dim ~record (base : Io.dir) =
 
 type tenant_report = {
   name : string;
+  accepted : int;
   applied : int;
+  rejected : int;
+  restarts : int;
   archived_records : int;
   chain_records : int;  (* records still on the promoted node's disk *)
   chain_base : int;
@@ -106,8 +184,11 @@ type report = {
   failovers : int;
   fenced : int;
   crashes_total : int;
+  client_retries : int;
+  overloads : int;
   net_retransmits : int;
   scenario_ok : bool;
+  faults_ok : bool;
   volume_ok : bool;
   pruned_somewhere : bool;
   ok : bool;
@@ -115,16 +196,21 @@ type report = {
 
 let pp ppf r =
   Format.fprintf ppf
-    "@[<v>rsoak: %s (promoted=%d failovers=%d fenced=%d crashes=%d retransmits=%d%s%s)@,"
+    "@[<v>rsoak: %s (promoted=%d failovers=%d fenced=%d crashes=%d retries=%d overloads=%d \
+     retransmits=%d%s%s%s)@,"
     (if r.ok then "OK" else "FAILED")
-    r.promoted r.failovers r.fenced r.crashes_total r.net_retransmits
+    r.promoted r.failovers r.fenced r.crashes_total r.client_retries r.overloads
+    r.net_retransmits
     (if r.scenario_ok then "" else " SCENARIO-VIOLATION")
+    (if r.faults_ok then "" else " NO-CRASH")
     (if r.volume_ok then "" else " VOLUME-SHORTFALL");
   List.iter
     (fun t ->
       Format.fprintf ppf
-        "  %s: applied=%d matured=%d disk=%d+%d archived=%d%s%s%s%s%s@,"
-        t.name t.applied t.matured t.chain_base t.chain_records t.archived_records
+        "  %s: accepted=%d applied=%d rejected=%d restarts=%d matured=%d disk=%d+%d \
+         archived=%d%s%s%s%s%s@,"
+        t.name t.accepted t.applied t.rejected t.restarts t.matured t.chain_base
+        t.chain_records t.archived_records
         (if t.log_ok then "" else " LOG-MISMATCH")
         (if t.sub_ok then "" else " SUB-MISMATCH")
         (if t.acct_ok then "" else " ACCT-MISMATCH")
@@ -140,6 +226,9 @@ let run ?(progress = fun _ -> ()) ~make cfg =
     invalid_arg "Rsoak.run: nonsensical config";
   (match cfg.scenario with
   | Clean -> ()
+  | Kill _ | Wedge _ when cfg.cluster.Cluster.serving < 2 ->
+      (* with one serving node there is nobody to fail over to *)
+      invalid_arg "Rsoak.run: a kill or wedge scenario needs at least one replica"
   | Kill at -> if at < 1 then invalid_arg "Rsoak.run: kill tick must be positive"
   | Wedge { at; duration } ->
       if at < 1 || duration < 1 then invalid_arg "Rsoak.run: bad wedge window");
@@ -172,9 +261,9 @@ let run ?(progress = fun _ -> ()) ~make cfg =
     let base = base_of node tenant in
     if incarnation < cfg.faulty_incarnations then
       let rng =
-        Prng.create ~seed:(Soak.mix cfg.seed (Printf.sprintf "%s@%d" tenant node) incarnation)
+        Prng.create ~seed:(mix cfg.seed (Printf.sprintf "%s@%d" tenant node) incarnation)
       in
-      Fault.wrap ~rng (Soak.draw_plan ~crash_every:cfg.crash_every rng) base
+      Fault.wrap ~rng (draw_plan ~crash_every:cfg.crash_every rng) base
     else base
   in
   let ccfg =
@@ -194,16 +283,26 @@ let run ?(progress = fun _ -> ()) ~make cfg =
   (* client 0 subscribes to everything; clients 1..tenants each drive
      one tenant's script *)
   for i = 0 to cfg.tenants - 1 do
-    Cluster.subscribe cluster 0 (Soak.tenant_name i)
+    Cluster.subscribe cluster 0 (tenant_name i)
   done;
   for i = 0 to cfg.tenants - 1 do
-    let frames =
-      Soak.script ~seed:cfg.seed ~dim:cfg.dim ~queries:cfg.queries
-        ~elements:cfg.elements ~batch:cfg.batch ~threshold:cfg.threshold ~churn:cfg.churn
-        ~tenant_idx:i
-    in
     let client = Cluster.client cluster (i + 1) in
-    List.iter (fun f -> Client.enqueue client f) frames
+    List.iter (fun f -> Client.enqueue client f) (script cfg ~tenant_idx:i)
+  done;
+  (* wedge injections on the current primary at staggered virtual
+     times, cycling tenants, so the watchdog's stall detection restarts
+     them too *)
+  for w = 0 to cfg.wedges - 1 do
+    let name = tenant_name (w mod cfg.tenants) in
+    ignore
+      (Vclock.schedule clock
+         ~delay:(40 + (w * 97))
+         (fun () ->
+           let p = Cluster.primary cluster in
+           if Cluster.alive cluster p then
+             match Server.inject_wedge (Cluster.server cluster p) name with
+             | () -> ()
+             | exception Invalid_argument _ -> ()))
   done;
   (match cfg.scenario with
   | Clean -> ()
@@ -251,7 +350,7 @@ let run ?(progress = fun _ -> ()) ~make cfg =
   let segment_records = ccfg.Cluster.server.Server.segment_records in
   let per_tenant =
     List.init cfg.tenants (fun i ->
-        let name = Soak.tenant_name i in
+        let name = tenant_name i in
         let scanned = Wal.scan ~dim:cfg.dim ~dir:(base_of promoted name) () in
         let archived = List.sort compare !(archive_of promoted name) in
         let chain_ok, archived_ops_rev, archived_end =
@@ -267,6 +366,22 @@ let run ?(progress = fun _ -> ()) ~make cfg =
         let oracle = Replay.replay_ops (make ~dim:cfg.dim) full_ops in
         let log = Server.maturity_log srv name in
         let sub = Client.matured subscriber name in
+        (match Sys.getenv_opt "RTS_SERVE_TRACE" with
+        | Some t
+          when (t = name || t = "all")
+               && (log <> oracle.Replay.maturities || sub <> oracle.Replay.maturities) ->
+            let dump tag l =
+              Printf.eprintf "[%s] %s (%d):%s\n%!" name tag (List.length l)
+                (String.concat "" (List.map (fun (o, id) -> Printf.sprintf " %d:%d" o id) l))
+            in
+            dump "oracle" oracle.Replay.maturities;
+            dump "server" log;
+            dump "subscr" sub;
+            List.iteri
+              (fun i op ->
+                Printf.eprintf "[%s] wal ord=%d %s\n%!" name (i + 1) (Replay.op_to_line op))
+              full_ops
+        | _ -> ());
         let accepted = Server.accepted_ops srv name in
         let applied = Server.applied_ops srv name in
         let rejected = Server.rejected_ops srv name in
@@ -276,7 +391,10 @@ let run ?(progress = fun _ -> ()) ~make cfg =
         in
         {
           name;
+          accepted;
           applied;
+          rejected;
+          restarts = Server.restarts srv name;
           archived_records = List.length archived_ops_rev;
           chain_records = scanned.Wal.records;
           chain_base = scanned.Wal.base;
@@ -318,6 +436,14 @@ let run ?(progress = fun _ -> ()) ~make cfg =
     done;
     !n
   in
+  let faults_ok = cfg.faulty_incarnations = 0 || crashes_total > 0 in
+  let sum_clients f =
+    let n = ref 0 in
+    for j = 0 to ccfg.Cluster.clients - 1 do
+      n := !n + f (Cluster.client cluster j)
+    done;
+    !n
+  in
   let net_retransmits =
     Metrics.counter_value (Cluster.net_metrics cluster) "net_retransmits_total"
   in
@@ -330,7 +456,7 @@ let run ?(progress = fun _ -> ()) ~make cfg =
   let ok =
     List.for_all (fun t -> t.log_ok && t.sub_ok && t.acct_ok && t.chain_ok && t.disk_ok)
       per_tenant
-    && scenario_ok
+    && scenario_ok && faults_ok
     && (segment_records = 0 || pruned_somewhere)
   in
   {
@@ -339,8 +465,11 @@ let run ?(progress = fun _ -> ()) ~make cfg =
     failovers = Cluster.failovers cluster;
     fenced = Cluster.fenced cluster;
     crashes_total;
+    client_retries = sum_clients Client.retries;
+    overloads = sum_clients (fun c -> List.length (Client.overloads c));
     net_retransmits;
     scenario_ok;
+    faults_ok;
     volume_ok;
     pruned_somewhere;
     ok;

@@ -130,8 +130,11 @@ let generations_of names =
 
 let generations ~dir = generations_of (dir.Io.list_files ())
 
-let prune ~dir ~keep =
-  if keep < 1 then invalid_arg "Checkpoint.prune: keep < 1";
+(* Generations retained: the newest, plus one fallback for when
+   recovery refuses the newest as corrupt. *)
+let keep = 2
+
+let prune ~dir =
   let names = dir.Io.list_files () in
   List.iteri (fun i (_, name) -> if i >= keep then dir.Io.remove_file name) (generations_of names);
   (* sweep leftovers of interrupted atomic writes *)

@@ -74,6 +74,7 @@ val load : dir:Io.dir -> string -> meta * (Types.query * int) list
 val generations : dir:Io.dir -> (int * string) list
 (** All checkpoint generations present, newest first. *)
 
-val prune : dir:Io.dir -> keep:int -> unit
-(** Delete all but the newest [keep] generations (and any leftover
-    [*.tmp] from an interrupted atomic write). [keep >= 1]. *)
+val prune : dir:Io.dir -> unit
+(** Delete all but the newest two generations — the newest plus one
+    fallback for when recovery refuses it as corrupt — and any leftover
+    [*.tmp] from an interrupted atomic write. *)

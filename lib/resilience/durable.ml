@@ -2,9 +2,9 @@ open Rts_core
 open Rts_workload
 module Metrics = Rts_obs.Metrics
 
-type config = { fsync_every : int; checkpoint_every : int; keep : int }
+type config = { fsync_every : int; checkpoint_every : int }
 
-let default = { fsync_every = 1; checkpoint_every = 1024; keep = 2 }
+let default = { fsync_every = 1; checkpoint_every = 1024 }
 
 type handle = {
   dir : Io.dir;
@@ -30,7 +30,7 @@ let checkpoint_now h =
   h.checkpoints <- h.checkpoints + 1;
   h.next_gen <- h.next_gen + 1;
   h.last_checkpoint_ops <- h.ops;
-  Checkpoint.prune ~dir:h.dir ~keep:h.cfg.keep
+  Checkpoint.prune ~dir:h.dir
 
 let checkpoint_due h = h.ops - h.last_checkpoint_ops >= h.cfg.checkpoint_every
 
@@ -73,7 +73,6 @@ let wrap ?(config = default) ?report ?wal_epoch ?(segment_records = 0) ~dir (eng
     =
   if config.fsync_every < 1 then invalid_arg "Durable.wrap: fsync_every < 1";
   if config.checkpoint_every < 1 then invalid_arg "Durable.wrap: checkpoint_every < 1";
-  if config.keep < 1 then invalid_arg "Durable.wrap: keep < 1";
   let wal =
     Wal.writer ~fsync_every:config.fsync_every ?epoch:wal_epoch ~segment_records
       ~dim:engine.Engine.dim ~dir ()
@@ -158,7 +157,7 @@ let prune_wal h ~below =
   (* Never reclaim past what the newest durable checkpoint covers:
      recovery replays the chain from the checkpoint floor, so a segment
      above it is still load-bearing whatever the caller's floor says. *)
-  Wal.prune ~dir:h.dir ~below:(min below h.last_checkpoint_ops) ()
+  Wal.prune ~dir:h.dir ~below:(min below h.last_checkpoint_ops)
 
 let wal_rotations h = Wal.rotations h.wal
 

@@ -10,7 +10,7 @@
     - whenever {!checkpoint_due} holds after an op (after the whole
       batch for [register_batch] / [feed_batch]), fsyncs the WAL and
       atomically publishes a {!Checkpoint} generation built from the
-      engine's [alive_snapshot], then prunes generations beyond [keep];
+      engine's [alive_snapshot], then prunes all but the newest two generations;
     - folds the durability counters ([wal_records_total],
       [wal_fsyncs_total], [checkpoints_total]) — and, when a
       {!Recovery.report} is supplied, the [recovery_*] metrics — into
@@ -42,7 +42,6 @@ open Rts_core
 type config = {
   fsync_every : int;  (** WAL fsync batching (default 1 — every op). *)
   checkpoint_every : int;  (** Ops between checkpoints (default 1024). *)
-  keep : int;  (** Checkpoint generations retained (default 2). *)
 }
 
 val default : config

@@ -176,11 +176,11 @@ let scan_segment_string ~dim data =
 
 (* ---------------- segment naming ---------------- *)
 
-let stem_of file = match Filename.remove_extension file with "" -> file | s -> s
-let segment_name ?(file = default_file) base = Printf.sprintf "%s-%010d.seg" (stem_of file) base
+let stem = Filename.remove_extension default_file
+let segment_name base = Printf.sprintf "%s-%010d.seg" stem base
 
-let segment_base_of_name ?(file = default_file) name =
-  let prefix = stem_of file ^ "-" and suffix = ".seg" in
+let segment_base_of_name name =
+  let prefix = stem ^ "-" and suffix = ".seg" in
   let pn = String.length prefix and sn = String.length suffix in
   let n = String.length name in
   if n = pn + 10 + sn && String.sub name 0 pn = prefix && String.sub name (n - sn) sn = suffix
@@ -189,10 +189,10 @@ let segment_base_of_name ?(file = default_file) name =
 
 type segment = { seg_file : string; seg_base : int; seg_count : int; seg_epoch : int }
 
-let segments ~dir ?(file = default_file) () =
+let segments ~dir =
   dir.Io.list_files ()
   |> List.filter_map (fun name ->
-         match segment_base_of_name ~file name with
+         match segment_base_of_name name with
          | None -> None
          | Some base -> (
              match Option.bind (dir.Io.read_file name) parse_segment_header with
@@ -212,7 +212,7 @@ let rec drop n l = if n <= 0 then l else match l with [] -> [] | _ :: tl -> drop
    link restarts the chain after it — corruption never rewrites history,
    it only lifts the floor below which records are unavailable. Returns
    the chain and the highest epoch seen across valid segments. *)
-let cold_chain ~dim ~dir ~file =
+let cold_chain ~dim ~dir =
   let epoch_max = ref 0 in
   let chain =
     List.fold_left
@@ -230,15 +230,15 @@ let cold_chain ~dim ~dir ~file =
                 else Some fresh))
       None
       (dir.Io.list_files ()
-      |> List.filter (fun n -> segment_base_of_name ~file n <> None)
+      |> List.filter (fun n -> segment_base_of_name n <> None)
       |> List.sort compare)
   in
   (chain, !epoch_max)
 
-let scan ~dim ~dir ?(file = default_file) () =
-  let chain, seg_epoch = cold_chain ~dim ~dir ~file in
+let scan ~dim ~dir () =
+  let chain, seg_epoch = cold_chain ~dim ~dir in
   let epoch_max = ref seg_epoch in
-  match dir.Io.read_file file with
+  match dir.Io.read_file default_file with
   | None -> (
       match chain with
       | None -> empty_scanned
@@ -297,7 +297,6 @@ let scan ~dim ~dir ?(file = default_file) () =
 type writer = {
   dir : Io.dir;
   dim : int;
-  name : string;
   existing : scanned;
   fsync_every : int;
   segment_records : int;
@@ -312,16 +311,16 @@ type writer = {
   mutable closed : bool;
 }
 
-let rewrite_active dir name ~epoch ~base ops =
+let rewrite_active dir ~epoch ~base ops =
   let buf = Buffer.create 256 in
   Buffer.add_string buf (active_header ~epoch ~base);
   List.iter (fun op -> Buffer.add_string buf (frame op)) ops;
-  dir.Io.write_atomic name (Buffer.contents buf)
+  dir.Io.write_atomic default_file (Buffer.contents buf)
 
-let writer ?(fsync_every = 1) ?(file = default_file) ?epoch ?(segment_records = 0) ~dim ~dir () =
+let writer ?(fsync_every = 1) ?epoch ?(segment_records = 0) ~dim ~dir () =
   if fsync_every < 1 then invalid_arg "Wal.writer: fsync_every < 1";
   if segment_records < 0 then invalid_arg "Wal.writer: segment_records < 0";
-  let existing = scan ~dim ~dir ~file () in
+  let existing = scan ~dim ~dir () in
   let epoch =
     match epoch with
     | None -> existing.epoch
@@ -329,13 +328,13 @@ let writer ?(fsync_every = 1) ?(file = default_file) ?epoch ?(segment_records = 
         if e < existing.epoch then raise (Fenced { requested = e; found = existing.epoch });
         e
   in
-  let cold, _ = cold_chain ~dim ~dir ~file in
+  let cold, _ = cold_chain ~dim ~dir in
   let cold_end = match cold with Some c -> c.c_end | None -> 0 in
   let active_base, active_records =
-    match dir.Io.read_file file with
+    match dir.Io.read_file default_file with
     | None ->
         let base = existing.base + existing.records in
-        if epoch > 0 || base > 0 then rewrite_active dir file ~epoch ~base [];
+        if epoch > 0 || base > 0 then rewrite_active dir ~epoch ~base [];
         (base, 0)
     | Some data -> (
         let aepoch, abase, aops, arecords, valid_bytes, bytes_discarded = scan_active ~dim data in
@@ -348,25 +347,24 @@ let writer ?(fsync_every = 1) ?(file = default_file) ?epoch ?(segment_records = 
         | Some (_, _, -1) ->
             (* Corrupt header: the base is unknowable, drop the file. *)
             let base = max cold_end 0 in
-            if epoch > 0 || base > 0 then rewrite_active dir file ~epoch ~base []
-            else dir.Io.truncate_file file 0;
+            if epoch > 0 || base > 0 then rewrite_active dir ~epoch ~base []
+            else dir.Io.truncate_file default_file 0;
             (base, 0)
         | _ when overlap || epoch > aepoch ->
             let keep = drop (cold_end - abase) aops in
-            rewrite_active dir file ~epoch ~base:cold_end keep;
+            rewrite_active dir ~epoch ~base:cold_end keep;
             (cold_end, List.length keep)
         | _ ->
             (* The classic path: amputate a torn tail before appending —
                a record appended after garbage would be unreachable to
                the scanner forever. *)
-            if bytes_discarded > 0 then dir.Io.truncate_file file valid_bytes;
+            if bytes_discarded > 0 then dir.Io.truncate_file default_file valid_bytes;
             (abase, arecords))
   in
-  let handle = dir.Io.open_append file in
+  let handle = dir.Io.open_append default_file in
   {
     dir;
     dim;
-    name = file;
     existing;
     fsync_every;
     segment_records;
@@ -395,7 +393,7 @@ let rotate w =
   if w.closed then invalid_arg "Wal.rotate: writer is closed";
   sync w;
   w.file.Io.close ();
-  (match w.dir.Io.read_file w.name with
+  (match w.dir.Io.read_file default_file with
   | None -> ()
   | Some data ->
       let _, abase, aops, arecords, _, _ = scan_active ~dim:w.dim data in
@@ -403,13 +401,13 @@ let rotate w =
         let buf = Buffer.create 1024 in
         Buffer.add_string buf (segment_header ~epoch:w.epoch ~base:abase ~count:arecords);
         List.iter (fun op -> Buffer.add_string buf (frame op)) aops;
-        w.dir.Io.write_atomic (segment_name ~file:w.name abase) (Buffer.contents buf);
-        rewrite_active w.dir w.name ~epoch:w.epoch ~base:(abase + arecords) [];
+        w.dir.Io.write_atomic (segment_name abase) (Buffer.contents buf);
+        rewrite_active w.dir ~epoch:w.epoch ~base:(abase + arecords) [];
         w.active_base <- abase + arecords;
         w.active_records <- 0;
         w.rotations <- w.rotations + 1
       end);
-  w.file <- w.dir.Io.open_append w.name
+  w.file <- w.dir.Io.open_append default_file
 
 let append w op =
   if w.closed then invalid_arg "Wal.append: writer is closed";
@@ -433,7 +431,7 @@ let appended w = w.appended
 let fsyncs w = w.fsyncs
 let rotations w = w.rotations
 
-let prune ~dir ?(file = default_file) ~below () =
+let prune ~dir ~below =
   let removed = ref 0 in
   List.iter
     (fun seg ->
@@ -441,5 +439,5 @@ let prune ~dir ?(file = default_file) ~below () =
         dir.Io.remove_file seg.seg_file;
         incr removed
       end)
-    (segments ~dir ~file ());
+    (segments ~dir);
   !removed

@@ -87,16 +87,16 @@ val scan_string : dim:int -> string -> scanned
 (** Parse a raw record image (no headers — the legacy/in-memory form).
     Total: never raises on any input. [base] and [epoch] are 0. *)
 
-val scan : dim:int -> dir:Io.dir -> ?file:string -> unit -> scanned
-(** Scan the whole chain rooted at [file] (default {!default_file}):
+val scan : dim:int -> dir:Io.dir -> unit -> scanned
+(** Scan the whole chain rooted at {!default_file}:
     cold segments in base order, then the active file, de-duplicating
     the rotation crash-window overlap. An absent chain is an empty
     log. *)
 
 type segment = { seg_file : string; seg_base : int; seg_count : int; seg_epoch : int }
 
-val segments : dir:Io.dir -> ?file:string -> unit -> segment list
-(** Cold segments present for [file]'s chain, sorted by base. Only
+val segments : dir:Io.dir -> segment list
+(** Cold segments present in [dir], sorted by base. Only
     segments with an intact header are listed. *)
 
 val scan_segment_string : dim:int -> string -> (int * int * int * Replay.op list) option
@@ -105,11 +105,11 @@ val scan_segment_string : dim:int -> string -> (int * int * int * Replay.op list
     Exposed so harnesses can archive a segment's contents before it is
     pruned (the soak's full-history oracle). *)
 
-val segment_name : ?file:string -> int -> string
+val segment_name : int -> string
 (** [segment_name base] is the cold-segment file name for a segment
     whose first record is op [base + 1]. *)
 
-val prune : dir:Io.dir -> ?file:string -> below:int -> unit -> int
+val prune : dir:Io.dir -> below:int -> int
 (** Remove every cold segment whose records all lie at or below op
     number [below]; returns how many were removed. Safe floors are the
     caller's business: the checkpoint floor locally, the minimum
@@ -119,7 +119,6 @@ type writer
 
 val writer :
   ?fsync_every:int ->
-  ?file:string ->
   ?epoch:int ->
   ?segment_records:int ->
   dim:int ->

@@ -7,7 +7,7 @@ type client =
   | Stats
   | Shutdown
 
-type reason = Tenants | Quota | Wal_lag | Budget | Disk_full
+type reason = Tenants | Quota | Wal_lag | Disk_full
 
 type server =
   | Accepted of { tenant : string; ops : int }
@@ -28,14 +28,12 @@ let reason_to_string = function
   | Tenants -> "tenants"
   | Quota -> "quota"
   | Wal_lag -> "wal_lag"
-  | Budget -> "budget"
   | Disk_full -> "disk_full"
 
 let reason_of_string = function
   | "tenants" -> Some Tenants
   | "quota" -> Some Quota
   | "wal_lag" -> Some Wal_lag
-  | "budget" -> Some Budget
   | "disk_full" -> Some Disk_full
   | _ -> None
 

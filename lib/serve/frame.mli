@@ -52,7 +52,6 @@ type reason =
   | Tenants  (** tenant table full *)
   | Quota  (** per-tenant alive-query quota reached *)
   | Wal_lag  (** accepted-but-not-yet-durable backlog over the limit *)
-  | Budget  (** tenant's DT protocol message budget exhausted *)
   | Disk_full  (** tenant storage reported {!Rts_resilience.Io.No_space} *)
 
 type server =

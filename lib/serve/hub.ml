@@ -11,11 +11,11 @@ type t = {
   fabric : Reliable.t;
 }
 
-let create ?(server_config = Server.default) ?(net = Net_fault.none)
-    ?(reliable = Reliable.default) ?(net_seed = 1) ~clients ~make ~provider () =
+let create ?(server_config = Server.default) ?(reliable = Reliable.default) ~clients ~make
+    ~provider () =
   if clients < 1 then invalid_arg "Hub.create: need at least one client";
   let clock = Vclock.create () in
-  let rng = Prng.create ~seed:net_seed in
+  let rng = Prng.create ~seed:1 (* only retransmission jitter draws from it *) in
   (* Tie the knots (server/clients need the fabric to send, the fabric
      needs them to deliver) through forward references. *)
   let fabric_ref = ref None in
@@ -45,7 +45,7 @@ let create ?(server_config = Server.default) ?(net = Net_fault.none)
     | _ -> ()
   in
   let fabric =
-    Reliable.create ~config:reliable ~clock ~rng ~spec:net ~deliver
+    Reliable.create ~config:reliable ~clock ~rng ~spec:Net_fault.none ~deliver
       ~on_degrade:(fun _ -> ())
       ()
   in
@@ -76,8 +76,6 @@ let server t = t.server
 let client t i =
   if i < 0 || i >= Array.length t.clients then invalid_arg "Hub.client: index out of range";
   t.clients.(i)
-
-let clients t = Array.length t.clients
 
 let run ?max_steps t = Vclock.run_until_idle ?max_steps t.clock
 

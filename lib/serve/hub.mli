@@ -2,11 +2,12 @@
     and the {!Rts_net.Reliable} fabric between them, all driven by one
     deterministic virtual clock.
 
-    Frames travel as {!Rts_net.Envelope.App} payloads; the server is
-    the [Coordinator] node, client [i] is [Site i]. The net fault spec
-    and the Reliable timer config apply to every link, so a whole
-    deployment run — admission, backpressure, crashes, restarts,
-    retransmissions — is a pure function of the configs and seeds. *)
+    Frames travel as {!Rts_net.Envelope.App} payloads over a clean
+    (fault-free) fabric; the server is the [Coordinator] node, client
+    [i] is [Site i]. The Reliable timer config applies to every link, so
+    a whole deployment run — admission, backpressure, crashes, restarts
+    — is a pure function of the configs. Fault-injected deployments run
+    on {!Rts_replica.Cluster} instead. *)
 
 open Rts_core
 open Rts_resilience
@@ -15,16 +16,13 @@ type t
 
 val create :
   ?server_config:Server.config ->
-  ?net:Rts_net.Net_fault.spec ->
   ?reliable:Rts_net.Reliable.config ->
-  ?net_seed:int ->
   clients:int ->
   make:(dim:int -> Engine.t) ->
   provider:(tenant:string -> incarnation:int -> Io.dir) ->
   unit ->
   t
-(** Defaults: no net faults, {!Rts_net.Reliable.default} timers,
-    [net_seed] 1. *)
+(** Default timers: {!Rts_net.Reliable.default}. *)
 
 val clock : t -> Rts_net.Vclock.t
 
@@ -32,8 +30,6 @@ val server : t -> Server.t
 
 val client : t -> int -> Client.t
 (** Raises [Invalid_argument] on an out-of-range index. *)
-
-val clients : t -> int
 
 val run : ?max_steps:int -> t -> unit
 (** Drain the virtual clock to quiescence (see

@@ -15,7 +15,6 @@ type config = {
   max_tenants : int;
   query_quota : int;
   wal_lag_limit : int;
-  message_budget : int;
   queue_capacity : int;
   drain_per_tick : int;
   retry_after : int;
@@ -34,7 +33,6 @@ let default =
     max_tenants = 8;
     query_quota = 4096;
     wal_lag_limit = 512;
-    message_budget = 0;
     queue_capacity = 64;
     drain_per_tick = 8;
     retry_after = 4;
@@ -599,11 +597,6 @@ let checkpoint_all t =
 
 (* ---- admission ----------------------------------------------------- *)
 
-let dt_messages tenant =
-  let snap = tenant.engine.Engine.metrics () in
-  Metrics.counter_value snap "dt_signals_total"
-  + Metrics.counter_value snap "dt_round_ends_total"
-
 let admission t tenant ops =
   let registers =
     List.fold_left (fun n op -> match op with Replay.Register _ -> n + 1 | _ -> n) 0 ops
@@ -615,7 +608,7 @@ let admission t tenant ops =
   match tenant.health with
   | Crashed { disk_full = true } -> Some Frame.Disk_full
   | Crashed { disk_full = false } ->
-      (* engine unavailable mid-recovery: quota/budget can't be read,
+      (* engine unavailable mid-recovery: the quota can't be read,
          but the durability backlog still gates intake *)
       if lag tenant + List.length ops > t.config.wal_lag_limit then Some Frame.Wal_lag
       else None
@@ -626,10 +619,6 @@ let admission t tenant ops =
         && tenant.engine.Engine.alive () + tenant.pending_registers + registers
            > t.config.query_quota
       then Some Frame.Quota
-      else if
-        registers > 0 && t.config.message_budget > 0
-        && dt_messages tenant > t.config.message_budget
-      then Some Frame.Budget
       else None
 
 let get_or_create t name =

@@ -14,8 +14,7 @@
     - {e Admission control} — a frame can be refused with a typed
       {!Frame.Overloaded} reply: tenant table full; per-tenant alive
       query quota; WAL lag (ops accepted but not yet durable) over the
-      limit; DT message budget exhausted; storage reported out of
-      space.
+      limit; storage reported out of space.
     - {e Backpressure} — admitted ops enter a bounded per-tenant
       {!Rts_shard.Spsc_ring} and are applied by a paced drain task on
       the virtual clock; when the ring is full the client gets
@@ -49,11 +48,6 @@ type config = {
   wal_lag_limit : int;
       (** Max ops accepted but not yet durable per tenant
           ({!Frame.Wal_lag}). *)
-  message_budget : int;
-      (** Max DT protocol messages ([dt_signals_total] +
-          [dt_round_ends_total]) per tenant before registrations are
-          refused ({!Frame.Budget}); [<= 0] = unlimited. Only engines
-          exposing those counters (the DT engine) ever trip it. *)
   queue_capacity : int;  (** Per-tenant ingest ring (rounded up to 2^k). *)
   drain_per_tick : int;  (** Ops applied per drain step (pacing). *)
   retry_after : int;  (** Ticks suggested by {!Frame.Retry_after}. *)

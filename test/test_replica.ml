@@ -108,8 +108,7 @@ let small seed scenario =
             Server.segment_records = 32;
             durable =
               {
-                Rts_resilience.Durable.default with
-                fsync_every = 5;
+                Rts_resilience.Durable.fsync_every = 5;
                 (* 10× this must clear even a kill run's volume: a
                    fail-stop loses the accepted-but-unapplied queue tail
                    (at-least-once admission), so leave real headroom
@@ -145,6 +144,17 @@ let test_wedge_zombie () =
   check_report "wedge" report;
   Alcotest.(check bool) "failed over" true (report.Rsoak.failovers >= 1);
   Alcotest.(check bool) "zombie frames fenced" true (report.Rsoak.fenced > 0)
+
+(* with one serving node no failover can happen: a kill or wedge
+   scenario is refused before the clock runs, not after it spins *)
+let test_no_replica_scenario_refused () =
+  let one = { Rsoak.default.Rsoak.cluster with Cluster.serving = 1 } in
+  List.iter
+    (fun scenario ->
+      match Rsoak.run ~make { (small 3 scenario) with Rsoak.cluster = one } with
+      | exception Invalid_argument _ -> ()
+      | report -> Alcotest.failf "ran without a replica:@\n%a" Rsoak.pp report)
+    [ Rsoak.Kill 110; Rsoak.Wedge { at = 100; duration = 260 } ]
 
 (* arbitrary seeds, the full scenario matrix *)
 let prop_rsoak =
@@ -200,6 +210,8 @@ let () =
           Alcotest.test_case "clean replication" `Quick test_clean;
           Alcotest.test_case "kill failover" `Quick test_kill_failover;
           Alcotest.test_case "wedge zombie fenced" `Quick test_wedge_zombie;
+          Alcotest.test_case "no replica: kill/wedge refused" `Quick
+            test_no_replica_scenario_refused;
           QCheck_alcotest.to_alcotest prop_rsoak;
           Alcotest.test_case "pinned CI seeds" `Slow test_pinned_seeds;
         ] );

@@ -166,7 +166,7 @@ let test_wal_rotation_roundtrip () =
   List.iter (Wal.append w) sample_ops;
   Wal.close w;
   Alcotest.(check int) "two segments sealed" 2 (Wal.rotations w);
-  (match Wal.segments ~dir () with
+  (match Wal.segments ~dir with
   | [ s1; s2 ] ->
       Alcotest.(check int) "first base" 0 s1.Wal.seg_base;
       Alcotest.(check int) "first count" 2 s1.Wal.seg_count;
@@ -193,12 +193,12 @@ let test_wal_prune_below_floor () =
   Wal.rotate w;
   List.iter (Wal.append w) (drop 3 sample_ops);
   Wal.close w;
-  Alcotest.(check int) "one sealed segment" 1 (List.length (Wal.segments ~dir ()));
+  Alcotest.(check int) "one sealed segment" 1 (List.length (Wal.segments ~dir));
   (* a floor inside the segment reclaims nothing: pruning is whole
      segments only, never record surgery *)
-  Alcotest.(check int) "partial floor removes nothing" 0 (Wal.prune ~dir ~below:2 ());
-  Alcotest.(check int) "covering floor removes the segment" 1 (Wal.prune ~dir ~below:3 ());
-  Alcotest.(check int) "no cold segments left" 0 (List.length (Wal.segments ~dir ()));
+  Alcotest.(check int) "partial floor removes nothing" 0 (Wal.prune ~dir ~below:2);
+  Alcotest.(check int) "covering floor removes the segment" 1 (Wal.prune ~dir ~below:3);
+  Alcotest.(check int) "no cold segments left" 0 (List.length (Wal.segments ~dir));
   let s = Wal.scan ~dim:1 ~dir () in
   Alcotest.(check int) "surviving records" 2 s.Wal.records;
   Alcotest.(check int) "base reflects the pruned prefix" 3 s.Wal.base;
@@ -379,7 +379,7 @@ let test_checkpoint_generations_and_prune () =
   f.Io.close ();
   Alcotest.(check (list int)) "newest first" [ 4; 3; 2; 1; 0 ]
     (List.map fst (Checkpoint.generations ~dir));
-  Checkpoint.prune ~dir ~keep:2;
+  Checkpoint.prune ~dir;
   Alcotest.(check (list int)) "kept newest two" [ 4; 3 ]
     (List.map fst (Checkpoint.generations ~dir));
   Alcotest.(check bool) "tmp swept" true
@@ -584,7 +584,7 @@ let test_recover_empty_dir () =
    E w2 -> matures q1 at global element ordinal 3. *)
 let populated_dir () =
   let dir = Io.mem_dir () in
-  let cfg = { Durable.fsync_every = 1; checkpoint_every = 3; keep = 2 } in
+  let cfg = { Durable.fsync_every = 1; checkpoint_every = 3 } in
   let durable, h = Durable.wrap ~config:cfg ~dir (Baseline_engine.make ~dim:1) in
   durable.Engine.register (q ~id:1 ~threshold:4 (0., 10.));
   ignore (durable.Engine.process (e 5. 2));
@@ -626,7 +626,7 @@ let test_recover_skips_corrupt_newest_checkpoint () =
    segments every 2 records, checkpoint at op 3 *)
 let segmented_dir () =
   let dir = Io.mem_dir () in
-  let cfg = { Durable.fsync_every = 1; checkpoint_every = 3; keep = 2 } in
+  let cfg = { Durable.fsync_every = 1; checkpoint_every = 3 } in
   let durable, h =
     Durable.wrap ~config:cfg ~segment_records:2 ~dir (Baseline_engine.make ~dim:1)
   in
@@ -646,7 +646,7 @@ let test_recover_checkpoint_only_dir () =
   Durable.rotate_wal h;
   Alcotest.(check bool) "segments pruned" true (Durable.prune_wal h ~below:max_int > 0);
   Durable.close h;
-  Alcotest.(check int) "no cold segments left" 0 (List.length (Wal.segments ~dir ()));
+  Alcotest.(check int) "no cold segments left" 0 (List.length (Wal.segments ~dir));
   let s = Wal.scan ~dim:1 ~dir () in
   Alcotest.(check int) "no records left" 0 s.Wal.records;
   Alcotest.(check int) "chain base = durable ops" 4 s.Wal.base;
@@ -659,7 +659,7 @@ let test_recover_checkpoint_only_dir () =
   Alcotest.(check int) "q1 matured before the checkpoint" 0 (engine.Engine.alive ());
   (* continuation over the pruned chain (base > 0) carries the report
      and keeps global element ordinals intact *)
-  let cfg = { Durable.fsync_every = 1; checkpoint_every = 100; keep = 2 } in
+  let cfg = { Durable.fsync_every = 1; checkpoint_every = 100 } in
   let durable2, h2 = Durable.wrap ~config:cfg ~report:r ~segment_records:2 ~dir engine in
   durable2.Engine.register (q ~id:2 ~threshold:3 (0., 10.));
   let m = durable2.Engine.process (e 5. 3) in
@@ -679,7 +679,7 @@ let test_recover_empty_newest_segment () =
   let s = Wal.scan ~dim:1 ~dir () in
   Alcotest.(check int) "records intact in cold segments" 4 s.Wal.records;
   Alcotest.(check int) "active file holds nothing" 2
-    (List.length (Wal.segments ~dir ()));
+    (List.length (Wal.segments ~dir));
   let engine, r = Recovery.recover ~dim:1 ~make:make_baseline ~dir () in
   Alcotest.(check bool) "restored from gen 0" true (r.Recovery.checkpoint_gen = Some 0);
   Alcotest.(check int) "replayed the post-checkpoint suffix" 1 r.Recovery.ops_replayed;
@@ -799,7 +799,7 @@ let test_durable_is_transparent () =
   let ops = trace 7 400 in
   let reference = Replay.replay_ops (Baseline_engine.make ~dim:1) ops in
   let dir = Io.mem_dir () in
-  let cfg = { Durable.fsync_every = 4; checkpoint_every = 64; keep = 2 } in
+  let cfg = { Durable.fsync_every = 4; checkpoint_every = 64 } in
   let durable, h = Durable.wrap ~config:cfg ~dir (Dt_engine.make ~dim:1) in
   let o = Replay.replay_ops durable ops in
   Alcotest.(check (list (pair int int))) "maturity log unchanged"
@@ -820,7 +820,7 @@ let test_durable_register_batch_checkpoint_boundary () =
   (* A checkpoint may only cover op counts at batch boundaries: taking
      one mid-batch would replay the batch's tail over already-live ids. *)
   let dir = Io.mem_dir () in
-  let cfg = { Durable.fsync_every = 1; checkpoint_every = 2; keep = 4 } in
+  let cfg = { Durable.fsync_every = 1; checkpoint_every = 2 } in
   let durable, h = Durable.wrap ~config:cfg ~dir (Baseline_engine.make ~dim:1) in
   durable.Engine.register_batch
     (List.map (fun id -> q ~id ~threshold:5 (0., 10.)) [ 1; 2; 3; 4; 5 ]);
@@ -834,7 +834,7 @@ let test_durable_register_batch_checkpoint_boundary () =
 
 let test_durable_checkpoint_due () =
   let dir = Io.mem_dir () in
-  let cfg = { Durable.fsync_every = 2; checkpoint_every = 5; keep = 2 } in
+  let cfg = { Durable.fsync_every = 2; checkpoint_every = 5 } in
   let durable, h = Durable.wrap ~config:cfg ~dir (Baseline_engine.make ~dim:1) in
   let due = ref [] in
   for i = 1 to 5 do
@@ -862,7 +862,7 @@ let test_durable_apply_never_checkpoints () =
   let ops = trace 9 60 in
   let dir = Io.mem_dir () in
   let every = 4 in
-  let cfg = { Durable.fsync_every = 3; checkpoint_every = every; keep = 2 } in
+  let cfg = { Durable.fsync_every = 3; checkpoint_every = every } in
   let durable, h = Durable.wrap ~config:cfg ~dir (Dt_engine.make ~dim:1) in
   let checkpoints () =
     Metrics.counter_value (durable.Engine.metrics ()) "checkpoints_total"
@@ -887,9 +887,8 @@ let test_durable_bad_config () =
     | exception Invalid_argument _ -> ()
     | _ -> Alcotest.fail "bad config should raise"
   in
-  bad { Durable.fsync_every = 0; checkpoint_every = 1; keep = 1 };
-  bad { Durable.fsync_every = 1; checkpoint_every = 0; keep = 1 };
-  bad { Durable.fsync_every = 1; checkpoint_every = 1; keep = 0 }
+  bad { Durable.fsync_every = 0; checkpoint_every = 1 };
+  bad { Durable.fsync_every = 1; checkpoint_every = 0 }
 
 (* ------------------------------------------------------------------ *)
 (* Crash equivalence                                                   *)
@@ -967,7 +966,7 @@ let run_crash_case c =
       store
   in
   let cfg =
-    { Durable.fsync_every = c.fsync_every; checkpoint_every = c.checkpoint_every; keep = 2 }
+    { Durable.fsync_every = c.fsync_every; checkpoint_every = c.checkpoint_every }
   in
   let durable, _h = Durable.wrap ~config:cfg ~dir:fdir (make ~dim:1) in
   let pre_log, pre_elems = feed durable ops ~base:0 in
@@ -1118,7 +1117,7 @@ let test_short_write_then_crash_equivalence () =
           }
           store
       in
-      let cfg = { Durable.fsync_every = 3; checkpoint_every = 100_000; keep = 2 } in
+      let cfg = { Durable.fsync_every = 3; checkpoint_every = 100_000 } in
       let durable, _h = Durable.wrap ~config:cfg ~dir:fdir (make_dt ~dim:1) in
       let _pre = feed durable ops ~base:0 in
       let engine2, report = Recovery.recover ~dim:1 ~make:make_dt ~dir:store () in
@@ -1140,7 +1139,7 @@ let test_enospc_sticky_and_failover () =
   let fdir =
     Fault.wrap ~rng { Fault.no_crash with Fault.enospc_at_append = Some k } store
   in
-  let cfg = { Durable.fsync_every = 2; checkpoint_every = 100_000; keep = 2 } in
+  let cfg = { Durable.fsync_every = 2; checkpoint_every = 100_000 } in
   let durable, h = Durable.wrap ~config:cfg ~dir:fdir (make_baseline ~dim:1) in
   let completed = ref 0 in
   (try

@@ -1,7 +1,8 @@
 (* rts-serve daemon core: frame codec round-trips, typed admission
-   refusals, backpressure, supervised wedge recovery, and the soak
-   harness's never-early / exactly-once guarantee on both a qcheck
-   seed sweep and the pinned seeds (widened via RTS_SERVE_SEEDS). *)
+   refusals, backpressure, supervised wedge recovery, and the
+   single-server soak's (Rsoak with zero replicas) never-early /
+   exactly-once guarantee on both a qcheck seed sweep and the pinned
+   seeds (widened via RTS_SERVE_SEEDS). *)
 
 open Rts_core
 open Rts_workload
@@ -12,7 +13,9 @@ module Frame = Rts_serve.Frame
 module Server = Rts_serve.Server
 module Client = Rts_serve.Client
 module Hub = Rts_serve.Hub
-module Soak = Rts_serve.Soak
+module Net_fault = Rts_net.Net_fault
+module Cluster = Rts_replica.Cluster
+module Rsoak = Rts_replica.Rsoak
 
 let make ~dim = Dt_engine.make ~dim
 
@@ -60,7 +63,7 @@ let test_frame_units () =
       Alcotest.(check (option string))
         "reason round-trip" (Some (Frame.reason_to_string r))
         (Option.map Frame.reason_to_string (Frame.reason_of_string (Frame.reason_to_string r))))
-    [ Frame.Tenants; Frame.Quota; Frame.Wal_lag; Frame.Budget; Frame.Disk_full ]
+    [ Frame.Tenants; Frame.Quota; Frame.Wal_lag; Frame.Disk_full ]
 
 let test_frame_malformed () =
   let bad ~dim s =
@@ -353,7 +356,7 @@ let test_durable_position_fsynced () =
           Server.default with
           Server.dim = 1;
           queue_capacity = 256;
-          durable = { Rts_resilience.Durable.default with fsync_every; checkpoint_every = 67 };
+          durable = { Rts_resilience.Durable.fsync_every; checkpoint_every = 67 };
           segment_records;
         }
       in
@@ -440,51 +443,83 @@ let test_wedge_restart () =
     (Client.matured watcher "t0" = oracle.Replay.maturities)
 
 (* ------------------------------------------------------------------ *)
-(* Combined-fault soak: qcheck seed sweep + pinned CI seeds            *)
+(* Single-server soak: Rsoak with zero replicas                        *)
 (* ------------------------------------------------------------------ *)
 
-let small_soak seed =
+(* One serving node, no rotation, no scenario fault: the unrotated,
+   unreplicated Server path under combined storage + network faults and
+   tenant wedges, at the parameters `make check` runs. *)
+let serve_leg seed =
+  let cluster = Rsoak.default.Rsoak.cluster in
   {
-    Soak.default with
-    Soak.tenants = 2;
+    Rsoak.default with
+    Rsoak.tenants = 3;
+    queries = 40;
+    elements = 600;
+    batch = 8;
+    threshold = 2500;
+    churn = 0.15;
+    seed;
+    faulty_incarnations = 4;
+    crash_every = 150;
+    wedges = 2;
+    scenario = Rsoak.Clean;
+    cluster =
+      {
+        cluster with
+        Cluster.serving = 1;
+        (* the fabric's fault stream follows the seed, like the workload *)
+        net_seed = seed;
+        net = { Net_fault.none with drop = 0.1; duplicate = 0.05; reorder = 0.2 };
+        server =
+          {
+            cluster.Cluster.server with
+            Server.segment_records = 0;
+            durable = { Rts_resilience.Durable.fsync_every = 7; checkpoint_every = 97 };
+          };
+      };
+  }
+
+let small_leg seed =
+  {
+    (serve_leg seed) with
+    Rsoak.tenants = 2;
     queries = 12;
     elements = 160;
     batch = 5;
     threshold = 600;
-    seed;
     faulty_incarnations = 3;
     crash_every = 60;
     wedges = 1;
   }
 
-(* the tentpole property: for arbitrary seeds, a run under combined
-   storage + network faults loses nothing — server log, subscriber
-   stream and WAL oracle agree, maturities exactly once, never early *)
+(* for arbitrary seeds, a run under combined storage + network faults
+   loses nothing — server log, subscriber stream and WAL oracle agree,
+   maturities exactly once, never early *)
 let prop_soak_never_early =
   QCheck.Test.make
     ~count:(Qcheck_env.count 6)
     ~name:"combined-fault soak: log == sub == oracle"
     QCheck.(int_range 1 10_000)
     (fun seed ->
-      let report = Soak.run ~make (small_soak seed) in
-      if not report.Soak.ok then
-        QCheck.Test.fail_reportf "seed %d:@\n%a" seed Soak.pp_report report;
+      let report = Rsoak.run ~make (small_leg seed) in
+      if not report.Rsoak.ok then QCheck.Test.fail_reportf "seed %d:@\n%a" seed Rsoak.pp report;
       true)
 
-(* the pinned seeds (RTS_SERVE_SEEDS widens them) — full default config,
-   so this leg also exercises 3 tenants, ENOSPC draws and heavier churn *)
+(* the pinned seeds (RTS_SERVE_SEEDS widens them) — full config, so
+   this leg also exercises 3 tenants, ENOSPC draws and heavier churn *)
 let serve_seeds = Qcheck_env.seeds "RTS_SERVE_SEEDS" ~default:[ 3; 13; 29 ]
 
 let test_pinned_seeds () =
   List.iter
     (fun seed ->
-      let report = Soak.run ~make { Soak.default with Soak.seed } in
-      if not report.Soak.ok then
-        Alcotest.failf "pinned seed %d failed:@\n%a" seed Soak.pp_report report;
+      let report = Rsoak.run ~make (serve_leg seed) in
+      if not report.Rsoak.ok then
+        Alcotest.failf "pinned seed %d failed:@\n%a" seed Rsoak.pp report;
       Alcotest.(check bool)
         (Printf.sprintf "seed %d exercised crashes" seed)
         true
-        (report.Soak.crashes > 0))
+        (report.Rsoak.crashes_total > 0))
     serve_seeds
 
 let () =
