@@ -602,7 +602,9 @@ let perf_counter_names =
    which validate_bench requires of every DT run, at any scale, with
    no tolerance band. The untimed warmup pass first grows every reusable
    scratch buffer to its steady-state size: the audit asks "does the hot
-   loop allocate per element?", not "do buffers grow once at startup?". *)
+   loop allocate per element?", not "do buffers grow once at startup?".
+   Batch size 1 goes through [Engine.process], the path batch-1 callers
+   (rts-cli without --batch, the serving daemon) actually run. *)
 let alloc_words_per_element p (factory : dim:int -> Engine.t) b =
   let mm = max 1 (p.m / 10) in
   let gen = Generator.create ~dim:1 ~seed:p.seed () in
@@ -615,7 +617,9 @@ let alloc_words_per_element p (factory : dim:int -> Engine.t) b =
   let i = ref 0 in
   let pass () =
     for _ = 1 to iters do
-      ignore (engine.Engine.feed_batch (Array.unsafe_get pool (!i land 63)) : int list);
+      let batch = Array.unsafe_get pool (!i land 63) in
+      if b = 1 then ignore (engine.Engine.process (Array.unsafe_get batch 0) : int list)
+      else ignore (engine.Engine.feed_batch batch : int list);
       incr i
     done
   in

@@ -26,11 +26,12 @@ type t = {
   mutable n_registered : int;
   mutable n_terminated : int;
   mutable n_matured : int;
-  (* batch scratch for the multi-tree 1D path: the batch's (key, weight)
-     pairs are extracted and sorted ONCE here, then every live tree is
-     fed the same flat arrays — no per-tree cursor or sorted-copy
-     allocation. Grown on demand, so the steady state allocates nothing. *)
+  (* batch scratch: each batch's first coordinates are co-sorted ONCE
+     here with the permutation [bidx], its weights gathered into [bwts]
+     in that order, and every live tree is fed the same flat arrays.
+     Grown on demand, so the steady state allocates nothing. *)
   mutable bkeys : float array;
+  mutable bidx : int array;
   mutable bwts : int array;
 }
 
@@ -51,6 +52,7 @@ let create ?(eager = false) ~dim () =
     n_terminated = 0;
     n_matured = 0;
     bkeys = [||];
+    bidx = [||];
     bwts = [||];
   }
 
@@ -105,22 +107,37 @@ let discard_slot t slot =
       refresh_live t
   | None -> ()
 
-let register t (q : query) =
-  validate_query ~dim:t.dims q;
-  if Hashtbl.mem t.location q.id then invalid_arg "Dt_engine.register: id already alive";
-  (* Smallest j (1-based) with alive(T_1) + ... + alive(T_j) < 2^(j-1);
-     always exists once j exceeds the current number of slots by enough. *)
+(* Refuse an invalid query, an alive id or an id repeated in [queries]
+   before anything moves: a refused registration leaves the engine
+   untouched. [who] names the entry point in the error. *)
+let admit t ~who queries =
+  let seen = Hashtbl.create 16 in
+  List.iter
+    (fun (q : query) ->
+      validate_query ~dim:t.dims q;
+      if Hashtbl.mem t.location q.id then invalid_arg ("Dt_engine." ^ who ^ ": id already alive");
+      if Hashtbl.mem seen q.id then invalid_arg ("Dt_engine." ^ who ^ ": duplicate id");
+      Hashtbl.replace seen q.id ())
+    queries
+
+(* The logarithmic method's insertion step (Section 5) for a non-empty
+   list of (query, remaining) newcomers arriving at one instant: find the
+   smallest j (1-based) whose capacity 2^(j-1) holds the alive queries of
+   T_1..T_j plus the newcomers, and migrate everything in T_1..T_j into a
+   fresh T_j, thresholds reduced by the weight already seen (steps 2-3).
+   Such a j always exists once it exceeds the current number of slots by
+   enough. *)
+let collapse t fresh =
+  let len = List.length fresh in
   let g = Array.length t.slots in
   let rec find_j j cum =
     let cum = cum + if j - 1 < g then slot_alive t.slots.(j - 1) else 0 in
-    if cum < 1 lsl (j - 1) then j else find_j (j + 1) cum
+    if cum + len <= 1 lsl (j - 1) then j else find_j (j + 1) cum
   in
   let j = find_j 1 0 in
   ensure_slots t j;
-  t.n_registered <- t.n_registered + 1;
-  (* Migrate everything in T_1..T_j into a fresh T_j, thresholds reduced by
-     the weight already seen (Section 5, step 2). *)
-  let batch = ref [ (q, q.threshold) ] in
+  t.n_registered <- t.n_registered + len;
+  let batch = ref fresh in
   for i = 0 to j - 1 do
     (match t.slots.(i).tree with
     | Some tr -> batch := List.rev_append (Endpoint_tree.alive_queries tr) !batch
@@ -129,37 +146,17 @@ let register t (q : query) =
   done;
   install_tree t (j - 1) !batch
 
-(* Batch registration: one collapse absorbing the whole batch — the
-   logarithmic method's insertion step generalized from 1 to [len] new
-   queries (find the smallest j whose capacity 2^(j-1) can hold the prefix
-   trees' alive queries plus the batch, rebuild T_j on their union). *)
+let register t (q : query) =
+  admit t ~who:"register" [ q ];
+  collapse t [ (q, q.threshold) ]
+
+(* Batch registration: one collapse absorbing the whole batch instead of
+   one per query. *)
 let register_batch t queries =
-  match queries with
-  | [] -> ()
-  | _ ->
-      List.iter
-        (fun (q : query) ->
-          validate_query ~dim:t.dims q;
-          if Hashtbl.mem t.location q.id then
-            invalid_arg "Dt_engine.register_batch: id already alive")
-        queries;
-      let len = List.length queries in
-      let g = Array.length t.slots in
-      let rec find_j j cum =
-        let cum = cum + if j - 1 < g then slot_alive t.slots.(j - 1) else 0 in
-        if cum + len <= 1 lsl (j - 1) then j else find_j (j + 1) cum
-      in
-      let j = find_j 1 0 in
-      ensure_slots t j;
-      t.n_registered <- t.n_registered + len;
-      let batch = ref (List.map (fun (q : query) -> (q, q.threshold)) queries) in
-      for i = 0 to j - 1 do
-        (match t.slots.(i).tree with
-        | Some tr -> batch := List.rev_append (Endpoint_tree.alive_queries tr) !batch
-        | None -> ());
-        discard_slot t t.slots.(i)
-      done;
-      install_tree t (j - 1) !batch
+  if queries <> [] then begin
+    admit t ~who:"register_batch" queries;
+    collapse t (List.map (fun (q : query) -> (q, q.threshold)) queries)
+  end
 
 let create_static ?eager ~dim queries =
   let t = create ?eager ~dim () in
@@ -187,17 +184,9 @@ let maybe_rebuild t idx =
         install_tree t idx batch
       end
 
-(* Per-element hot path: iterate the dense [live] cache with a bare for
-   loop (no option match, no closure allocation per element) and skip the
-   maturity epilogue — rebuild probe and sort — entirely on the common
-   no-maturity case. *)
-let process t e =
-  t.n_elements <- t.n_elements + 1;
-  t.matured_acc <- [];
-  let live = t.live in
-  for i = 0 to Array.length live - 1 do
-    Endpoint_tree.process live.(i) e
-  done;
+(* The feeds' epilogue, skipped entirely on the common no-maturity case:
+   the global-rebuild probe, then the matured ids in ascending order. *)
+let take_matured t =
   if t.matured_acc == [] then []
   else begin
     for i = 0 to Array.length t.slots - 1 do
@@ -208,71 +197,61 @@ let process t e =
     out
   end
 
+(* Per-element hot path: iterate the dense [live] cache with a bare for
+   loop (no option match, no closure allocation per element). *)
+let process t e =
+  validate_elem ~dim:t.dims e;
+  t.n_elements <- t.n_elements + 1;
+  t.matured_acc <- [];
+  let live = t.live in
+  for i = 0 to Array.length live - 1 do
+    Endpoint_tree.process live.(i) e
+  done;
+  take_matured t
+
 let ensure_scratch t n =
   if Array.length t.bkeys < n then begin
     t.bkeys <- Array.make n 0.;
+    t.bidx <- Array.make n 0;
     t.bwts <- Array.make n 0
   end
 
-(* Batched ingestion: validate the whole batch up front, sort it once by
-   first coordinate, and drive each live tree through its preallocated
-   shared-prefix cursor — a batch of b elements costs one sort plus b
-   short tail-walks per tree instead of b full root-to-leaf descents. For
-   1D the sort happens in the engine's flat (key, weight) scratch and
-   each tree consumes it via {!Endpoint_tree.feed_sorted_kw}, so the
-   whole multi-tree path is allocation-free in the steady state (the
-   single-tree path delegates to the equally alloc-free
-   {!Endpoint_tree.process_batch}). Maturities accumulate across the
-   batch; global-rebuild checks run once at the end (rebuilds never
-   change which queries mature or their exact weights, only when
-   migration work happens). The matured set, every survivor's weight,
-   and the post-call [alive_snapshot] equal the sequential [process]
-   results for the same multiset of elements. *)
+(* Batched ingestion, one path for every dimension and tree count:
+   validate the whole batch, co-sort its first coordinates with an
+   identity permutation in the engine's scratch, gather the weights in
+   that order, and feed every live tree the same flat arrays through its
+   shared-prefix cursor ({!Endpoint_tree.feed_sorted}) — a batch of b
+   elements costs one sort plus b short tail-walks per tree instead of b
+   full root-to-leaf descents, and allocates nothing in the steady state.
+   Maturities accumulate across the batch; global-rebuild checks run once
+   at the end (rebuilds never change which queries mature or their exact
+   weights, only when migration work happens). The matured set, every
+   survivor's weight, and the post-call [alive_snapshot] equal the
+   sequential [process] results for the same multiset of elements. *)
 let process_batch t elems =
   let n = Array.length elems in
-  if n = 0 then []
+  for i = 0 to n - 1 do
+    validate_elem ~dim:t.dims (Array.unsafe_get elems i)
+  done;
+  t.n_elements <- t.n_elements + n;
+  let live = t.live in
+  if n = 0 || Array.length live = 0 then []
   else begin
-    t.n_elements <- t.n_elements + n;
+    ensure_scratch t n;
+    let keys = t.bkeys and idx = t.bidx and wts = t.bwts in
+    for i = 0 to n - 1 do
+      Array.unsafe_set keys i (Array.unsafe_get (Array.unsafe_get elems i).value 0);
+      Array.unsafe_set idx i i
+    done;
+    Endpoint_tree.sort_kw keys idx n;
+    for i = 0 to n - 1 do
+      Array.unsafe_set wts i (Array.unsafe_get elems (Array.unsafe_get idx i)).weight
+    done;
     t.matured_acc <- [];
-    let live = t.live in
-    (if Array.length live = 1 then Endpoint_tree.process_batch live.(0) elems
-     else begin
-       for i = 0 to n - 1 do
-         validate_elem ~dim:t.dims (Array.unsafe_get elems i)
-       done;
-       if Array.length live > 1 then
-         if t.dims = 1 then begin
-           ensure_scratch t n;
-           let keys = t.bkeys and wts = t.bwts in
-           for i = 0 to n - 1 do
-             let e = Array.unsafe_get elems i in
-             Array.unsafe_set keys i (Array.unsafe_get e.value 0);
-             Array.unsafe_set wts i e.weight
-           done;
-           Endpoint_tree.sort_kw keys wts n;
-           for ti = 0 to Array.length live - 1 do
-             Endpoint_tree.feed_sorted_kw (Array.unsafe_get live ti) keys wts n
-           done
-         end
-         else begin
-           let sorted = Endpoint_tree.sort_batch elems in
-           Array.iter
-             (fun tr ->
-               let c = Endpoint_tree.cursor tr in
-               Array.iter (fun e -> Endpoint_tree.process_sorted c e) sorted;
-               Endpoint_tree.flush c)
-             live
-         end
-     end);
-    if t.matured_acc == [] then []
-    else begin
-      for i = 0 to Array.length t.slots - 1 do
-        maybe_rebuild t i
-      done;
-      let out = Engine.sort_matured t.matured_acc in
-      t.matured_acc <- [];
-      out
-    end
+    for ti = 0 to Array.length live - 1 do
+      Endpoint_tree.feed_sorted (Array.unsafe_get live ti) elems keys idx wts n
+    done;
+    take_matured t
   end
 
 let terminate t id =
@@ -333,25 +312,15 @@ let alive_snapshot t =
 
 let restore ?eager ~dim entries =
   let t = create ?eager ~dim () in
-  (match entries with
-  | [] -> ()
-  | _ ->
-      let seen = Hashtbl.create 64 in
-      List.iter
-        (fun ((q : query), consumed) ->
-          validate_query ~dim q;
-          if consumed < 0 || consumed >= q.threshold then
-            invalid_arg "Dt_engine.restore: consumed out of range";
-          if Hashtbl.mem seen q.id then invalid_arg "Dt_engine.restore: duplicate id";
-          Hashtbl.replace seen q.id ())
-        entries;
-      let len = List.length entries in
-      let rec slot_for j = if len <= 1 lsl (j - 1) then j else slot_for (j + 1) in
-      let j = slot_for 1 in
-      ensure_slots t j;
-      t.n_registered <- t.n_registered + len;
-      install_tree t (j - 1)
-        (List.map (fun ((q : query), consumed) -> (q, q.threshold - consumed)) entries));
+  if entries <> [] then begin
+    List.iter
+      (fun ((q : query), consumed) ->
+        if consumed < 0 || consumed >= q.threshold then
+          invalid_arg "Dt_engine.restore: consumed out of range")
+      entries;
+    admit t ~who:"restore" (List.map fst entries);
+    collapse t (List.map (fun ((q : query), consumed) -> (q, q.threshold - consumed)) entries)
+  end;
   t
 
 let space t =

@@ -37,22 +37,28 @@ val register : t -> query -> unit
 val register_batch : t -> query list -> unit
 (** Register a batch of queries at one instant: a single logarithmic-method
     collapse absorbing the whole batch, instead of one per query. This is
-    how {!create_static} builds the paper's Scenario-1 setup. *)
+    how {!create_static} builds the paper's Scenario-1 setup. Raises
+    [Invalid_argument], registering nothing, on an invalid query or an id
+    that is already alive or repeated in the batch. *)
 
 val terminate : t -> int -> unit
 (** TERMINATE by id; [O(log^{d+1} m)]. Raises [Not_found] if not alive. *)
 
 val process : t -> elem -> int list
-(** Feed one element; returns the newly matured query ids (ascending). *)
+(** Feed one element; returns the newly matured query ids (ascending).
+    Raises [Invalid_argument], changing nothing, on an invalid element
+    ({!Types.validate_elem}). Allocates nothing when no query matures. *)
 
 val process_batch : t -> elem array -> int list
 (** Feed a batch of elements arriving at one instant; returns all newly
-    matured query ids (ascending). Validates the whole batch, sorts one
-    copy by first coordinate and drives every live tree through a
-    shared-prefix {!Endpoint_tree.cursor}, so a batch of [b] elements
-    costs one sort plus [b] short tail-walks per tree instead of [b] full
-    descents. Matured set, surviving weights and {!alive_snapshot} are
-    identical to [b] sequential {!process} calls on the same multiset;
+    matured query ids (ascending). Validates the whole batch (a refused
+    batch changes nothing), sorts it once by first coordinate in the
+    engine's scratch and feeds every live tree through
+    {!Endpoint_tree.feed_sorted}, so a batch of [b] elements costs one
+    sort plus [b] short tail-walks per tree instead of [b] full descents,
+    and allocates nothing in the steady state. Matured set, surviving
+    weights and {!alive_snapshot} are identical to [b] sequential
+    {!process} calls on the same multiset;
     per-element maturity attribution inside the batch (and the
     interleaving-sensitive work counters) may differ because elements are
     reordered and global-rebuild checks run once at batch end. *)

@@ -11,9 +11,9 @@ type stats = {
 (* Unboxed, off-heap storage for everything the per-element path touches.
    Bigarrays are invisible to the GC: the minor collector never scans
    them, writes need no [caml_modify] barrier, and int/float loads come
-   back unboxed. Combined with the preallocated cursor and scratch
-   buffers below, the batched 1D feed path allocates zero minor-heap
-   words per element — gated by validate_bench on every perf run. *)
+   back unboxed. Combined with the tree's preallocated cursor below, the
+   per-element and batched feeds allocate zero minor-heap words per
+   element — gated by validate_bench on every perf run. *)
 type farr = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type iarr = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -111,21 +111,11 @@ type t = {
   e_sigma : iarr;
   e_pos : iarr;
   qarr : qstate array; (* build-order query states; e_owner indexes this *)
-  mutable skeys : float array; (* batch scratch: extracted keys *)
-  mutable swts : int array; (* batch scratch: extracted weights *)
-  mutable scur : cursor option; (* reusable cursor, Some after build *)
-}
-
-and cursor = {
-  ctree : t;
+  (* the batch cursor of {!feed_sorted}; its path is empty between calls *)
   cpath : int array; (* node ids of the cached top-level path, root first *)
   cmark : int array; (* cumulative weight [cw] when cpath.(i) was pushed *)
   mutable clen : int;
-  mutable cw : int; (* cumulative weight of all elements fed so far *)
-  clast : float ref;
-      (* last key fed; enforces the sortedness contract. A [float ref]
-         (single-field float record) stores the float flat — a [mutable
-         float] field in this mixed record would box on every write. *)
+  mutable cw : int; (* 1D: weight fed since the last flush; d > 1: always 0 *)
 }
 
 (* ---- intrusive sigma heap, flat edition ------------------------------ *)
@@ -430,14 +420,13 @@ let drain t slot =
 (* One root-to-leaf descent per level, flat-array edition: at every node
    of the path, a last-dimension level bumps the counter and drains the
    node's deadline heap; other levels recurse into the node's secondary
-   tree. Allocation-free. *)
+   tree. The key is read from [value] by index at every step rather than
+   passed down as a [float] argument, which a non-flambda compiler boxes
+   on every call. Allocation-free. *)
 let rec process_level t (value : point) w lvl =
-  if lvl.n > 0 then begin
-    let x = value.(lvl.k) in
-    if x >= fget lvl.jlo 0 then descend t value w lvl x 0
-  end
+  if lvl.n > 0 && value.(lvl.k) >= fget lvl.jlo 0 then descend t value w lvl 0
 
-and descend t value w lvl x u =
+and descend t (value : point) w lvl u =
   (if lvl.last then begin
      let slot = lvl.cbase + u in
      bset t.counters slot (bget t.counters slot + w);
@@ -447,165 +436,132 @@ and descend t value w lvl x u =
    else match lvl.sub.(u) with Some sub -> process_level t value w sub | None -> ());
   let r = bget lvl.right u in
   if r >= 0 then
-    if x >= fget lvl.jlo r then descend t value w lvl x r
-    else descend t value w lvl x (bget lvl.left u)
+    if value.(lvl.k) >= fget lvl.jlo r then descend t value w lvl r
+    else descend t value w lvl (bget lvl.left u)
 
-(* ---- cursor ---------------------------------------------------------- *)
+(* ---- batch cursor ---------------------------------------------------- *)
 
-(* A cursor caches the current root-to-leaf path of the top level between
-   consecutive elements of a key-sorted batch, and — on a 1D (last) level
-   — defers counter increments with cumulative-weight marks: a node that
-   stays on the path across many consecutive elements receives ONE
-   aggregated bump (and one heap drain) when it finally leaves the path
-   (or at {!flush}), instead of one per element.
+(* The tree's cursor caches the current root-to-leaf path of the top level
+   between consecutive elements of a key-sorted batch, and — on a 1D
+   (last) level — defers counter increments with cumulative-weight marks:
+   a node that stays on the path across many consecutive elements
+   receives ONE aggregated bump (and one heap drain) when it finally
+   leaves the path (or at the end-of-batch flush), instead of one per
+   element.
 
    Protocol correctness: [fire] delivers exact [c - cbar] deltas in
    multiples of lambda and re-arms [sigma > c], so an aggregated jump of
    k*lambda produces exactly the k signals the per-element drains would
    have, and the known weight never exceeds the true weight (never
-   early). After [flush] every counter is fully applied and drained, so
+   early). After the flush every counter is fully applied and drained, so
    per-node undelivered weight is < lambda and the DT invariant
    W < (wknown + tau)/2 holds: any query whose true weight reached tau
    has matured. Maturities therefore coarsen to batch granularity but the
    matured id multiset equals the sequential one at every batch boundary.
    Work counters (node updates, heap ops) can only decrease. *)
 
-let cursor t =
-  {
-    ctree = t;
-    cpath = Array.make (t.top.depth + 1) (-1);
-    cmark = Array.make (t.top.depth + 1) 0;
-    clen = 0;
-    cw = 0;
-    clast = ref neg_infinity;
-  }
-
-(* The tree's own preallocated cursor, created once at build time and
-   reused by every {!process_batch} / {!feed_sorted_kw} call so the batch
-   path allocates nothing. Between batches the path is empty (flush
-   resets clen), so reuse is invisible. *)
-let scratch_cursor t = match t.scur with Some c -> c | None -> assert false
-
-(* Apply the pending aggregated weight of path slot [i] (1D levels only). *)
-let flush_slot c i =
-  let t = c.ctree in
-  let pend = c.cw - Array.unsafe_get c.cmark i in
+(* Apply the pending aggregated weight of path slot [i]. A no-op on a
+   d > 1 tree, whose [cw] never advances. *)
+let flush_slot t i =
+  let pend = t.cw - Array.unsafe_get t.cmark i in
   if pend > 0 then begin
-    let slot = t.top.cbase + Array.unsafe_get c.cpath i in
+    let slot = t.top.cbase + Array.unsafe_get t.cpath i in
     bset t.counters slot (bget t.counters slot + pend);
     t.st.node_updates <- t.st.node_updates + 1;
     drain t slot
   end
 
-let flush c =
-  if c.ctree.top.last then
-    for i = c.clen - 1 downto 0 do
-      flush_slot c i
-    done;
-  c.clen <- 0
+(* Apply every pending bump on the cached path, deepest node first, and
+   forget the path. *)
+let flush t =
+  for i = t.clen - 1 downto 0 do
+    flush_slot t i
+  done;
+  t.clen <- 0;
+  t.cw <- 0
 
-let process_sorted c e =
-  let t = c.ctree in
-  if Array.length e.value <> t.dims then
-    invalid_arg "Endpoint_tree.process_sorted: bad dimensionality";
-  if e.weight < 1 then invalid_arg "Endpoint_tree.process_sorted: weight < 1";
-  t.st.elements <- t.st.elements + 1;
+(* Feed sorted entry [i]. Takes the arrays plus an index rather than the
+   key itself: a [float] function argument is boxed at every call on
+   non-flambda compilers, while the indexed load stays unboxed. Pops the
+   path suffix whose jurisdictions end at or before the key — they nest
+   along the path, so the exhausted nodes form a contiguous suffix, and
+   the root's extends to +infinity, so once seeded the path never
+   empties — then tail-walks to the key's leaf, marking each fresh node
+   with the current cumulative weight. Node-id indexing is safe by
+   construction, so the walk uses unsafe loads. *)
+let feed1 t (elems : elem array) (keys : float array) (idx : int array) (wts : int array) i =
+  let x = Array.unsafe_get keys i in
   let lvl = t.top in
-  if lvl.n > 0 then begin
-    let x = e.value.(lvl.k) in
-    if not (x >= !(c.clast)) then
-      invalid_arg "Endpoint_tree.process_sorted: elements not sorted on the first dimension";
-    c.clast := x;
-    let path = c.cpath in
-    let last = lvl.last in
-    (* Pop the path suffix whose jurisdictions end at or before x,
-       flushing each popped node's aggregated pending weight. Jurisdiction
-       intervals nest along the path, so the exhausted nodes form a
-       contiguous suffix. The root's jurisdiction extends to +infinity, so
-       once seeded the path never empties. *)
-    let len = ref c.clen in
-    while !len > 0 && x >= lvl.jhi.{path.(!len - 1)} do
-      decr len;
-      if last then flush_slot c !len
+  let path = t.cpath in
+  let len = ref t.clen in
+  while !len > 0 && x >= fget lvl.jhi (Array.unsafe_get path (!len - 1)) do
+    decr len;
+    flush_slot t !len
+  done;
+  if !len = 0 && x >= fget lvl.jlo 0 then begin
+    Array.unsafe_set path 0 0;
+    Array.unsafe_set t.cmark 0 t.cw;
+    len := 1
+  end;
+  if !len > 0 then begin
+    let u = ref (Array.unsafe_get path (!len - 1)) in
+    let r = ref (bget lvl.right !u) in
+    while !r >= 0 do
+      let nxt = if x >= fget lvl.jlo !r then !r else bget lvl.left !u in
+      Array.unsafe_set path !len nxt;
+      Array.unsafe_set t.cmark !len t.cw;
+      incr len;
+      u := nxt;
+      r := bget lvl.right nxt
     done;
-    if !len = 0 && x >= lvl.jlo.{0} then begin
-      path.(0) <- 0;
-      c.cmark.(0) <- c.cw;
-      len := 1
-    end;
-    if !len > 0 then begin
-      (* Tail walk: descend from the deepest surviving node to the leaf,
-         marking each fresh node with the current cumulative weight. *)
-      let u = ref path.(!len - 1) in
-      while lvl.right.{!u} >= 0 do
-        let r = lvl.right.{!u} in
-        let nxt = if x >= lvl.jlo.{r} then r else lvl.left.{!u} in
-        path.(!len) <- nxt;
-        c.cmark.(!len) <- c.cw;
-        incr len;
-        u := nxt
-      done;
-      if last then
-        (* The element's weight lands on every path node lazily: it is
-           folded into [cw] and applied when nodes leave the path. *)
-        c.cw <- c.cw + e.weight
-      else
-        (* Multi-dimensional: sub-trees key on other dimensions, so the
-           element must be applied per-path-node immediately; the cursor
-           still amortizes the navigation. *)
-        for i = 0 to !len - 1 do
-          match lvl.sub.(path.(i)) with
-          | Some sub -> process_level t e.value e.weight sub
-          | None -> ()
-        done
-    end;
-    c.clen <- !len
+    if lvl.last then
+      (* 1D: the weight lands on every path node lazily — it is folded
+         into [cw] and applied when nodes leave the path. *)
+      t.cw <- t.cw + Array.unsafe_get wts i
+    else begin
+      (* d > 1: sub-trees key on other dimensions, so the element is
+         applied to each path node's secondary tree now; the cursor still
+         amortizes the top-level navigation. *)
+      let value = (Array.unsafe_get elems (Array.unsafe_get idx i)).value in
+      let w = Array.unsafe_get wts i in
+      for j = 0 to !len - 1 do
+        match Array.unsafe_get lvl.sub (Array.unsafe_get path j) with
+        | Some sub -> process_level t value w sub
+        | None -> ()
+      done
+    end
+  end;
+  t.clen <- !len
+
+let feed_sorted t elems keys idx wts n =
+  t.st.elements <- t.st.elements + n;
+  if t.top.n > 0 then begin
+    for i = 0 to n - 1 do
+      feed1 t elems keys idx wts i
+    done;
+    flush t
   end
 
-(* Sort by first coordinate without touching the boxed element array
-   during the sort itself: extract the keys into an unboxed float array,
-   sort an int permutation (no write barrier on int stores, branch-only
-   comparator — the polymorphic [compare] on floats is an out-of-line C
-   call and a heapsort makes ~2 n log n of them), then materialize the
-   sorted element array in one pass. *)
-let sort_batch (elems : elem array) =
-  let n = Array.length elems in
-  let keys = Array.init n (fun i -> (Array.unsafe_get elems i).value.(0)) in
-  let idx = Array.init n (fun i -> i) in
-  Array.sort
-    (fun i j ->
-      let a = Array.unsafe_get keys i and b = Array.unsafe_get keys j in
-      if a < b then -1 else if a > b then 1 else 0)
-    idx;
-  Array.init n (fun i -> Array.unsafe_get elems (Array.unsafe_get idx i))
-
-(* ---- 1D fast path: never touch a boxed element inside the hot loop ----
-
-   For a 1D tree the only per-element inputs are the key and the weight,
-   so the batch is reduced to two parallel unboxed scratch arrays (float
-   keys, int weights) owned by the tree, co-sorted by a monomorphic
-   quicksort (direct float compares, no closure calls, no write barriers
-   — quicksort on the flat arrays is several times cheaper than
-   [Array.sort] swapping boxed pointers through [caml_modify]), and fed
-   through the preallocated cursor without validation or sortedness
-   re-checks (our own sort guarantees both). *)
-
-let swap_kw (keys : float array) (wts : int array) i j =
+(* Monomorphic closure-free quicksort of (key, companion int) pairs:
+   direct float compares, no closure calls, no write barriers —
+   several times cheaper than [Array.sort] swapping boxed pointers
+   through [caml_modify]. *)
+let swap_ki (keys : float array) (idx : int array) i j =
   let k = Array.unsafe_get keys i in
   Array.unsafe_set keys i (Array.unsafe_get keys j);
   Array.unsafe_set keys j k;
-  let w = Array.unsafe_get wts i in
-  Array.unsafe_set wts i (Array.unsafe_get wts j);
-  Array.unsafe_set wts j w
+  let v = Array.unsafe_get idx i in
+  Array.unsafe_set idx i (Array.unsafe_get idx j);
+  Array.unsafe_set idx j v
 
-let rec qsort_kw (keys : float array) (wts : int array) lo hi =
+let rec qsort_kw (keys : float array) (idx : int array) lo hi =
   if hi - lo > 12 then begin
     (* median-of-three pivot, Hoare partition *)
     let mid = (lo + hi) lsr 1 in
-    if keys.(mid) < keys.(lo) then swap_kw keys wts mid lo;
+    if keys.(mid) < keys.(lo) then swap_ki keys idx mid lo;
     if keys.(hi) < keys.(mid) then begin
-      swap_kw keys wts hi mid;
-      if keys.(mid) < keys.(lo) then swap_kw keys wts mid lo
+      swap_ki keys idx hi mid;
+      if keys.(mid) < keys.(lo) then swap_ki keys idx mid lo
     end;
     let p = keys.(mid) in
     let i = ref lo and j = ref hi in
@@ -617,116 +573,28 @@ let rec qsort_kw (keys : float array) (wts : int array) lo hi =
         decr j
       done;
       if !i <= !j then begin
-        swap_kw keys wts !i !j;
+        swap_ki keys idx !i !j;
         incr i;
         decr j
       end
     done;
-    qsort_kw keys wts lo !j;
-    qsort_kw keys wts !i hi
+    qsort_kw keys idx lo !j;
+    qsort_kw keys idx !i hi
   end
   else
     for i = lo + 1 to hi do
-      let k = keys.(i) and w = wts.(i) in
+      let k = keys.(i) and v = idx.(i) in
       let j = ref (i - 1) in
       while !j >= lo && Array.unsafe_get keys !j > k do
         Array.unsafe_set keys (!j + 1) (Array.unsafe_get keys !j);
-        Array.unsafe_set wts (!j + 1) (Array.unsafe_get wts !j);
+        Array.unsafe_set idx (!j + 1) (Array.unsafe_get idx !j);
         decr j
       done;
       Array.unsafe_set keys (!j + 1) k;
-      Array.unsafe_set wts (!j + 1) w
+      Array.unsafe_set idx (!j + 1) v
     done
 
-let sort_kw keys wts n = if n > 1 then qsort_kw keys wts 0 (n - 1)
-
-(* Feed entry [i] of the pre-validated, key-sorted parallel (key, weight)
-   arrays into a 1D cursor. Takes the arrays plus an index rather than
-   the values themselves: a [float] function argument is boxed at every
-   call on non-flambda compilers — 2 minor-heap words per element per
-   tree, which the allocation gate would reject — while the indexed load
-   stays unboxed. Node-id indexing is safe by construction, so the
-   jurisdiction walk uses unsafe loads. *)
-let feed1 c (keys : float array) (wts : int array) i =
-  let x = Array.unsafe_get keys i in
-  let t = c.ctree in
-  let lvl = t.top in
-  let path = c.cpath in
-  let len = ref c.clen in
-  while !len > 0 && x >= fget lvl.jhi (Array.unsafe_get path (!len - 1)) do
-    decr len;
-    flush_slot c !len
-  done;
-  if !len = 0 && x >= fget lvl.jlo 0 then begin
-    Array.unsafe_set path 0 0;
-    Array.unsafe_set c.cmark 0 c.cw;
-    len := 1
-  end;
-  if !len > 0 then begin
-    let u = ref (Array.unsafe_get path (!len - 1)) in
-    let r = ref (bget lvl.right !u) in
-    while !r >= 0 do
-      let nxt = if x >= fget lvl.jlo !r then !r else bget lvl.left !u in
-      Array.unsafe_set path !len nxt;
-      Array.unsafe_set c.cmark !len c.cw;
-      incr len;
-      u := nxt;
-      r := bget lvl.right nxt
-    done;
-    c.cw <- c.cw + Array.unsafe_get wts i
-  end;
-  c.clen <- !len
-
-let feed_sorted_kw t (keys : float array) (wts : int array) n =
-  if not t.top.last then invalid_arg "Endpoint_tree.feed_sorted_kw: tree is not one-dimensional";
-  t.st.elements <- t.st.elements + n;
-  if t.top.n > 0 && n > 0 then begin
-    let c = scratch_cursor t in
-    for i = 0 to n - 1 do
-      feed1 c keys wts i
-    done;
-    flush c
-  end
-
-let ensure_scratch t n =
-  if Array.length t.skeys < n then begin
-    t.skeys <- Array.make n 0.;
-    t.swts <- Array.make n 0
-  end
-
-let process_batch t elems =
-  let n = Array.length elems in
-  for i = 0 to n - 1 do
-    validate_elem ~dim:t.dims (Array.unsafe_get elems i)
-  done;
-  if t.top.last then begin
-    (* 1D: reduce to the flat (key, weight) scratch, co-sort, feed. *)
-    t.st.elements <- t.st.elements + n;
-    if t.top.n > 0 && n > 0 then begin
-      ensure_scratch t n;
-      let keys = t.skeys and wts = t.swts in
-      for i = 0 to n - 1 do
-        let e = Array.unsafe_get elems i in
-        Array.unsafe_set keys i (Array.unsafe_get e.value 0);
-        Array.unsafe_set wts i e.weight
-      done;
-      sort_kw keys wts n;
-      let c = scratch_cursor t in
-      for i = 0 to n - 1 do
-        feed1 c keys wts i
-      done;
-      flush c
-    end
-  end
-  else begin
-    let sorted = sort_batch elems in
-    let c = scratch_cursor t in
-    c.clast := neg_infinity;
-    for i = 0 to Array.length sorted - 1 do
-      process_sorted c (Array.unsafe_get sorted i)
-    done;
-    flush c
-  end
+let sort_kw keys idx n = if n > 1 then qsort_kw keys idx 0 (n - 1)
 
 (* ---- public API ------------------------------------------------------ *)
 
@@ -816,13 +684,13 @@ let build ?(eager = false) ~dim ~on_mature batch =
       e_sigma;
       e_pos;
       qarr;
-      skeys = [||];
-      swts = [||];
-      scur = None;
+      cpath = Array.make (top.depth + 1) (-1);
+      cmark = Array.make (top.depth + 1) 0;
+      clen = 0;
+      cw = 0;
     }
   in
   Array.iter (fun q -> start_phase t q q.tree_tau) qarr;
-  t.scur <- Some (cursor t);
   t
 
 let dim t = t.dims

@@ -52,74 +52,34 @@ val process : t -> elem -> unit
     invoking [on_mature] for every query this element matures. The element
     itself is not stored. *)
 
-type cursor
-(** A batched-descent cursor: caches the root-to-leaf path of the previous
-    element so a run of key-sorted elements shares the common prefix of
-    their descents instead of re-descending from the root each time. On a
-    1D tree it additionally {e aggregates} counter increments: a node that
-    stays on the path across many consecutive elements receives one summed
-    bump (and one heap drain) when it leaves the path or at {!flush},
-    instead of one per element. Signal deliveries remain exact ([fire]
-    hands over [c - cbar] in multiples of lambda and re-arms above [c]),
-    and the known weight never exceeds the true weight, so maturities are
-    never reported early; after {!flush} the matured set equals the
-    sequential one. Between elements the tree's counters lag behind the
-    fed weight, so a cursor must be flushed before the tree is observed
-    ({!current_weight}, {!remaining}, snapshots) or mutated through any
-    other entry point. Work counters can only decrease vs. {!process}. *)
-
-val cursor : t -> cursor
-(** Fresh cursor positioned before every key. O(depth) allocation, done
-    once per batch (or reused across batches of one tree). *)
-
-val process_sorted : cursor -> elem -> unit
-(** [process_sorted c e] routes [e] like {!process} but via the cursor's
-    cached path, deferring 1D counter bumps as described above. Requires
-    the first coordinate of successive elements fed to [c] to be
-    non-decreasing; raises [Invalid_argument] otherwise. Elements are
-    validated like {!process}. *)
-
-val flush : cursor -> unit
-(** Apply every pending aggregated counter bump on the cursor's cached
-    path (deepest node first) and run the induced drains, then forget the
-    path. After [flush c] the tree state is exactly as if the whole fed
-    prefix had been processed; the cursor may keep feeding (still
-    non-decreasing) elements afterwards. Idempotent. *)
-
-val sort_batch : elem array -> elem array
-(** Copy of the batch sorted ascending on the first coordinate, using a
-    monomorphic branch-only float comparator (the polymorphic [compare]
-    is an out-of-line call and a sort makes ~2 n log n of them). Shared by
-    {!process_batch} and multi-tree drivers that feed several cursors from
-    one sorted copy. *)
-
-val process_batch : t -> elem array -> unit
-(** [process_batch t elems] validates every element, sorts the batch
-    (into the tree's preallocated scratch buffers on 1D trees, a copy
-    otherwise), feeds it through the tree's reusable cursor and
-    {!flush}es it. The matured id multiset equals that of calling
-    {!process} on the batch in any order (weights are order-independent
-    within a batch); only the attribution of maturity to individual
-    elements inside the batch coarsens. Work counters never exceed the
-    per-element equivalents — shared descents and aggregated bumps can
-    only remove work. On a 1D tree the call allocates zero minor-heap
-    words once the scratch buffers have reached the batch size (gated by
-    validate_bench on every perf run). *)
-
 val sort_kw : float array -> int array -> int -> unit
-(** [sort_kw keys wts n] co-sorts the first [n] entries of the parallel
-    (key, weight) arrays ascending by key, in place, with a monomorphic
-    closure-free quicksort. Allocation-free. Exposed for multi-tree
-    drivers ({!Dt_engine}) that extract a batch once and feed every live
-    1D tree via {!feed_sorted_kw}. *)
+(** [sort_kw keys idx n] co-sorts the first [n] entries of the parallel
+    (key, int) arrays ascending by key, in place, with a monomorphic
+    closure-free quicksort. Allocation-free. {!Dt_engine} sorts each batch
+    once this way — first coordinates against an identity permutation —
+    and feeds every live tree from the result via {!feed_sorted}. *)
 
-val feed_sorted_kw : t -> float array -> int array -> int -> unit
-(** [feed_sorted_kw t keys wts n] feeds the first [n] (key, weight)
-    pairs — which the caller guarantees are pre-validated and sorted
-    ascending by key, e.g. by {!sort_kw} — through the tree's reusable
-    cursor and flushes it, exactly like the 1D {!process_batch} but
-    without re-extracting or re-sorting. Allocation-free. Raises
-    [Invalid_argument] if the tree is not one-dimensional. *)
+val feed_sorted : t -> elem array -> float array -> int array -> int array -> int -> unit
+(** [feed_sorted t elems keys idx wts n] feeds the batch [elems] in the
+    order [idx.(0), ..., idx.(n-1)], where [keys.(i)] is the first
+    coordinate and [wts.(i)] the weight of [elems.(idx.(i))]. The caller
+    guarantees that the elements are valid and [keys] ascending (e.g. by
+    {!sort_kw}); nothing is re-checked. Allocation-free.
+
+    The tree's cursor keeps the previous element's top-level
+    root-to-leaf path, so a key-sorted run shares the common prefix of
+    its descents: each element pops the exhausted suffix and tail-walks
+    to its own leaf. On a 1D tree it also {e aggregates} counter
+    increments: a node that stays on the path across many consecutive
+    elements receives one summed bump (and one heap drain) when it leaves
+    the path or at the end of the call, instead of one per element. A
+    d > 1 tree applies each element to every path node's secondary tree
+    at once. Signal deliveries remain exact and the known weight never
+    exceeds the true weight, so maturities are never reported early; on
+    return the matured set and every survivor's weight equal those of
+    {!process} on the same elements, and only the attribution of
+    maturity to individual elements inside the call coarsens. Work
+    counters can only decrease vs. {!process}. *)
 
 val remove : t -> int -> unit
 (** [remove t id] terminates an alive query: deletes its slack entries from

@@ -23,6 +23,19 @@ let test_register_terminate_contract () =
   Dt_engine.register t (q ~id:1 ~threshold:5 (0., 10.));
   Alcotest.(check bool) "reused" true (Dt_engine.is_alive t 1)
 
+(* A batch that repeats an id is refused before any tree moves: the
+   queries already registered keep their trees and their progress. *)
+let test_register_batch_repeated_id () =
+  let t = Dt_engine.create ~dim:1 () in
+  Dt_engine.register t (q ~id:1 ~threshold:5 (0., 10.));
+  ignore (Dt_engine.process t (elem1 5. 2) : int list);
+  Alcotest.check_raises "repeated id" (Invalid_argument "Dt_engine.register_batch: duplicate id")
+    (fun () ->
+      Dt_engine.register_batch t [ q ~id:2 ~threshold:5 (0., 10.); q ~id:2 ~threshold:5 (0., 10.) ]);
+  Alcotest.(check int) "trees kept" 1 (Dt_engine.tree_count t);
+  Alcotest.(check int) "progress kept" 2 (Dt_engine.progress t 1);
+  Alcotest.(check bool) "nothing registered" false (Dt_engine.is_alive t 2)
+
 let test_maturity_removes () =
   let t = Dt_engine.create ~dim:1 () in
   Dt_engine.register t (q ~id:1 ~threshold:2 (0., 10.));
@@ -289,6 +302,48 @@ let prop_dynamic_churn =
       done;
       !ok)
 
+(* A refused element or batch changes nothing: [process] and
+   [process_batch] validate before they count, with zero live trees as
+   with several, so elements_total and every query's progress stay put. *)
+let test_refused_feed_changes_nothing () =
+  let good = { Types.value = [| 1.; 1. |]; weight = 1 } in
+  let bad =
+    [
+      ("NaN coordinate", { Types.value = [| nan; 1. |]; weight = 1 });
+      ("wrong dimension", { Types.value = [| 1. |]; weight = 1 });
+      ("weight 0", { Types.value = [| 1.; 1. |]; weight = 0 });
+    ]
+  in
+  List.iter
+    (fun m ->
+      let t = Dt_engine.create ~dim:2 () in
+      for id = 0 to m - 1 do
+        Dt_engine.register t
+          { Types.id; rect = Types.rect_make [| (0., 10.); (0., 10.) |]; threshold = 100 }
+      done;
+      if m > 0 then
+        Alcotest.(check bool) "several live trees" true (Dt_engine.tree_count t > 1);
+      ignore (Dt_engine.process t good : int list);
+      let state () =
+        ( Engine.Metrics.counter_value (Dt_engine.metrics t) "elements_total",
+          List.init m (Dt_engine.progress t) )
+      in
+      let before = state () in
+      List.iter
+        (fun (name, e) ->
+          let refused label f =
+            match f () with
+            | (_ : int list) -> Alcotest.failf "%d queries, %s: %s accepted it" m name label
+            | exception Invalid_argument _ ->
+                Alcotest.(check (pair int (list int)))
+                  (Printf.sprintf "%d queries, %s: %s changed nothing" m name label)
+                  before (state ())
+          in
+          refused "process" (fun () -> Dt_engine.process t e);
+          refused "process_batch" (fun () -> Dt_engine.process_batch t [| good; e; good |]))
+        bad)
+    [ 0; 7 ]
+
 let prop_restore_continuation =
   (* The checkpointing contract the durability layer builds on: cut a
      random churn run at a random point, restore [alive_snapshot] into a
@@ -326,6 +381,7 @@ let () =
       ( "unit",
         [
           Alcotest.test_case "register/terminate contract" `Quick test_register_terminate_contract;
+          Alcotest.test_case "register_batch repeated id" `Quick test_register_batch_repeated_id;
           Alcotest.test_case "maturity removes" `Quick test_maturity_removes;
           Alcotest.test_case "threshold carries across migration" `Quick
             test_threshold_carry_across_migration;
@@ -342,6 +398,8 @@ let () =
           Alcotest.test_case "engine snapshot/restore" `Quick test_snapshot_restore_engine_level;
           Alcotest.test_case "restore validation" `Quick test_restore_validation;
           Alcotest.test_case "restore edge cases" `Quick test_restore_edge_cases;
+          Alcotest.test_case "refused feed changes nothing" `Quick
+            test_refused_feed_changes_nothing;
         ] );
       ( "property",
         [

@@ -2,8 +2,8 @@
    semantics, DT telemetry bounds (the in-tree analogue of the
    O(h log tau) message bound), removal, weight accounting, per-element
    maturity of many queries sharing node counters against a scalar model,
-   and the batched feeds (cursor, feed_sorted_kw, process_batch) — the
-   building block underneath Dt_engine. *)
+   and the batch feed (sort_kw, feed_sorted) — the building block
+   underneath Dt_engine. *)
 
 open Rts_core
 module Prng = Rts_util.Prng
@@ -497,56 +497,37 @@ let check_same_state name (a, fired_a) (b, fired_b) batch =
           (Endpoint_tree.current_weight b qq.id))
     batch
 
-let test_cursor_contract () =
-  let rng = Prng.create ~seed:8 in
-  let batch = random_batch rng ~dim:1 ~m:50 ~domain:30 ~max_tau:400 in
-  let fresh () =
-    let fired = ref [] in
-    (build1 ~on_mature:(fun id -> fired := id :: !fired) batch, fired)
-  in
-  let ((a, _) as ta) = fresh () and ((b, _) as tb) = fresh () in
-  let elems =
-    Endpoint_tree.sort_batch (Array.init 800 (fun _ -> random_elem rng ~dim:1 ~domain:30 ~max_w:5))
-  in
-  Array.iter (Endpoint_tree.process a) elems;
-  let c = Endpoint_tree.cursor b in
-  Array.iter (Endpoint_tree.process_sorted c) elems;
-  Endpoint_tree.flush c;
-  Endpoint_tree.flush c;
-  check_same_state "flushed cursor (twice)" ta tb batch;
-  let c = Endpoint_tree.cursor b in
-  Endpoint_tree.process_sorted c (elem1 20. 1);
-  Alcotest.check_raises "decreasing key"
-    (Invalid_argument "Endpoint_tree.process_sorted: elements not sorted on the first dimension")
-    (fun () -> Endpoint_tree.process_sorted c (elem1 19. 1))
-
-let test_feed_sorted_kw () =
-  let rng = Prng.create ~seed:9 in
-  let batch = random_batch rng ~dim:1 ~m:50 ~domain:30 ~max_tau:400 in
-  let fresh () =
-    let fired = ref [] in
-    (build1 ~on_mature:(fun id -> fired := id :: !fired) batch, fired)
-  in
-  let ((a, _) as ta) = fresh () and ((b, _) as tb) = fresh () and ((c, _) as tc) = fresh () in
-  let n = 700 in
-  let elems = Array.init n (fun _ -> random_elem rng ~dim:1 ~domain:30 ~max_w:5) in
-  let keys = Array.map (fun (e : Types.elem) -> e.value.(0)) elems in
-  let wts = Array.map (fun (e : Types.elem) -> e.weight) elems in
-  let pairs k w = List.sort compare (Array.to_list (Array.map2 (fun k w -> (k, w)) k w)) in
-  let before = pairs keys wts in
-  Endpoint_tree.sort_kw keys wts n;
-  Alcotest.(check bool) "sort_kw: keys ascending" true
-    (Array.for_all Fun.id (Array.init (n - 1) (fun i -> keys.(i) <= keys.(i + 1))));
-  Alcotest.(check bool) "sort_kw: pairs kept together" true (before = pairs keys wts);
-  Array.iter (Endpoint_tree.process a) elems;
-  Endpoint_tree.feed_sorted_kw b keys wts n;
-  Endpoint_tree.process_batch c elems;
-  check_same_state "feed_sorted_kw" ta tb batch;
-  check_same_state "process_batch" ta tc batch;
-  let t2 = Endpoint_tree.build ~dim:2 ~on_mature:(fun _ -> ()) [] in
-  Alcotest.check_raises "2D tree"
-    (Invalid_argument "Endpoint_tree.feed_sorted_kw: tree is not one-dimensional") (fun () ->
-      Endpoint_tree.feed_sorted_kw t2 keys wts n)
+(* The one batch entry point at every dimension: [sort_kw] co-sorts the
+   first coordinates with an identity permutation, and [feed_sorted] in
+   that order leaves the tree in the state per-element [process] reaches. *)
+let test_feed_sorted () =
+  List.iter
+    (fun dim ->
+      let rng = Prng.create ~seed:(8 + dim) in
+      let batch = random_batch rng ~dim ~m:50 ~domain:30 ~max_tau:400 in
+      let fresh () =
+        let fired = ref [] in
+        (Endpoint_tree.build ~dim ~on_mature:(fun id -> fired := id :: !fired) batch, fired)
+      in
+      let ((a, _) as ta) = fresh () and ((b, _) as tb) = fresh () in
+      let n = 700 in
+      let elems = Array.init n (fun _ -> random_elem rng ~dim ~domain:30 ~max_w:5) in
+      let keys = Array.map (fun (e : Types.elem) -> e.value.(0)) elems in
+      let idx = Array.init n Fun.id in
+      Endpoint_tree.sort_kw keys idx n;
+      let name = Printf.sprintf "dim %d" dim in
+      Alcotest.(check bool) (name ^ ": keys ascending") true
+        (Array.for_all Fun.id (Array.init (n - 1) (fun i -> keys.(i) <= keys.(i + 1))));
+      Alcotest.(check (list int)) (name ^ ": idx a permutation") (List.init n Fun.id)
+        (List.sort compare (Array.to_list idx));
+      Alcotest.(check bool) (name ^ ": keys follow idx") true
+        (Array.for_all2 (fun k i -> k = elems.(i).Types.value.(0)) keys idx);
+      let wts = Array.map (fun i -> elems.(i).Types.weight) idx in
+      Array.iter (Endpoint_tree.process a) elems;
+      Endpoint_tree.feed_sorted b elems keys idx wts n;
+      check_same_state name ta tb batch;
+      Alcotest.(check int) (name ^ ": elements counted") n (Endpoint_tree.stats b).elements)
+    [ 1; 2; 3 ]
 
 let test_process_validation () =
   Alcotest.check_raises "dim < 1" (Invalid_argument "Endpoint_tree.build: dim < 1") (fun () ->
@@ -558,13 +539,6 @@ let test_process_validation () =
   Alcotest.check_raises "process: weight < 1"
     (Invalid_argument "Endpoint_tree.process: weight < 1") (fun () ->
       Endpoint_tree.process t (elem1 1. 0));
-  let c = Endpoint_tree.cursor t in
-  Alcotest.check_raises "process_sorted: bad dimensionality"
-    (Invalid_argument "Endpoint_tree.process_sorted: bad dimensionality") (fun () ->
-      Endpoint_tree.process_sorted c { Types.value = [||]; weight = 1 });
-  Alcotest.check_raises "process_sorted: weight < 1"
-    (Invalid_argument "Endpoint_tree.process_sorted: weight < 1") (fun () ->
-      Endpoint_tree.process_sorted c (elem1 1. 0));
   Alcotest.(check int) "refused elements count nothing" 0 (Endpoint_tree.current_weight t 1)
 
 let prop_maturity_exact =
@@ -608,10 +582,7 @@ let () =
           Alcotest.test_case "eager matches lazy" `Quick test_eager_matches_lazy;
         ] );
       ( "batched feeds",
-        [
-          Alcotest.test_case "cursor contract" `Quick test_cursor_contract;
-          Alcotest.test_case "feed_sorted_kw and process_batch" `Quick test_feed_sorted_kw;
-        ] );
+        [ Alcotest.test_case "feed_sorted equals process" `Quick test_feed_sorted ] );
       ( "property",
         [
           QCheck_alcotest.to_alcotest prop_weight_exact;

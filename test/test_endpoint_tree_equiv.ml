@@ -6,16 +6,17 @@
    included, because heap layouts and iteration orders were preserved
    exactly), same per-query weights, same work counters. This property
    drives both builds through identical random op sequences — single
-   elements, sorted batches, cursor feeds flushed at random cut points,
-   removals — over random 1D/2D query sets, and checks the observable
-   state after every operation.
+   elements, batches fed in chunks cut at random points, removals — over
+   random 1D/2D/3D query sets, and checks the observable state after
+   every operation.
 
    The suite also pins the headline allocation claim as a regression
-   test: feeding the DT engine 1024-element batches allocates zero
-   minor-heap words per element (native code only — bytecode boxes
-   local floats by design). This is the same invariant validate_bench
-   requires of every perf run; keeping a copy in the test suite means a
-   regression fails `dune runtest` directly, without running the bench. *)
+   test: feeding the DT engine, one element at a time or in 1024-element
+   batches, allocates zero minor-heap words per element at dims 1-3
+   (native code only — bytecode boxes local floats by design). This is
+   the invariant validate_bench requires of every perf run; keeping a
+   copy in the test suite means a regression fails `dune runtest`
+   directly, without running the bench. *)
 
 open Rts_core
 module ET = Endpoint_tree
@@ -98,7 +99,7 @@ let check_final ~seed ~m a b =
 
 let episode seed =
   let rng = Prng.create ~seed in
-  let dim = 1 + Prng.int rng 2 in
+  let dim = 1 + Prng.int rng 3 in
   let domain = 4 + Prng.int rng 40 in
   let m = Prng.int rng 40 in
   let eager = Prng.bernoulli rng 0.15 in
@@ -114,29 +115,29 @@ let episode seed =
         let e = gen_elem rng ~dim ~domain in
         ET.process a e;
         Ref.process b e
-    | 4 | 5 | 6 ->
-        (* whole-batch entry point (sort + cursor + flush inside) *)
+    | 4 | 5 | 6 | 7 | 8 ->
+        (* one batch sorted once as Dt_engine sorts it, cut at random
+           points into consecutive chunks, each fed in one [feed_sorted]
+           call; the reference cursor visits the same order and flushes
+           at the same cuts — both builds must coarsen identically *)
         let n = 1 + Prng.int rng 200 in
         let elems = Array.init n (fun _ -> gen_elem rng ~dim ~domain) in
-        ET.process_batch a elems;
-        Ref.process_batch b elems
-    | 7 | 8 ->
-        (* cursor feed over one sorted copy, flushed at random cut
-           points — both builds must coarsen identically at every cut *)
-        let n = 1 + Prng.int rng 200 in
-        let elems = ET.sort_batch (Array.init n (fun _ -> gen_elem rng ~dim ~domain)) in
-        let cuts = Array.init n (fun _ -> Prng.bernoulli rng 0.1) in
-        let ca = ET.cursor a and cb = Ref.cursor b in
+        let keys = Array.map (fun (e : Types.elem) -> e.value.(0)) elems in
+        let idx = Array.init n Fun.id in
+        ET.sort_kw keys idx n;
+        let wts = Array.map (fun i -> elems.(i).Types.weight) idx in
+        let cb = Ref.cursor b in
+        let start = ref 0 in
         for i = 0 to n - 1 do
-          ET.process_sorted ca elems.(i);
-          Ref.process_sorted cb elems.(i);
-          if cuts.(i) then begin
-            ET.flush ca;
-            Ref.flush cb
+          Ref.process_sorted cb elems.(idx.(i));
+          if i = n - 1 || Prng.bernoulli rng 0.1 then begin
+            let len = i + 1 - !start in
+            let chunk a = Array.sub a !start len in
+            ET.feed_sorted a elems (chunk keys) (chunk idx) (chunk wts) len;
+            Ref.flush cb;
+            start := i + 1
           end
-        done;
-        ET.flush ca;
-        Ref.flush cb
+        done
     | _ ->
         if m > 0 then begin
           let id = Prng.int rng m in
@@ -164,44 +165,64 @@ let prop_equiv =
 (* ---- pinned allocation regression ---- *)
 
 (* validate_bench requires allocated_words_per_element = 0 for the DT
-   engine at every batch size of a perf run; this is the in-suite
-   copy at batch 1024. Native only: bytecode has no float unboxing, so
-   the zero-allocation property is not claimed there. *)
-let test_dt_alloc_free_1024 () =
+   engine on every perf run; this is the in-suite copy for both feeds at
+   dims 1-3. The queries are registered one at a time, so several trees
+   are live, and none can mature (a maturity returns a list). Each feed
+   is measured with a bare [for] loop: an [Array.iter] closure would
+   count too. Native only: bytecode has no float unboxing, so the
+   zero-allocation property is not claimed there. *)
+let test_dt_alloc_free dim () =
   match Sys.backend_type with
   | Sys.Bytecode | Sys.Other _ -> ()
   | Sys.Native ->
-      let rng = Prng.create ~seed:7 in
-      let e = Dt_engine.make ~dim:1 in
-      for id = 0 to 49 do
-        let a = float_of_int (Prng.int rng 1000) in
-        let hi = a +. 1. +. float_of_int (Prng.int rng 1000) in
-        e.Engine.register
-          { Types.id; rect = Types.rect_make [| (a, hi) |]; threshold = max_int }
+      let rng = Prng.create ~seed:(7 + dim) in
+      let e = Dt_engine.create ~dim () in
+      for id = 0 to 199 do
+        let bounds =
+          Array.init dim (fun _ ->
+              let a = float_of_int (Prng.int rng 1000) in
+              (a, a +. 1. +. float_of_int (Prng.int rng 1000)))
+        in
+        Dt_engine.register e { Types.id; rect = Types.rect_make bounds; threshold = max_int }
       done;
+      Alcotest.(check bool) "several live trees" true (Dt_engine.tree_count e > 1);
+      let n = 1024 in
       let batch =
-        Array.init 1024 (fun _ ->
+        Array.init n (fun _ ->
             {
-              Types.value = [| float_of_int (Prng.int rng 1100) |];
+              Types.value = Array.init dim (fun _ -> float_of_int (Prng.int rng 1100));
               weight = 1 + Prng.int rng 5;
             })
       in
+      let eng = Dt_engine.engine e in
+      let feed_batch () = ignore (eng.Engine.feed_batch batch : int list) in
+      let process () =
+        for i = 0 to n - 1 do
+          ignore (eng.Engine.process (Array.unsafe_get batch i) : int list)
+        done
+      in
       (* warm up: grows the engine's scratch buffers to the batch size
          and settles any lazy structure, then measure steady state *)
-      ignore (e.Engine.feed_batch batch);
+      feed_batch ();
+      process ();
       Gc.full_major ();
-      let words =
-        Alloc.words_per_item ~runs:5 ~items:1024 (fun () ->
-            ignore (e.Engine.feed_batch batch))
-      in
-      Alcotest.(check (float 0.0))
-        "allocated words per element, DT feed_batch 1024" 0.0 words
+      List.iter
+        (fun (name, feed) ->
+          Alcotest.(check (float 0.0))
+            (Printf.sprintf "allocated words per element, DT %s, dim %d" name dim)
+            0.0
+            (Alloc.words_per_item ~runs:5 ~items:n feed))
+        [ ("feed_batch 1024", feed_batch); ("process", process) ]
 
 let () =
   Alcotest.run "endpoint_tree_equiv"
     [
       ("equivalence", [ QCheck_alcotest.to_alcotest prop_equiv ]);
       ( "allocation",
-        [ Alcotest.test_case "dt feed_batch 1024 allocates 0 words/element" `Quick
-            test_dt_alloc_free_1024 ] );
+        List.map
+          (fun dim ->
+            Alcotest.test_case
+              (Printf.sprintf "dt feed_batch and process allocate 0 words/element, dim %d" dim)
+              `Quick (test_dt_alloc_free dim))
+          [ 1; 2; 3 ] );
     ]
