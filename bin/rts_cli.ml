@@ -42,6 +42,7 @@ let protect f =
   | Invalid_argument msg -> err exit_invalid "invalid argument: %s" msg
   | Checkpoint.Corrupt msg -> err exit_corrupt "corrupt durable state: %s" msg
   | Recovery.Gap _ as e -> err exit_corrupt "corrupt durable state: %s" (Printexc.to_string e)
+  | Wal.Unsupported_format msg -> err exit_corrupt "corrupt durable state: %s" msg
   | Sys_error msg -> err exit_io "%s" msg
   | Unix.Unix_error (e, fn, arg) -> err exit_io "%s: %s (%s)" fn (Unix.error_message e) arg
   | Failure msg -> err exit_failure "%s" msg

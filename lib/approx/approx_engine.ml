@@ -161,7 +161,7 @@ let engine t =
     Engine.name = t.name;
     dim = 1;
     register = register t;
-    register_batch = Engine.batch_of_register (register t);
+    register_batch = Engine.batch_of_register ~dim:1 ~is_alive:(Hashtbl.mem t.alive) (register t);
     terminate = terminate t;
     process = process t;
     feed_batch = Engine.batch_of_process (process t);

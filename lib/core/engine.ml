@@ -24,7 +24,18 @@ let batch_of_process process elems =
 let sort_snapshot entries =
   List.sort (fun ((a : query), _) ((b : query), _) -> compare a.id b.id) entries
 
-let batch_of_register register queries = List.iter register queries
+(* Validate the whole batch before registering any of it, so a refused
+   batch leaves the engine as it was. *)
+let batch_of_register ~dim ~is_alive register queries =
+  let seen = Hashtbl.create 16 in
+  List.iter
+    (fun q ->
+      validate_query ~dim q;
+      if is_alive q.id then invalid_arg "register_batch: id already alive";
+      if Hashtbl.mem seen q.id then invalid_arg "register_batch: duplicate id";
+      Hashtbl.replace seen q.id ())
+    queries;
+  List.iter register queries
 
 let no_metrics () = Metrics.empty
 

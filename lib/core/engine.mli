@@ -18,8 +18,11 @@ type t = {
       (** Accept a query at the current moment. Raises [Invalid_argument] on
           an invalid query or duplicate alive id. *)
   register_batch : query list -> unit;
-      (** Accept many queries at one instant. Semantically identical to
-          registering them one by one (in list order), but an engine may
+      (** Accept many queries at one instant. Atomic: if any query is
+          invalid, already alive or repeated in the batch, raises
+          [Invalid_argument] and registers none of them. Otherwise
+          identical to registering them one by one (in list order), but
+          an engine may
           exploit the batch — the DT engine builds one endpoint tree
           directly, the paper's Scenario-1 "construction at the beginning
           of the stream", instead of paying the logarithmic method's
@@ -70,8 +73,12 @@ val sort_matured : int list -> int list
 (** Ascending, dedup-free sort used by implementations to normalize their
     [process] output. *)
 
-val batch_of_register : (query -> unit) -> query list -> unit
-(** Default [register_batch]: iterate [register]. *)
+val batch_of_register :
+  dim:int -> is_alive:(int -> bool) -> (query -> unit) -> query list -> unit
+(** Default [register_batch]: check every query first (valid at [dim],
+    id not [is_alive], no id repeated in the batch), raising
+    [Invalid_argument] before anything is registered, then iterate
+    [register]. *)
 
 val batch_of_process : (elem -> int list) -> elem array -> int list
 (** Default [feed_batch]: iterate [process] in array order, collect and

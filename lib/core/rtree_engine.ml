@@ -93,7 +93,7 @@ let engine t =
     Engine.name = "r-tree";
     dim = t.dims;
     register = register t;
-    register_batch = Engine.batch_of_register (register t);
+    register_batch = Engine.batch_of_register ~dim:t.dims ~is_alive:(is_alive t) (register t);
     terminate = terminate t;
     process = process t;
     feed_batch = feed_batch t;

@@ -87,7 +87,7 @@ let engine t =
     Engine.name = "interval-tree";
     dim = 1;
     register = register t;
-    register_batch = Engine.batch_of_register (register t);
+    register_batch = Engine.batch_of_register ~dim:1 ~is_alive:(is_alive t) (register t);
     terminate = terminate t;
     process = process t;
     feed_batch = feed_batch t;

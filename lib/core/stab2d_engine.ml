@@ -91,7 +91,7 @@ let engine t =
     Engine.name = "seg-intv";
     dim = 2;
     register = register t;
-    register_batch = Engine.batch_of_register (register t);
+    register_batch = Engine.batch_of_register ~dim:2 ~is_alive:(is_alive t) (register t);
     terminate = terminate t;
     process = process t;
     feed_batch = feed_batch t;

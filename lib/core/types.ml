@@ -50,7 +50,8 @@ let validate_elem ~dim e =
   let v = e.value in
   for k = 0 to dim - 1 do
     let x = Array.unsafe_get v k in
-    if x <> x then invalid_arg "element: NaN coordinate"
+    if x <> x then invalid_arg "element: NaN coordinate";
+    if Float.abs x = infinity then invalid_arg "element: infinite coordinate"
   done;
   if e.weight < 1 then invalid_arg "element: weight < 1"
 

@@ -118,24 +118,31 @@ let wrap ?(config = default) ?report ?wal_epoch ?(segment_records = 0) ~dir (eng
       register_batch =
         (fun qs ->
           engine.Engine.register_batch qs;
-          (* Log the whole batch before considering a checkpoint: a
-             checkpoint taken mid-batch would describe engine state the
-             op count does not cover, and replaying the rest of the
-             batch over it would re-register live ids. *)
-          List.iter (fun q -> log h (Replay.Register q)) qs;
+          (* Log the whole batch, one record per query in one write,
+             before considering a checkpoint: a checkpoint taken
+             mid-batch would describe engine state the op count does not
+             cover, and replaying the rest of the batch over it would
+             re-register live ids. Every engine refuses a batch before
+             anything moves, so a refused batch logs nothing and leaves
+             nothing unlogged. *)
+          Wal.append_ops h.wal (List.map (fun q -> Replay.Register q) qs);
+          h.ops <- h.ops + List.length qs;
           maybe_checkpoint h);
       terminate = (fun id -> ignore (step (Replay.Terminate id)));
       process = (fun e -> step (Replay.Element e));
       feed_batch =
         (fun elems ->
           let matured = engine.Engine.feed_batch elems in
-          (* Same apply-then-log discipline as [register_batch]: append
-             every element before considering a checkpoint, so no
-             checkpoint describes a half-applied batch. A crash inside
-             the append loop widens the at-least-once window to the whole
-             batch — the producer re-feeds from its last acknowledged
-             batch boundary, exactly as it re-feeds a single element. *)
-          Array.iter (fun e -> log h (Replay.Element e)) elems;
+          (* Same apply-then-log discipline as [register_batch]: the
+             batch is one record in one write, logged before considering
+             a checkpoint, so no checkpoint describes a half-applied
+             batch. A torn record drops the whole batch: the at-least-once
+             window is the batch — the producer re-feeds from its last
+             acknowledged batch boundary, exactly as it re-feeds a single
+             element. *)
+          Wal.append_elements h.wal elems;
+          h.ops <- h.ops + Array.length elems;
+          h.elements <- h.elements + Array.length elems;
           maybe_checkpoint h;
           matured);
       metrics =

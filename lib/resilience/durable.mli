@@ -6,7 +6,9 @@
     - appends every op (REGISTER / TERMINATE / element) to the
       checksummed {!Wal} in [dir] — {e after} applying it, so an op the
       engine rejects (duplicate id, bad query) never pollutes the log
-      and can never poison a future recovery;
+      and can never poison a future recovery. A [feed_batch] is one
+      ['E'] record and a [register_batch] one record per query, each
+      batch in one write;
     - whenever {!checkpoint_due} holds after an op (after the whole
       batch for [register_batch] / [feed_batch]), fsyncs the WAL and
       atomically publishes a {!Checkpoint} generation built from the

@@ -41,7 +41,9 @@ type plan = {
   crash_at_append : int;
       (** 1-based count of {!Io.file.append} calls (across all files
           opened through the wrapper) at which to crash; the WAL issues
-          one append per record, so this is crash-at-op-k. [max_int]
+          one append per op, and one per batch for
+          [feed_batch]/[register_batch], so this is crash at the k-th
+          op or batch. [max_int]
           (see {!no_crash}) never fires. *)
   torn : bool;
       (** Allow a prefix of the in-flight record to survive the crash. *)

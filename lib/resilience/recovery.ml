@@ -128,7 +128,7 @@ let pp_report ppf r =
   | None -> fprintf ppf "  checkpoint: none@,");
   if r.generations_skipped > 0 then
     fprintf ppf "  corrupt generations skipped: %d@," r.generations_skipped;
-  fprintf ppf "  wal: %d valid records, %d replayed past checkpoint@," r.wal_records
+  fprintf ppf "  wal: %d intact ops, %d replayed past checkpoint@," r.wal_records
     r.ops_replayed;
   if r.bytes_discarded > 0 then
     fprintf ppf "  torn tail discarded: %d bytes@," r.bytes_discarded;

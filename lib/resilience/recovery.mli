@@ -10,7 +10,7 @@
       its threshold reduced by the consumed weight (the paper's
       global-rebuilding threshold adjustment — continuation behaviour
       is bit-identical, see {!Rts_core.Dt_engine.restore});
-    + scan the WAL, drop its torn tail, and replay the records past the
+    + scan the WAL, drop its torn tail, and replay the ops past the
       checkpoint's op ordinal.
 
     The returned {!report} says exactly how far durability reached:
@@ -27,8 +27,8 @@ type report = {
   generations_skipped : int;  (** Corrupt generations stepped over. *)
   checkpoint_ops : int;  (** Op ordinal covered by that checkpoint. *)
   checkpoint_elements : int;  (** Element ordinal covered by it. *)
-  wal_records : int;  (** Valid records found in the WAL. *)
-  ops_replayed : int;  (** WAL records applied past the checkpoint. *)
+  wal_records : int;  (** Intact ops found in the WAL (ops, not records). *)
+  ops_replayed : int;  (** WAL ops applied past the checkpoint. *)
   bytes_discarded : int;  (** Torn-tail bytes dropped from the WAL. *)
   ops_total : int;  (** Durable op count — resume after this. *)
   elements_total : int;  (** Durable element count. *)
@@ -49,7 +49,8 @@ val recover :
     state in [dir]. An empty directory yields a fresh engine and a
     zero report. Raises [Invalid_argument] if a valid checkpoint's
     dimensionality differs from [dim]; {!Gap} if that checkpoint does
-    not reach the start of the WAL chain; {!Rts_workload.Replay.Engine_error}
+    not reach the start of the WAL chain; {!Wal.Unsupported_format} on
+    a format-1 (text) WAL; {!Rts_workload.Replay.Engine_error}
     (with absolute op ordinals) if the WAL suffix is inconsistent with
     the checkpoint — which, given per-record CRCs, indicates a bug or
     tampering rather than a crash. *)

@@ -1,18 +1,89 @@
 module Crc32 = Rts_util.Crc32
+open Rts_core
 open Rts_workload
 
 let default_file = "wal.log"
 
 exception Fenced of { requested : int; found : int }
+exception Unsupported_format of string
 
-(* A single frame is at most a few hundred bytes (one op line); cap the
-   length field so a corrupt header cannot make the scanner treat the
-   rest of the file as one giant pending record. *)
+let unsupported file what =
+  raise
+    (Unsupported_format
+       (Printf.sprintf "%s: %s is no longer read; WAL format 2 (binary) expected" file what))
+
+(* ---------------- records ---------------- *)
+
+(* The layout is tabulated in wal.mli. The payload cap keeps a corrupt
+   length field from making the scanner treat the rest of the file as
+   one giant pending record; the writer splits element batches under
+   it. *)
 let max_payload = 1_000_000
+let framing = 8
+let elem_bytes dim = (8 * dim) + 8
+let elems_header = 5
+let register_bytes dim = 17 + (16 * dim)
+let terminate_bytes = 9
+
+let put_int b off v = Bytes.set_int64_le b off (Int64.of_int v)
+let put_float b off x = Bytes.set_int64_le b off (Int64.bits_of_float x)
+
+(* Fill in the length and CRC of the record whose payload of [len]
+   bytes is already written at [off + framing]. *)
+let seal b off len =
+  Bytes.set_int32_le b off (Int32.of_int len);
+  Bytes.set_int32_le b (off + 4) (Crc32.subbytes b ~pos:(off + framing) ~len)
+
+let op_bytes = function
+  | Replay.Register q -> framing + register_bytes (Types.dim_of_rect q.rect)
+  | Terminate _ -> framing + terminate_bytes
+  | Element e -> framing + elems_header + elem_bytes (Array.length e.value)
+
+(* One [E] record for [elems.(first) .. elems.(first + n - 1)] at [off];
+   returns the offset after it. *)
+let put_elements b off ~dim elems first n =
+  let p = off + framing and per = elem_bytes dim in
+  Bytes.set b p 'E';
+  Bytes.set_int32_le b (p + 1) (Int32.of_int n);
+  for i = 0 to n - 1 do
+    let e = elems.(first + i) and o = p + elems_header + (i * per) in
+    if Array.length e.Types.value <> dim then invalid_arg "Wal: element dimension mismatch";
+    for k = 0 to dim - 1 do
+      put_float b (o + (8 * k)) e.Types.value.(k)
+    done;
+    put_int b (o + (8 * dim)) e.Types.weight
+  done;
+  let len = elems_header + (n * per) in
+  seal b off len;
+  p + len
+
+let put_op b off op =
+  let p = off + framing in
+  match op with
+  | Replay.Element e -> put_elements b off ~dim:(Array.length e.value) [| e |] 0 1
+  | Terminate id ->
+      Bytes.set b p 'T';
+      put_int b (p + 1) id;
+      seal b off terminate_bytes;
+      p + terminate_bytes
+  | Register q ->
+      let dim = Types.dim_of_rect q.rect in
+      Bytes.set b p 'R';
+      put_int b (p + 1) q.id;
+      put_int b (p + 9) q.threshold;
+      for k = 0 to dim - 1 do
+        put_float b (p + 17 + (16 * k)) q.rect.lo.(k);
+        put_float b (p + 25 + (16 * k)) q.rect.hi.(k)
+      done;
+      seal b off (register_bytes dim);
+      p + register_bytes dim
 
 let frame op =
-  let payload = Replay.op_to_line op in
-  Printf.sprintf "%d,%s,%s\n" (String.length payload) (Crc32.to_hex (Crc32.string payload)) payload
+  let b = Bytes.create (op_bytes op) in
+  ignore (put_op b 0 op);
+  Bytes.unsafe_to_string b
+
+(* ---------------- scanning ---------------- *)
 
 type scanned = {
   ops : Replay.op list;
@@ -25,147 +96,166 @@ type scanned = {
 
 let empty_scanned = { ops = []; records = 0; base = 0; epoch = 0; valid_bytes = 0; bytes_discarded = 0 }
 
-let is_digit = function '0' .. '9' -> true | _ -> false
+(* Raised inside the decoder only; ends the intact prefix. *)
+exception Refused
 
-(* Parse one record starting at [pos]; [Some (op, next_pos)] or [None]
-   if the bytes from [pos] are not an intact record. *)
-let parse_record ~dim ~record_no data pos =
+let get_u32 data off = Int32.to_int (String.get_int32_le data off) land 0xffff_ffff
+
+let get_int data off =
+  let x = String.get_int64_le data off in
+  let i = Int64.to_int x in
+  if Int64.of_int i <> x then raise_notrace Refused;
+  i
+
+let get_float data off = Int64.float_of_bits (String.get_int64_le data off)
+
+(* Decode the record at [pos] onto [acc] (newest first); returns the
+   extended list, its op count and the next position. Refuses exactly
+   what [Replay.parse_op] refuses of the same op, plus any framing
+   violation. *)
+let decode ~dim data pos acc =
   let n = String.length data in
-  match String.index_from_opt data pos ',' with
-  | None -> None
-  | Some c1 ->
-      let len_digits = c1 - pos in
-      if len_digits < 1 || len_digits > 7 then None
-      else if not (String.for_all is_digit (String.sub data pos len_digits)) then None
-      else
-        let len = int_of_string (String.sub data pos len_digits) in
-        if len > max_payload then None
-        else
-          let crc_end = c1 + 9 in
-          if crc_end >= n || data.[crc_end] <> ',' then None
-          else
-            match Crc32.of_hex (String.sub data (c1 + 1) 8) with
-            | None -> None
-            | Some crc ->
-                let pstart = crc_end + 1 in
-                (* payload plus its '\n' terminator must fit *)
-                if pstart + len >= n then None
-                else if data.[pstart + len] <> '\n' then None
-                else
-                  let payload = String.sub data pstart len in
-                  if Crc32.string payload <> crc then None
-                  else (
-                    match Replay.parse_op ~dim ~line_no:record_no payload with
-                    | op -> Some (op, pstart + len + 1)
-                    | exception Csv_io.Parse_error _ -> None)
+  if n - pos < framing then raise_notrace Refused;
+  let len = get_u32 data pos in
+  if len < 1 || len > max_payload || n - pos - framing < len then raise_notrace Refused;
+  let p = pos + framing in
+  if String.get_int32_le data (pos + 4) <> Crc32.substring data ~pos:p ~len then
+    raise_notrace Refused;
+  let next = p + len in
+  match data.[p] with
+  | 'E' ->
+      let per = elem_bytes dim in
+      if len < elems_header then raise_notrace Refused;
+      let count = get_u32 data (p + 1) in
+      (* [body / per] rather than [count * per]: a forged count cannot
+         overflow the comparison *)
+      let body = len - elems_header in
+      if count < 1 || body mod per <> 0 || body / per <> count then raise_notrace Refused;
+      let acc = ref acc in
+      for i = 0 to count - 1 do
+        let o = p + elems_header + (i * per) in
+        let value =
+          Array.init dim (fun k ->
+              let x = get_float data (o + (8 * k)) in
+              if Float.is_finite x then x else raise_notrace Refused)
+        in
+        let weight = get_int data (o + (8 * dim)) in
+        if weight < 1 then raise_notrace Refused;
+        acc := Replay.Element { Types.value; weight } :: !acc
+      done;
+      (!acc, count, next)
+  | 'R' ->
+      if len <> register_bytes dim then raise_notrace Refused;
+      let id = get_int data (p + 1) and threshold = get_int data (p + 9) in
+      let bounds =
+        Array.init dim (fun k ->
+            (get_float data (p + 17 + (16 * k)), get_float data (p + 25 + (16 * k))))
+      in
+      (* [rect_make] refuses a NaN bound too: [lo < hi] is false for it *)
+      let rect = try Types.rect_make bounds with Invalid_argument _ -> raise_notrace Refused in
+      (Replay.Register { Types.id; rect; threshold } :: acc, 1, next)
+  | 'T' ->
+      if len <> terminate_bytes then raise_notrace Refused;
+      (Replay.Terminate (get_int data (p + 1)) :: acc, 1, next)
+  | _ -> raise_notrace Refused
 
 let scan_range ~dim data ~pos:start =
-  let n = String.length data in
-  let ops = ref [] and records = ref 0 in
-  let pos = ref start and stop = ref false in
-  while (not !stop) && !pos < n do
-    match parse_record ~dim ~record_no:(!records + 1) data !pos with
-    | Some (op, next) ->
-        ops := op :: !ops;
-        incr records;
-        pos := next
-    | None -> stop := true
-  done;
-  (List.rev !ops, !records, !pos - start, n - !pos)
+  let rec go pos acc records =
+    match decode ~dim data pos acc with
+    | acc, count, next -> go next acc (records + count)
+    | exception Refused -> (List.rev acc, records, pos - start, String.length data - pos)
+  in
+  go start [] 0
 
 let scan_string ~dim data =
   let ops, records, valid_bytes, bytes_discarded = scan_range ~dim data ~pos:0 in
   { ops; records; base = 0; epoch = 0; valid_bytes; bytes_discarded }
 
-(* ---------------- segment headers ---------------- *)
+(* ---------------- headers ---------------- *)
 
-(* Active file header (first line, present once the log has rotated or
-   carries a nonzero epoch):
+(* Active file header (first bytes of a non-empty active file):
 
-     RTSWACT,1,<epoch>,<base>,<crc32-hex8>\n
+     "RTSWACT" | u8 version = 2 | i64 epoch | i64 base | u32 CRC
 
    Cold segment header:
 
-     RTSWSEG,1,<epoch>,<base>,<count>,<crc32-hex8>\n
+     "RTSWSEG" | u8 version = 2 | i64 epoch | i64 base | i64 count | u32 CRC
 
-   In both, the CRC covers the header line up to (not including) the
-   final comma. [base] is the number of ops that precede the file's
-   first record in the global op sequence; a file with base [b] holds
-   records for ops [b+1], [b+2], ... A header-less active file is the
-   legacy (and common single-node) form: base 0, epoch 0, so every log
-   written before segmentation existed still scans identically. *)
+   All little-endian; the CRC covers every header byte before it.
+   [base] is the number of ops that precede the file's first record in
+   the global op sequence; a file with base [b] holds records for ops
+   [b+1], [b+2], ... Format 1 wrote these headers as text
+   ([RTSWACT,1,...]) and allowed a header-less active file whose text
+   records start with a decimal length; both are refused with
+   {!Unsupported_format} rather than scanned as 0 intact records, which
+   a writer would then truncate away. *)
 
 let active_magic = "RTSWACT"
 let segment_magic = "RTSWSEG"
+let version = 2
 
-let with_crc body = Printf.sprintf "%s,%s\n" body (Crc32.to_hex (Crc32.string body))
-let active_header ~epoch ~base = with_crc (Printf.sprintf "%s,1,%d,%d" active_magic epoch base)
+let header_bytes nfields = 8 + (8 * nfields) + 4
 
-let segment_header ~epoch ~base ~count =
-  with_crc (Printf.sprintf "%s,1,%d,%d,%d" segment_magic epoch base count)
+let header magic fields =
+  let n = header_bytes (List.length fields) in
+  let b = Bytes.create n in
+  Bytes.blit_string magic 0 b 0 (String.length magic);
+  Bytes.set_uint8 b 7 version;
+  List.iteri (fun i v -> put_int b (8 + (8 * i)) v) fields;
+  Bytes.set_int32_le b (n - 4) (Crc32.subbytes b ~pos:0 ~len:(n - 4));
+  Bytes.unsafe_to_string b
 
-(* Split [data]'s first line [body,crc] and verify the CRC; returns the
-   comma-separated body fields and the line's length with its newline. *)
-let header_fields data =
-  match String.index_opt data '\n' with
-  | None -> None
-  | Some nl -> (
-      match String.rindex_from_opt data nl ',' with
-      | None -> None
-      | Some c ->
-          let body = String.sub data 0 c in
-          let crc = String.sub data (c + 1) (nl - c - 1) in
-          if String.length crc <> 8 then None
-          else (
-            match Crc32.of_hex crc with
-            | Some v when Crc32.string body = v -> Some (String.split_on_char ',' body, nl + 1)
-            | _ -> None))
+let active_header ~epoch ~base = header active_magic [ epoch; base ]
+let segment_header ~epoch ~base ~count = header segment_magic [ epoch; base; count ]
 
-let int_field s = if s <> "" && String.for_all is_digit s then Some (int_of_string s) else None
-
-(* [Some (epoch, base, header_len)] if [data] begins with a valid active
-   header; [None] for the legacy header-less form. A file that starts
-   with the magic but fails validation is reported as [Some] with
-   [header_len = -1]: the base is unknowable, so nothing in the file can
-   be trusted. *)
-let parse_active_header data =
-  let starts_with_magic =
-    String.length data >= String.length active_magic
-    && String.sub data 0 (String.length active_magic) = active_magic
-  in
-  if not starts_with_magic then None
+(* [Some (fields, header_len)] for an intact version-2 header of
+   [nfields] non-negative fields; [None] if damaged. Raises
+   {!Unsupported_format} on a format-1 text header. *)
+let read_header ~file magic nfields data =
+  let n = header_bytes nfields and m = String.length magic in
+  let len = String.length data in
+  if len > m && String.sub data 0 m = magic && data.[m] = ',' then
+    unsupported file "WAL format 1 (text header)";
+  if len < n || String.sub data 0 m <> magic || Char.code data.[m] <> version then None
+  else if String.get_int32_le data (n - 4) <> Crc32.substring data ~pos:0 ~len:(n - 4) then None
   else
-    let invalid = Some (0, 0, -1) in
-    match header_fields data with
-    | Some ([ magic; "1"; e; b ], hlen) when magic = active_magic -> (
-        match (int_field e, int_field b) with
-        | Some epoch, Some base -> Some (epoch, base, hlen)
-        | _ -> invalid)
-    | _ -> invalid
+    match List.init nfields (fun i -> get_int data (8 + (8 * i))) with
+    | fields when List.for_all (fun v -> v >= 0) fields -> Some (fields, n)
+    | _ -> None
+    | exception Refused -> None
 
-(* Scan the active file image: header (any form) plus records. *)
+(* The active file's first bytes. A format-1 log without a header
+   starts with the decimal length of its first text record; a damaged
+   header (say, a torn first append) cannot start with a digit, since
+   every header starts with the magic. *)
+let parse_active_header data : [ `Empty | `Damaged | `Header of int * int * int ] =
+  if data = "" then `Empty
+  else if data.[0] >= '0' && data.[0] <= '9' then
+    unsupported default_file "WAL format 1 (header-less text log)"
+  else
+    match read_header ~file:default_file active_magic 2 data with
+    | Some ([ epoch; base ], hlen) -> `Header (epoch, base, hlen)
+    | _ -> `Damaged
+
+(* Scan the active file image: header plus records. A damaged header
+   makes the base unknowable, so nothing in the file can be trusted. *)
 let scan_active ~dim data =
   match parse_active_header data with
-  | None ->
-      let ops, records, valid, disc = scan_range ~dim data ~pos:0 in
-      (0, 0, ops, records, valid, disc)
-  | Some (_, _, -1) -> (0, 0, [], 0, 0, String.length data)
-  | Some (epoch, base, hlen) ->
+  | `Empty -> (0, 0, [], 0, 0, 0)
+  | `Damaged -> (0, 0, [], 0, 0, String.length data)
+  | `Header (epoch, base, hlen) ->
       let ops, records, valid, disc = scan_range ~dim data ~pos:hlen in
       (epoch, base, ops, records, hlen + valid, disc)
 
 (* [Some (epoch, base, count, header_len)] if [data] begins with a
    valid cold-segment header. *)
-let parse_segment_header data =
-  match header_fields data with
-  | Some ([ magic; "1"; e; b; c ], hlen) when magic = segment_magic -> (
-      match (int_field e, int_field b, int_field c) with
-      | Some epoch, Some base, Some count -> Some (epoch, base, count, hlen)
-      | _ -> None)
+let parse_segment_header ~file data =
+  match read_header ~file segment_magic 3 data with
+  | Some ([ epoch; base; count ], hlen) -> Some (epoch, base, count, hlen)
   | _ -> None
 
-let scan_segment_string ~dim data =
-  match parse_segment_header data with
+let scan_segment ~file ~dim data =
+  match parse_segment_header ~file data with
   | None -> None
   | Some (epoch, base, count, hlen) ->
       let ops, records, _, disc = scan_range ~dim data ~pos:hlen in
@@ -173,6 +263,8 @@ let scan_segment_string ~dim data =
          exactly [count] intact records means it is damaged and cannot
          be trusted as a link in the chain. *)
       if records = count && disc = 0 then Some (epoch, base, count, ops) else None
+
+let scan_segment_string ~dim data = scan_segment ~file:"segment image" ~dim data
 
 (* ---------------- segment naming ---------------- *)
 
@@ -184,7 +276,10 @@ let segment_base_of_name name =
   let pn = String.length prefix and sn = String.length suffix in
   let n = String.length name in
   if n = pn + 10 + sn && String.sub name 0 pn = prefix && String.sub name (n - sn) sn = suffix
-  then int_field (String.sub name pn 10)
+  then
+    let digits = String.sub name pn 10 in
+    if String.for_all (fun c -> c >= '0' && c <= '9') digits then Some (int_of_string digits)
+    else None
   else None
 
 type segment = { seg_file : string; seg_base : int; seg_count : int; seg_epoch : int }
@@ -195,7 +290,7 @@ let segments ~dir =
          match segment_base_of_name name with
          | None -> None
          | Some base -> (
-             match Option.bind (dir.Io.read_file name) parse_segment_header with
+             match Option.bind (dir.Io.read_file name) (parse_segment_header ~file:name) with
              | Some (epoch, b, count, _) when b = base ->
                  Some { seg_file = name; seg_base = base; seg_count = count; seg_epoch = epoch }
              | _ -> None))
@@ -217,7 +312,7 @@ let cold_chain ~dim ~dir =
   let chain =
     List.fold_left
       (fun chain name ->
-        match Option.bind (dir.Io.read_file name) (scan_segment_string ~dim) with
+        match Option.bind (dir.Io.read_file name) (scan_segment ~file:name ~dim) with
         | None -> None
         | Some (epoch, base, count, ops) -> (
             epoch_max := max !epoch_max epoch;
@@ -237,7 +332,6 @@ let cold_chain ~dim ~dir =
 
 let scan ~dim ~dir () =
   let chain, seg_epoch = cold_chain ~dim ~dir in
-  let epoch_max = ref seg_epoch in
   match dir.Io.read_file default_file with
   | None -> (
       match chain with
@@ -247,35 +341,15 @@ let scan ~dim ~dir () =
             ops = List.rev c.c_ops_rev;
             records = c.c_end - c.c_base;
             base = c.c_base;
-            epoch = !epoch_max;
+            epoch = seg_epoch;
             valid_bytes = 0;
             bytes_discarded = 0;
           })
   | Some data -> (
       let aepoch, abase, aops, arecords, valid_bytes, bytes_discarded = scan_active ~dim data in
-      epoch_max := max !epoch_max aepoch;
+      let epoch = max seg_epoch aepoch in
       match chain with
-      | None ->
-          {
-            ops = aops;
-            records = arecords;
-            base = abase;
-            epoch = !epoch_max;
-            valid_bytes;
-            bytes_discarded;
-          }
-      | Some c when abase > c.c_end ->
-          (* A gap between the cold chain and the active file: the
-             active file is where appends land, so it wins. *)
-          {
-            ops = aops;
-            records = arecords;
-            base = abase;
-            epoch = !epoch_max;
-            valid_bytes;
-            bytes_discarded;
-          }
-      | Some c ->
+      | Some c when abase <= c.c_end ->
           (* Overlap is the crash window between publishing a cold
              segment and rewriting the active file: the cold copy of the
              shared records is authoritative, the active duplicates are
@@ -287,7 +361,18 @@ let scan ~dim ~dir () =
             ops = List.rev_append c.c_ops_rev tail;
             records = c.c_end - c.c_base + taken;
             base = c.c_base;
-            epoch = !epoch_max;
+            epoch;
+            valid_bytes;
+            bytes_discarded;
+          }
+      | _ ->
+          (* No cold chain, or a gap between it and the active file: the
+             active file is where appends land, so it wins. *)
+          {
+            ops = aops;
+            records = arecords;
+            base = abase;
+            epoch;
             valid_bytes;
             bytes_discarded;
           })
@@ -302,8 +387,10 @@ type writer = {
   segment_records : int;
   epoch : int;
   mutable file : Io.file;
+  mutable headed : bool;  (** the active file on disk starts with its header *)
   mutable active_base : int;
   mutable active_records : int;
+  mutable logged : int;
   mutable appended : int;
   mutable since_sync : int;
   mutable fsyncs : int;
@@ -320,6 +407,8 @@ let rewrite_active dir ~epoch ~base ops =
 let writer ?(fsync_every = 1) ?epoch ?(segment_records = 0) ~dim ~dir () =
   if fsync_every < 1 then invalid_arg "Wal.writer: fsync_every < 1";
   if segment_records < 0 then invalid_arg "Wal.writer: segment_records < 0";
+  if register_bytes dim > max_payload then
+    invalid_arg "Wal.writer: dimension too large for one record";
   let existing = scan ~dim ~dir () in
   let epoch =
     match epoch with
@@ -330,36 +419,41 @@ let writer ?(fsync_every = 1) ?epoch ?(segment_records = 0) ~dim ~dir () =
   in
   let cold, _ = cold_chain ~dim ~dir in
   let cold_end = match cold with Some c -> c.c_end | None -> 0 in
-  let active_base, active_records =
+  (* A header records a base or an epoch the records cannot; without
+     either, a fresh file gets its header with its first record. *)
+  let fresh ~base =
+    if epoch > 0 || base > 0 then begin
+      rewrite_active dir ~epoch ~base [];
+      (base, 0, true)
+    end
+    else (base, 0, false)
+  in
+  let active_base, active_records, headed =
     match dir.Io.read_file default_file with
-    | None ->
-        let base = existing.base + existing.records in
-        if epoch > 0 || base > 0 then rewrite_active dir ~epoch ~base [];
-        (base, 0)
+    | None -> fresh ~base:(existing.base + existing.records)
     | Some data -> (
+        let header = parse_active_header data in
         let aepoch, abase, aops, arecords, valid_bytes, bytes_discarded = scan_active ~dim data in
         (* Records already sealed into cold segments supersede any copy
            still sitting in the active file (the rotation crash
            window). *)
         let overlap = cold_end > abase in
         let cold_end = max cold_end abase in
-        match parse_active_header data with
-        | Some (_, _, -1) ->
-            (* Corrupt header: the base is unknowable, drop the file. *)
-            let base = max cold_end 0 in
-            if epoch > 0 || base > 0 then rewrite_active dir ~epoch ~base []
-            else dir.Io.truncate_file default_file 0;
-            (base, 0)
+        match header with
+        | `Damaged ->
+            dir.Io.truncate_file default_file 0;
+            fresh ~base:cold_end
         | _ when overlap || epoch > aepoch ->
             let keep = drop (cold_end - abase) aops in
             rewrite_active dir ~epoch ~base:cold_end keep;
-            (cold_end, List.length keep)
-        | _ ->
+            (cold_end, List.length keep, true)
+        | `Empty -> (0, 0, false)
+        | `Header _ ->
             (* The classic path: amputate a torn tail before appending —
                a record appended after garbage would be unreachable to
                the scanner forever. *)
             if bytes_discarded > 0 then dir.Io.truncate_file default_file valid_bytes;
-            (abase, arecords))
+            (abase, arecords, true))
   in
   let handle = dir.Io.open_append default_file in
   {
@@ -370,8 +464,10 @@ let writer ?(fsync_every = 1) ?epoch ?(segment_records = 0) ~dim ~dir () =
     segment_records;
     epoch;
     file = handle;
+    headed;
     active_base;
     active_records;
+    logged = 0;
     appended = 0;
     since_sync = 0;
     fsyncs = 0;
@@ -396,27 +492,59 @@ let rotate w =
   (match w.dir.Io.read_file default_file with
   | None -> ()
   | Some data ->
-      let _, abase, aops, arecords, _, _ = scan_active ~dim:w.dim data in
+      let _, abase, _, arecords, valid_bytes, _ = scan_active ~dim:w.dim data in
       if arecords > 0 then begin
-        let buf = Buffer.create 1024 in
-        Buffer.add_string buf (segment_header ~epoch:w.epoch ~base:abase ~count:arecords);
-        List.iter (fun op -> Buffer.add_string buf (frame op)) aops;
-        w.dir.Io.write_atomic (segment_name abase) (Buffer.contents buf);
+        (* Seal the intact records byte for byte, behind a segment
+           header in place of the active one. *)
+        let hlen = header_bytes 2 in
+        w.dir.Io.write_atomic (segment_name abase)
+          (segment_header ~epoch:w.epoch ~base:abase ~count:arecords
+          ^ String.sub data hlen (valid_bytes - hlen));
         rewrite_active w.dir ~epoch:w.epoch ~base:(abase + arecords) [];
+        w.headed <- true;
         w.active_base <- abase + arecords;
         w.active_records <- 0;
         w.rotations <- w.rotations + 1
       end);
   w.file <- w.dir.Io.open_append default_file
 
-let append w op =
+(* One write(2) of [b], which holds [records] records of [ops] ops. *)
+let write w b ~records ~ops =
   if w.closed then invalid_arg "Wal.append: writer is closed";
-  w.file.Io.append (frame op);
-  w.appended <- w.appended + 1;
-  w.active_records <- w.active_records + 1;
-  w.since_sync <- w.since_sync + 1;
+  let s = Bytes.unsafe_to_string b in
+  w.file.Io.append
+    (if w.headed then s else active_header ~epoch:w.epoch ~base:w.active_base ^ s);
+  w.headed <- true;
+  w.appended <- w.appended + records;
+  w.logged <- w.logged + ops;
+  w.active_records <- w.active_records + ops;
+  w.since_sync <- w.since_sync + ops;
   if w.since_sync >= w.fsync_every then sync w;
   if w.segment_records > 0 && w.active_records >= w.segment_records then rotate w
+
+let append_ops w ops =
+  if ops <> [] then begin
+    let b = Bytes.create (List.fold_left (fun n op -> n + op_bytes op) 0 ops) in
+    ignore (List.fold_left (fun off op -> put_op b off op) 0 ops);
+    let n = List.length ops in
+    write w b ~records:n ~ops:n
+  end
+
+let append w op = append_ops w [ op ]
+
+let append_elements w elems =
+  let n = Array.length elems and dim = w.dim in
+  if n > 0 then begin
+    let per_record = (max_payload - elems_header) / elem_bytes dim in
+    let records = (n + per_record - 1) / per_record in
+    let b = Bytes.create ((records * (framing + elems_header)) + (n * elem_bytes dim)) in
+    let off = ref 0 in
+    for r = 0 to records - 1 do
+      let first = r * per_record in
+      off := put_elements b !off ~dim elems first (min per_record (n - first))
+    done;
+    write w b ~records ~ops:n
+  end
 
 let close w =
   if not w.closed then begin
@@ -425,7 +553,7 @@ let close w =
     w.file.Io.close ()
   end
 
-let records w = w.existing.base + w.existing.records + w.appended
+let records w = w.existing.base + w.existing.records + w.logged
 let synced w = records w - w.since_sync
 let appended w = w.appended
 let fsyncs w = w.fsyncs

@@ -129,11 +129,14 @@ type t = {
 
 let trace_target = Sys.getenv_opt "RTS_SERVE_TRACE"
 
+let tracing tenant =
+  match trace_target with Some target -> target = tenant || target = "all" | None -> false
+
+(* [Printf.ifprintf] still evaluates the arguments, so a caller whose
+   argument costs something checks {!tracing} first. *)
 let trace tenant fmt =
-  match trace_target with
-  | Some target when target = tenant || target = "all" ->
-      Printf.eprintf ("[%s] " ^^ fmt ^^ "\n%!") tenant
-  | _ -> Printf.ifprintf stderr fmt
+  if tracing tenant then Printf.eprintf ("[%s] " ^^ fmt ^^ "\n%!") tenant
+  else Printf.ifprintf stderr fmt
 
 let overload_counter t reason =
   Metrics.counter t.reg
@@ -391,7 +394,8 @@ let apply_op t tenant op =
   | matured ->
       tenant.in_flight <- None;
       tenant.applied <- tenant.applied + 1;
-      trace tenant.name "apply ord=%d %s" tenant.applied (Replay.op_to_line op);
+      if tracing tenant.name then
+        trace tenant.name "apply ord=%d %s" tenant.applied (Replay.op_to_line op);
       (match op with
       | Replay.Element _ -> tenant.elements <- tenant.elements + 1
       | Replay.Register _ -> tenant.pending_registers <- tenant.pending_registers - 1
@@ -420,7 +424,7 @@ let apply_op t tenant op =
       | Replay.Register _ -> tenant.pending_registers <- tenant.pending_registers - 1
       | _ -> ());
       tenant.rejected <- tenant.rejected + 1;
-      trace tenant.name "reject %s" (Replay.op_to_line op);
+      if tracing tenant.name then trace tenant.name "reject %s" (Replay.op_to_line op);
       Metrics.incr t.c_rejected;
       tenant.last_progress <- Vclock.now t.clock
 

@@ -30,14 +30,3 @@ let subbytes ?(crc = 0l) b ~pos ~len =
 let substring ?crc s ~pos ~len = subbytes ?crc (Bytes.unsafe_of_string s) ~pos ~len
 
 let string ?crc s = substring ?crc s ~pos:0 ~len:(String.length s)
-
-let to_hex c = Printf.sprintf "%08lx" c
-
-let is_hex_digit = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false
-
-let of_hex s =
-  if String.length s <> 8 || not (String.for_all is_hex_digit s) then None
-  else
-    (* 8 hex digits always fit the unsigned int32 range; go through int64
-       to avoid the signed int32 literal overflow on values >= 0x80000000. *)
-    Some (Int64.to_int32 (Int64.of_string ("0x" ^ s)))

@@ -21,12 +21,5 @@ val substring : ?crc:t -> string -> pos:int -> len:int -> t
 
 val subbytes : ?crc:t -> bytes -> pos:int -> len:int -> t
 (** {!substring} over a [bytes] buffer still being filled — how a
-    checkpoint image is checksummed before its CRC is written into its
-    last four bytes. *)
-
-val to_hex : t -> string
-(** Fixed-width lowercase hex, always 8 characters (["cbf43926"]). *)
-
-val of_hex : string -> t option
-(** Inverse of {!to_hex}: exactly 8 hex characters, case-insensitive;
-    [None] otherwise. *)
+    checkpoint image or a WAL record is checksummed before its CRC is
+    written into it. *)

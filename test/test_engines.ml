@@ -325,6 +325,62 @@ let prop_equivalence =
       ignore n;
       true)
 
+(* A refused [register_batch] registers nothing, on every engine: the
+   core roster and the approximate tier. The batch is fresh valid
+   queries with one fault at a random position — an id already alive,
+   an id repeated in the batch, threshold 0 or a wrong-dimension
+   rectangle. *)
+let prop_refused_batch_is_atomic =
+  let factories =
+    List.map
+      (fun (en : Engine_registry.entry) ->
+        (en.name, (match en.dims with Engine_registry.Only d -> Some d | Any -> None), en.make))
+      (Engine_registry.entries ())
+    @ [
+        ("crprecis", Some 1, fun ~dim:_ -> Rts_approx.Crprecis_engine.make ());
+        ("heavy", Some 1, fun ~dim:_ -> Rts_approx.Heavy_engine.make ());
+        ("topn", None, fun ~dim -> Rts_approx.Topn.engine ~dim);
+      ]
+  in
+  QCheck.Test.make ~count:(Qcheck_env.count 40) ~name:"refused register_batch changes nothing"
+    (QCheck.make
+       ~print:QCheck.Print.(triple int int int)
+       QCheck.Gen.(triple (int_bound 10_000) (int_range 1 3) (int_bound 3)))
+    (fun (seed, any_dim, fault) ->
+      List.iter
+        (fun (name, fixed, make) ->
+          let dim = Option.value fixed ~default:any_dim in
+          let rng = Prng.create ~seed in
+          let e : Engine.t = make ~dim in
+          let query id = { Types.id; rect = mk_rect rng ~dim ~domain:10; threshold = 1 + Prng.int rng 50 } in
+          let alive = 1 + Prng.int rng 6 in
+          e.register_batch (List.init alive query);
+          for _ = 1 to Prng.int rng 20 do
+            ignore (e.process (mk_elem rng ~dim ~domain:10 ~max_weight:3))
+          done;
+          let before = e.alive_snapshot () in
+          let fresh = List.init (1 + Prng.int rng 5) (fun i -> query (100 + i)) in
+          let bad =
+            match (fault, before) with
+            | 0, _ :: _ -> query (fst (List.nth before (Prng.int rng (List.length before)))).Types.id
+            | (0 | 1), _ -> query (100 + Prng.int rng (List.length fresh))
+            | 2, _ -> { (query 99) with Types.threshold = 0 }
+            | _ -> { (query 99) with Types.rect = mk_rect rng ~dim:(dim + 1) ~domain:10 }
+          in
+          let at = Prng.int rng (List.length fresh + 1) in
+          let batch = List.filteri (fun i _ -> i < at) fresh @ (bad :: List.filteri (fun i _ -> i >= at) fresh) in
+          (match e.register_batch batch with
+          | exception Invalid_argument _ -> ()
+          | () -> QCheck.Test.fail_reportf "%s: batch with fault %d accepted" name fault);
+          if e.alive_snapshot () <> before then
+            QCheck.Test.fail_reportf "%s (dim %d, fault %d): refused batch changed the engine" name
+              dim fault;
+          e.register_batch fresh;
+          if e.alive () <> List.length before + List.length fresh then
+            QCheck.Test.fail_reportf "%s: the valid batch after a refusal did not land" name)
+        factories;
+      true)
+
 (* The registry is how the CLI and the bench rosters name engines: the
    core roster in order, each buildable at a dimensionality it supports,
    and the user-facing refusals. *)
@@ -366,6 +422,10 @@ let () =
           Alcotest.test_case "elements on shared grid" `Quick test_elements_on_shared_grid;
           Alcotest.test_case "negative coordinates" `Quick test_negative_coordinates;
         ] );
-      ("property", [ QCheck_alcotest.to_alcotest prop_equivalence ]);
+      ( "property",
+        [
+          QCheck_alcotest.to_alcotest prop_equivalence;
+          QCheck_alcotest.to_alcotest prop_refused_batch_is_atomic;
+        ] );
       ("registry", [ Alcotest.test_case "names, dims and refusals" `Quick test_registry ]);
     ]

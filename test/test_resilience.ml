@@ -29,25 +29,13 @@ let rec drop n = function
 (* ------------------------------------------------------------------ *)
 
 let test_crc32_vectors () =
-  Alcotest.(check string) "canonical zlib vector" "cbf43926"
-    (Crc32.to_hex (Crc32.string "123456789"));
-  Alcotest.(check string) "empty string" "00000000" (Crc32.to_hex (Crc32.string ""));
+  Alcotest.(check int32) "canonical zlib vector" 0xcbf43926l (Crc32.string "123456789");
+  Alcotest.(check int32) "empty string" 0l (Crc32.string "");
   Alcotest.(check bool) "incremental = whole" true
     (Crc32.string ~crc:(Crc32.string "12345") "6789" = Crc32.string "123456789");
   let s = "the quick brown fox" in
   Alcotest.(check bool) "substring = sub" true
     (Crc32.substring s ~pos:4 ~len:5 = Crc32.string (String.sub s 4 5))
-
-let test_crc32_hex () =
-  let c = Crc32.string "abc" in
-  Alcotest.(check (option string)) "roundtrip" (Some (Crc32.to_hex c))
-    (Option.map Crc32.to_hex (Crc32.of_hex (Crc32.to_hex c)));
-  Alcotest.(check bool) "uppercase accepted" true
-    (Crc32.of_hex "CBF43926" = Some (Crc32.string "123456789"));
-  List.iter
-    (fun s ->
-      Alcotest.(check bool) ("rejects " ^ s) true (Crc32.of_hex s = None))
-    [ "cbf4392"; "cbf439261"; "zzzzzzzz"; ""; "cbf4 926" ]
 
 (* Table-free reference: shift the register one bit at a time. *)
 let crc_bitwise s =
@@ -143,7 +131,7 @@ let test_wal_writer_truncates_torn_tail_on_open () =
   Wal.close w;
   (* simulate a crash that left half a record behind *)
   let f = dir.Io.open_append Wal.default_file in
-  f.Io.append "17,deadbeef,E,0.5";
+  f.Io.append (String.sub (Wal.frame (Replay.Element (e 0.5 1))) 0 10);
   f.Io.close ();
   let w = Wal.writer ~dim:1 ~dir () in
   let ex = Wal.existing w in
@@ -237,12 +225,12 @@ let test_wal_rotation_crash_overlap () =
   Wal.close w;
   let seg_name = Wal.segment_name 0 in
   let seg = Option.get (a.Io.read_file seg_name) in
+  (* pre-rotation active image: all five records from base 0 *)
   let b = Io.mem_dir () in
+  let w = Wal.writer ~dim:1 ~dir:b () in
+  List.iter (Wal.append w) sample_ops;
+  Wal.close w;
   b.Io.write_atomic seg_name seg;
-  (* pre-rotation active image: all five records, headerless (base 0) *)
-  let f = b.Io.open_append Wal.default_file in
-  List.iter (fun op -> f.Io.append (Wal.frame op)) sample_ops;
-  f.Io.close ();
   let s = Wal.scan ~dim:1 ~dir:b () in
   Alcotest.(check int) "overlap deduplicated" 5 s.Wal.records;
   Alcotest.(check bool) "each op appears once" true (s.Wal.ops = sample_ops);
@@ -290,6 +278,307 @@ let test_fsync_dir_errno_classifier () =
   (* a real directory fsyncs without noise; a missing path is a no-op *)
   Io.fsync_dir (Filename.get_temp_dir_name ());
   Io.fsync_dir "/definitely/not/a/real/path"
+
+(* ------------------------------------------------------------------ *)
+(* Binary records                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The record layout as wal.mli documents it, built independently of
+   Wal: [u32 length | u32 CRC of the payload | payload]. *)
+let seal_payload payload =
+  let len = String.length payload in
+  let b = Bytes.create (8 + len) in
+  Bytes.set_int32_le b 0 (Int32.of_int len);
+  Bytes.set_int32_le b 4 (Crc32.string payload);
+  Bytes.blit_string payload 0 b 8 len;
+  Bytes.to_string b
+
+let reseal record = seal_payload (String.sub record 8 (String.length record - 8))
+
+let e_record ~dim (elems : Types.elem array) =
+  let per = (8 * dim) + 8 in
+  let b = Bytes.create (5 + (per * Array.length elems)) in
+  Bytes.set b 0 'E';
+  Bytes.set_int32_le b 1 (Int32.of_int (Array.length elems));
+  Array.iteri
+    (fun i (el : Types.elem) ->
+      let o = 5 + (i * per) in
+      Array.iteri (fun k x -> Bytes.set_int64_le b (o + (8 * k)) (Int64.bits_of_float x)) el.value;
+      Bytes.set_int64_le b (o + (8 * dim)) (Int64.of_int el.weight))
+    elems;
+  seal_payload (Bytes.to_string b)
+
+(* "RTSWACT", a version byte, epoch, base and a CRC. *)
+let active_header_bytes = 8 + 16 + 4
+
+(* Logs as the format-1 (text) builds wrote them. *)
+let text_wal_images () =
+  let text_frame op =
+    let payload = Replay.op_to_line op in
+    Printf.sprintf "%d,%08lx,%s\n" (String.length payload) (Crc32.string payload) payload
+  in
+  let records = String.concat "" (List.map text_frame sample_ops) in
+  let header body = Printf.sprintf "%s,%08lx\n" body (Crc32.string body) in
+  [
+    ("header-less text log", [ (Wal.default_file, records) ]);
+    ("version-1 active header", [ (Wal.default_file, header "RTSWACT,1,0,0" ^ records) ]);
+    ( "version-1 segment",
+      [
+        (Wal.segment_name 0, header "RTSWSEG,1,0,0,5" ^ records);
+        (Wal.default_file, header "RTSWACT,1,0,5");
+      ] );
+  ]
+
+let test_wal_refuses_text_format () =
+  List.iter
+    (fun (label, files) ->
+      let dir = Io.mem_dir () in
+      List.iter (fun (name, image) -> dir.Io.write_atomic name image) files;
+      let refused what f =
+        match f () with
+        | exception Wal.Unsupported_format _ -> ()
+        | _ -> Alcotest.failf "%s: %s accepted a text log" label what
+      in
+      refused "scan" (fun () -> ignore (Wal.scan ~dim:1 ~dir ()));
+      refused "writer" (fun () -> ignore (Wal.writer ~dim:1 ~dir ()));
+      refused "recover" (fun () ->
+          ignore (Recovery.recover ~dim:1 ~make:(fun ~dim -> Baseline_engine.make ~dim) ~dir ()));
+      refused "wrap" (fun () -> ignore (Durable.wrap ~dir (Baseline_engine.make ~dim:1)));
+      List.iter
+        (fun (name, image) ->
+          Alcotest.(check (option string)) (label ^ ": left byte-identical") (Some image)
+            (dir.Io.read_file name))
+        files;
+      Alcotest.(check int) (label ^ ": no file added") (List.length files)
+        (List.length (dir.Io.list_files ())))
+    (text_wal_images ())
+
+(* Base images for the decoder fuzz, as (dim, records): each record with
+   the ops it holds. *)
+let fuzz_wal_images () =
+  let one op = (Wal.frame op, [ op ]) in
+  let batch ~dim elems =
+    (e_record ~dim elems, Array.to_list (Array.map (fun el -> Replay.Element el) elems))
+  in
+  let e1 v weight = { Types.value = [| v |]; weight } in
+  let e2 a b weight = { Types.value = [| a; b |]; weight } in
+  let r2 =
+    Replay.Register
+      { Types.id = 7; rect = Types.rect_make [| (0., 1.); (neg_infinity, 2.) |]; threshold = 4 }
+  in
+  [|
+    (1, List.map one sample_ops);
+    ( 1,
+      [
+        batch ~dim:1 [| e1 1. 1; e1 (-0.) 3; e1 1e300 2; e1 5. 1; e1 2.5 max_int |];
+        one (Replay.Terminate 3);
+        batch ~dim:1 [| e1 0. 1; e1 9. 2; e1 4. 7 |];
+      ] );
+    (2, [ one r2; batch ~dim:2 [| e2 0. 1. 1; e2 (-3.) 1e-300 2; e2 5. 5. 9 |]; one (Replay.Terminate 7) ]);
+  |]
+
+let image_of records = String.concat "" (List.map fst records)
+let ops_of records = List.concat_map snd records
+
+let rec is_prefix p l =
+  match (p, l) with
+  | [], _ -> true
+  | x :: p', y :: l' -> x = y && is_prefix p' l'
+  | _ :: _, [] -> false
+
+(* [scan_string] is total and its accounting adds up. *)
+let scan_untrusted label ~dim image =
+  match Wal.scan_string ~dim image with
+  | exception e -> Alcotest.failf "%s: %s escaped the decoder" label (Printexc.to_string e)
+  | s ->
+      if s.Wal.records <> List.length s.Wal.ops
+         || s.Wal.valid_bytes + s.Wal.bytes_discarded <> String.length image
+      then Alcotest.failf "%s: scan accounting is off" label;
+      s
+
+(* Random bit flips (1-8 bits), truncations and splices of two images,
+   per pinned seed: a flip or truncation yields a prefix of the original
+   ops, never a different op. *)
+let test_wal_mutation_fuzz () =
+  let images = fuzz_wal_images () in
+  let rounds = Qcheck_env.count 300 in
+  List.iter
+    (fun seed ->
+      let rng = Prng.create ~seed in
+      for round = 1 to rounds do
+        let dim, ra = images.(Prng.int rng (Array.length images)) in
+        let _, rb = images.(Prng.int rng (Array.length images)) in
+        let a = image_of ra and b = image_of rb in
+        let label kind = Printf.sprintf "seed %d round %d %s" seed round kind in
+        let expect_prefix kind image =
+          let s = scan_untrusted (label kind) ~dim image in
+          if not (is_prefix s.Wal.ops (ops_of ra)) then
+            Alcotest.failf "%s: ops are not a prefix of the original" (label kind)
+        in
+        let flipped = Bytes.of_string a in
+        for _ = 0 to Prng.int rng 8 do
+          let i = Prng.int rng (Bytes.length flipped) in
+          Bytes.set flipped i (Char.chr (Char.code (Bytes.get flipped i) lxor (1 lsl Prng.int rng 8)))
+        done;
+        expect_prefix "flip" (Bytes.to_string flipped);
+        expect_prefix "truncate" (String.sub a 0 (Prng.int rng (String.length a)));
+        let cut_a = Prng.int rng (String.length a + 1) and cut_b = Prng.int rng (String.length b + 1) in
+        ignore
+          (scan_untrusted (label "splice")
+             ~dim (String.sub a 0 cut_a ^ String.sub b cut_b (String.length b - cut_b)))
+      done)
+    fault_seeds
+
+(* Forged records, most behind a recomputed CRC: each must end the
+   intact prefix exactly at the forged record. *)
+let test_wal_forged_records () =
+  let forgeries ~dim r =
+    let edit f =
+      let b = Bytes.of_string r in
+      f b;
+      reseal (Bytes.to_string b)
+    in
+    let raw f =
+      let b = Bytes.of_string r in
+      f b;
+      Bytes.to_string b
+    in
+    let bits = Int64.bits_of_float in
+    [
+      ("length over the cap", raw (fun b -> Bytes.set_int32_le b 0 1_000_001l));
+      ("length 2^32 - 1", raw (fun b -> Bytes.set_int32_le b 0 (-1l)));
+      ("length 0", raw (fun b -> Bytes.set_int32_le b 0 0l));
+      ("unknown kind", edit (fun b -> Bytes.set b 8 'X'));
+      ("one byte too long", reseal (r ^ "\000"));
+      ("kind byte only", reseal (String.sub r 0 9));
+    ]
+    @
+    match r.[8] with
+    | 'E' ->
+        let count = Int32.to_int (String.get_int32_le r 9) in
+        [
+          ("count + 1", edit (fun b -> Bytes.set_int32_le b 9 (Int32.of_int (count + 1))));
+          ("count 2^32 - 1", edit (fun b -> Bytes.set_int32_le b 9 (-1l)));
+          ("count 0", edit (fun b -> Bytes.set_int32_le b 9 0l));
+          ("NaN coordinate", edit (fun b -> Bytes.set_int64_le b 13 (bits Float.nan)));
+          ("infinite coordinate", edit (fun b -> Bytes.set_int64_le b 13 (bits infinity)));
+          ("weight 0", edit (fun b -> Bytes.set_int64_le b (13 + (8 * dim)) 0L));
+          ("negative weight", edit (fun b -> Bytes.set_int64_le b (13 + (8 * dim)) (-4L)));
+          ("weight beyond the int range", edit (fun b -> Bytes.set_int64_le b (13 + (8 * dim)) Int64.max_int));
+        ]
+    | 'R' ->
+        [
+          ("NaN bound", edit (fun b -> Bytes.set_int64_le b 25 (bits Float.nan)));
+          ("lo = hi", edit (fun b -> Bytes.set_int64_le b 25 (String.get_int64_le r 33)));
+          ("id beyond the int range", edit (fun b -> Bytes.set_int64_le b 9 Int64.min_int));
+        ]
+    | _ -> [ ("id beyond the int range", edit (fun b -> Bytes.set_int64_le b 9 Int64.max_int)) ]
+  in
+  Array.iter
+    (fun (dim, records) ->
+      List.iteri
+        (fun i (r, _) ->
+          let before = List.filteri (fun j _ -> j < i) records in
+          let after = List.filteri (fun j _ -> j > i) records in
+          List.iter
+            (fun (label, forged) ->
+              let image = image_of before ^ forged ^ image_of after in
+              let s = scan_untrusted label ~dim image in
+              if s.Wal.ops <> ops_of before || s.Wal.valid_bytes <> String.length (image_of before)
+              then Alcotest.failf "record %d, %s: not refused at the record" i label)
+            (forgeries ~dim r))
+        records;
+      let s = scan_untrusted "unforged" ~dim (image_of records) in
+      Alcotest.(check bool) "the unforged image scans whole" true
+        (s.Wal.ops = ops_of records && s.Wal.bytes_discarded = 0))
+    (fuzz_wal_images ())
+
+(* 40k 3D elements are 1.28 MB of payload: more than one record may
+   carry, so the writer splits the batch under the scanner's cap. *)
+let test_wal_batch_over_payload_cap () =
+  let dim = 3 and n = 40_000 in
+  let rng = Prng.create ~seed:5 in
+  let elems =
+    Array.init n (fun _ ->
+        { Types.value = Array.init dim (fun _ -> float_of_int (Prng.int rng 100)); weight = 1 + Prng.int rng 3 })
+  in
+  Alcotest.(check bool) "one record would pass the cap" true (5 + (n * ((8 * dim) + 8)) > 1_000_000);
+  let dir = Io.mem_dir () in
+  let cfg = { Durable.fsync_every = 64; checkpoint_every = 1_000_000 } in
+  let durable, h = Durable.wrap ~config:cfg ~dir (Baseline_engine.make ~dim) in
+  durable.Engine.register_batch
+    (List.init 3 (fun id ->
+         { Types.id; rect = Types.rect_make (Array.make dim (0., 50.)); threshold = 1000 * (id + 1) }));
+  let matured = durable.Engine.feed_batch elems in
+  Alcotest.(check (list int)) "every query matures" [ 0; 1; 2 ] matured;
+  Alcotest.(check int) "three queries and the batch in two records" 5
+    (Metrics.counter_value (durable.Engine.metrics ()) "wal_records_total");
+  Durable.close h;
+  let s = Wal.scan ~dim ~dir () in
+  Alcotest.(check int) "every op scans back" (3 + n) s.Wal.records;
+  Alcotest.(check bool) "elements bit for bit, in order" true
+    (drop 3 s.Wal.ops = Array.to_list (Array.map (fun el -> Replay.Element el) elems));
+  let _, r = Recovery.recover ~dim ~make:(fun ~dim -> Baseline_engine.make ~dim) ~dir () in
+  Alcotest.(check int) "recovery replays the whole batch" n r.Recovery.elements_total;
+  Alcotest.(check (list int)) "and re-fires its maturities" matured
+    (List.sort compare (List.map snd r.Recovery.maturities))
+
+(* The count gate: appends and bytes per op are exact at dims 1-3. *)
+let test_wal_count_gate () =
+  List.iter
+    (fun dim ->
+      let store = Io.mem_dir () in
+      let sizes = ref [] in
+      let dir =
+        {
+          store with
+          Io.open_append =
+            (fun name ->
+              let f = store.Io.open_append name in
+              {
+                f with
+                Io.append =
+                  (fun s ->
+                    sizes := String.length s :: !sizes;
+                    f.Io.append s);
+              });
+        }
+      in
+      let label what = Printf.sprintf "dim %d: %s" dim what in
+      let cfg = { Durable.fsync_every = 64; checkpoint_every = 1_000_000 } in
+      let durable, h = Durable.wrap ~config:cfg ~dir (Baseline_engine.make ~dim) in
+      let rng = Prng.create ~seed:dim in
+      durable.Engine.register_batch
+        (List.init 100 (fun id ->
+             let side _ =
+               let a = float_of_int (Prng.int rng 10) in
+               (a, a +. 5.)
+             in
+             { Types.id; rect = Types.rect_make (Array.init dim side); threshold = 1_000_000 }));
+      Alcotest.(check (list int))
+        (label "one append for 100 queries, behind the active header")
+        [ active_header_bytes + (100 * (8 + 17 + (16 * dim))) ]
+        !sizes;
+      for _ = 1 to 3 do
+        sizes := [];
+        let elems =
+          Array.init 64 (fun _ ->
+              { Types.value = Array.init dim (fun _ -> float_of_int (Prng.int rng 20)); weight = 1 + Prng.int rng 4 })
+        in
+        ignore (durable.Engine.feed_batch elems);
+        Alcotest.(check (list int)) (label "one append per 64-element batch")
+          [ 8 + 5 + (64 * ((8 * dim) + 8)) ]
+          !sizes;
+        let data = Option.get (store.Io.read_file Wal.default_file) in
+        let record = e_record ~dim elems in
+        let n = String.length record in
+        Alcotest.(check bool) (label "the record is the documented layout") true
+          (String.sub data (String.length data - n) n = record)
+      done;
+      Alcotest.(check int) (label "wal_records_total counts records") 103
+        (Metrics.counter_value (durable.Engine.metrics ()) "wal_records_total");
+      Durable.close h)
+    [ 1; 2; 3 ]
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint                                                          *)
@@ -434,7 +723,7 @@ let v1_text_image ~gen ~ops ~elements entries =
          entries)
   in
   let header = Printf.sprintf "RTSCKPT,1,%d,1,%d,%d,%d" gen ops elements (List.length entries) in
-  Printf.sprintf "%s,%s\n%s" header (Crc32.to_hex (Crc32.string (header ^ "\n" ^ payload))) payload
+  Printf.sprintf "%s,%08lx\n%s" header (Crc32.string (header ^ "\n" ^ payload)) payload
 
 let contains ~sub s =
   let n = String.length sub in
@@ -890,6 +1179,52 @@ let test_durable_bad_config () =
   bad { Durable.fsync_every = 0; checkpoint_every = 1 };
   bad { Durable.fsync_every = 1; checkpoint_every = 0 }
 
+(* An element the WAL scanner would refuse never reaches the log: the
+   engine refuses it first, so the ops after it stay recoverable. *)
+let test_durable_refuses_unloggable_element () =
+  let dir = Io.mem_dir () in
+  let durable, h = Durable.wrap ~dir (Baseline_engine.make ~dim:1) in
+  durable.Engine.register (q ~id:1 ~threshold:5 (0., 10.));
+  let refused label f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s accepted" label
+  in
+  refused "+inf" (fun () -> durable.Engine.process (e infinity 1));
+  refused "-inf" (fun () -> durable.Engine.process (e neg_infinity 1));
+  refused "batch with +inf" (fun () -> durable.Engine.feed_batch [| e 1. 1; e infinity 1 |]);
+  ignore (durable.Engine.process (e 1. 1));
+  Durable.close h;
+  let s = Wal.scan ~dim:1 ~dir () in
+  Alcotest.(check int) "every logged op scans back" 2 s.Wal.records;
+  Alcotest.(check int) "nothing discarded" 0 s.Wal.bytes_discarded
+
+(* A refused batch logs nothing and registers nothing, so recovery
+   lands on the same alive set as a run without the batch. *)
+let test_durable_refused_batch_recovers () =
+  List.iter
+    (fun name ->
+      let make ~dim = Engine_registry.make ~name ~dim in
+      let dir = Io.mem_dir () in
+      let durable, h = Durable.wrap ~dir (make ~dim:1) in
+      durable.Engine.register (q ~id:1 ~threshold:5 (0., 10.));
+      ignore (durable.Engine.process (e 1. 2));
+      let before = durable.Engine.alive_snapshot () in
+      (match
+         durable.Engine.register_batch
+           [ q ~id:2 ~threshold:3 (0., 4.); q ~id:3 ~threshold:3 (1., 4.); q ~id:2 ~threshold:3 (0., 4.) ]
+       with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.failf "%s: a batch repeating id 2 was accepted" name);
+      Alcotest.(check bool) (name ^ ": live engine unchanged") true
+        (durable.Engine.alive_snapshot () = before);
+      Durable.close h;
+      let engine, r = Recovery.recover ~dim:1 ~make ~dir () in
+      Alcotest.(check int) (name ^ ": nothing logged for the batch") 2 r.Recovery.ops_total;
+      Alcotest.(check bool) (name ^ ": recovered alive set as without the batch") true
+        (engine.Engine.alive_snapshot () = before))
+    [ "baseline"; "dt"; "interval-tree"; "r-tree" ]
+
 (* ------------------------------------------------------------------ *)
 (* Crash equivalence                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -1174,6 +1509,116 @@ let test_enospc_sticky_and_failover () =
     reference.Replay.maturities
     (report.Recovery.maturities @ cont_log)
 
+(* Feed-batch crash equivalence. The script is a [trace] with its
+   consecutive elements grouped into batches of 1-8, each fed through
+   [Durable]'s [feed_batch]; register/terminate ops stay between them.
+   A batch matures the same set as its elements one by one, so maturity
+   logs are compared at batch granularity: each element ordinal maps to
+   the ordinal that ends its batch. *)
+type item = Op of Replay.op | Batch of Types.elem array
+
+let batch_script seed nops =
+  let rng = Prng.create ~seed:(seed + 1) in
+  let flush acc pending =
+    if pending = [] then acc else Batch (Array.of_list (List.rev pending)) :: acc
+  in
+  let rec go acc pending size = function
+    | [] -> List.rev (flush acc pending)
+    | Replay.Element el :: rest ->
+        if List.length pending + 1 >= size then go (flush acc (el :: pending)) [] (1 + Prng.int rng 8) rest
+        else go acc (el :: pending) size rest
+    | op :: rest -> go (Op op :: flush acc pending) [] size rest
+  in
+  go [] [] (1 + Prng.int rng 8) (trace seed nops)
+
+let feed_items (engine : Engine.t) items ~base =
+  let log = ref [] and elems = ref base in
+  (try
+     List.iter
+       (function
+         | Op (Replay.Register qq) -> engine.register qq
+         | Op (Replay.Terminate id) -> engine.terminate id
+         | Op (Replay.Element _) -> assert false (* [batch_script] batches every element *)
+         | Batch b ->
+             let matured = engine.feed_batch b in
+             elems := !elems + Array.length b;
+             List.iter (fun id -> log := (!elems, id) :: !log) matured)
+       items
+   with Fault.Crash _ -> ());
+  (List.sort compare !log, !elems)
+
+let run_batch_crash_case ~seed ~crash_at ~torn ~bit_flip ~engine =
+  let case = Printf.sprintf "seed=%d crash_at=%d torn=%b bit_flip=%b %s" seed crash_at torn bit_flip engine in
+  let make = if engine = "dt" then make_dt else make_baseline in
+  let items = batch_script seed 80 in
+  let flat =
+    List.concat_map
+      (function
+        | Op op -> [ op ] | Batch b -> Array.to_list (Array.map (fun el -> Replay.Element el) b))
+      items
+  in
+  let ends = Hashtbl.create 64 in
+  ignore
+    (List.fold_left
+       (fun n -> function
+         | Op _ -> n
+         | Batch b ->
+             let m = n + Array.length b in
+             for o = n + 1 to m do
+               Hashtbl.replace ends o m
+             done;
+             m)
+       0 items);
+  let at_batch_end log = List.sort compare (List.map (fun (o, id) -> (Hashtbl.find ends o, id)) log) in
+  let reference = at_batch_end (Replay.replay_ops (Baseline_engine.make ~dim:1) flat).Replay.maturities in
+  (* op count after each item: where a recovery may land *)
+  let boundaries =
+    List.rev
+      (List.fold_left
+         (fun acc it ->
+           (List.hd acc + match it with Op _ -> 1 | Batch b -> Array.length b) :: acc)
+         [ 0 ] items)
+  in
+  let store = Io.mem_dir () in
+  let rng = Prng.create ~seed:((seed * 7919) + crash_at) in
+  let fdir =
+    Fault.wrap ~rng { Fault.no_crash with Fault.crash_at_append = crash_at; torn; bit_flip } store
+  in
+  let cfg = { Durable.fsync_every = 5; checkpoint_every = 9 } in
+  let durable, _ = Durable.wrap ~config:cfg ~dir:fdir (make ~dim:1) in
+  let pre, pre_elems = feed_items durable items ~base:0 in
+  if pre <> List.filter (fun (o, _) -> o <= pre_elems) reference then
+    Alcotest.failf "%s: pre-crash log diverged" case;
+  let engine2, report = Recovery.recover ~dim:1 ~make ~dir:store () in
+  let rec index k = function
+    | b :: _ when b = report.Recovery.ops_total -> k
+    | _ :: rest -> index (k + 1) rest
+    | [] -> Alcotest.failf "%s: recovered to op %d, inside a batch" case report.Recovery.ops_total
+  in
+  let done_items = index 0 boundaries in
+  let durable2, h2 = Durable.wrap ~config:cfg ~report ~dir:store engine2 in
+  let cont, _ = feed_items durable2 (drop done_items items) ~base:report.Recovery.elements_total in
+  Durable.close h2;
+  let got = List.sort compare (at_batch_end report.Recovery.maturities @ cont) in
+  let expected = List.filter (fun (o, _) -> o > report.Recovery.checkpoint_elements) reference in
+  if got <> expected then
+    Alcotest.failf "%s: recovered log diverged (expected %d maturities, got %d)" case
+      (List.length expected) (List.length got)
+
+(* Crash at every append of a feed-batch run, torn and not. *)
+let test_crash_equivalence_batches () =
+  List.iter
+    (fun seed ->
+      let appends = List.length (batch_script seed 80) in
+      for crash_at = 1 to appends + 1 do
+        List.iter
+          (fun torn ->
+            run_batch_crash_case ~seed ~crash_at ~torn ~bit_flip:(crash_at mod 3 = 0)
+              ~engine:(if crash_at mod 2 = 0 then "dt" else "baseline"))
+          [ false; true ]
+      done)
+    fault_seeds
+
 let prop_crash_equivalence =
   let case_gen =
     QCheck.Gen.(
@@ -1217,7 +1662,6 @@ let () =
       ( "crc32",
         [
           Alcotest.test_case "known vectors" `Quick test_crc32_vectors;
-          Alcotest.test_case "hex round-trip" `Quick test_crc32_hex;
           QCheck_alcotest.to_alcotest prop_crc32_matches_bitwise;
         ] );
       ( "wal",
@@ -1239,6 +1683,15 @@ let () =
           Alcotest.test_case "rotation syncs: synced = records" `Quick test_wal_rotation_syncs;
           Alcotest.test_case "fsync_dir errno classifier" `Quick
             test_fsync_dir_errno_classifier;
+        ] );
+      ( "wal-records",
+        [
+          Alcotest.test_case "format-1 text log refused, left intact" `Quick
+            test_wal_refuses_text_format;
+          Alcotest.test_case "mutation fuzz: a prefix or nothing" `Quick test_wal_mutation_fuzz;
+          Alcotest.test_case "forged records behind a valid CRC" `Quick test_wal_forged_records;
+          Alcotest.test_case "batch over the payload cap" `Quick test_wal_batch_over_payload_cap;
+          Alcotest.test_case "count gate: appends and bytes per batch" `Quick test_wal_count_gate;
         ] );
       ( "checkpoint",
         [
@@ -1286,11 +1739,17 @@ let () =
           Alcotest.test_case "apply never checkpoints" `Quick
             test_durable_apply_never_checkpoints;
           Alcotest.test_case "bad config rejected" `Quick test_durable_bad_config;
+          Alcotest.test_case "refused register_batch, then recovery" `Quick
+            test_durable_refused_batch_recovers;
+          Alcotest.test_case "infinite coordinate refused before logging" `Quick
+            test_durable_refuses_unloggable_element;
         ] );
       ( "crash-equivalence",
         [
           Alcotest.test_case "exhaustive over every crash point" `Slow
             test_crash_equivalence_exhaustive;
+          Alcotest.test_case "feed_batch: every crash point, torn or not" `Slow
+            test_crash_equivalence_batches;
           Alcotest.test_case "crash during checkpoint publication" `Quick
             test_crash_during_checkpoint_publication;
           QCheck_alcotest.to_alcotest prop_crash_equivalence;

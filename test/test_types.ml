@@ -71,6 +71,13 @@ let test_validate_elem () =
       Types.validate_elem ~dim:1 { value = [| 0.5 |]; weight = 0 });
   Alcotest.check_raises "nan" (Invalid_argument "element: NaN coordinate") (fun () ->
       Types.validate_elem ~dim:1 { value = [| Float.nan |]; weight = 1 });
+  (* the CSV, frame and WAL decoders refuse these too: an engine that
+     took one would have it logged in a record recovery cannot read *)
+  List.iter
+    (fun x ->
+      Alcotest.check_raises "infinite" (Invalid_argument "element: infinite coordinate") (fun () ->
+          Types.validate_elem ~dim:2 { value = [| 0.5; x |]; weight = 1 }))
+    [ infinity; neg_infinity ];
   Alcotest.check_raises "bad dim" (Invalid_argument "element: dimensionality mismatch")
     (fun () -> Types.validate_elem ~dim:2 { value = [| 0.5 |]; weight = 1 })
 
