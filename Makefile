@@ -27,14 +27,11 @@ test: build
 
 # Small-scale benchmark smoke in --json mode: exercises the traced
 # scenario driver and the metrics plumbing end to end, then re-parses
-# the BENCH_*.json output and enforces the DT message budget. The net
-# figure runs networked DT over faulty links, asserts its maturity
-# ordinals inside the bench, and has its net_* fields re-validated.
+# the BENCH_*.json output and enforces the DT message budget.
 bench-smoke: build
 	$(DUNE) exec bench/main.exe -- fig4 --scale $(SMOKE_SCALE) --json > /dev/null
 	$(DUNE) exec bench/main.exe -- fig6 --scale $(SMOKE_SCALE) --json > /dev/null
-	$(DUNE) exec bench/main.exe -- net --scale $(SMOKE_SCALE) --json > /dev/null
-	$(DUNE) exec tools/validate_bench.exe BENCH_fig4.json BENCH_fig6.json BENCH_net.json
+	$(DUNE) exec tools/validate_bench.exe BENCH_fig4.json BENCH_fig6.json
 
 # The bench gate: run the three budgeted benchmarks at the smoke scale
 # (batched ingestion, the shard k = 1/2/4/8 curve whose merged maturity

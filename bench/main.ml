@@ -488,101 +488,6 @@ let robust p =
   pf "@."
 
 (* ---------------------------------------------------------------- *)
-(* Extra: networked DT — maturity equivalence and message accounting *)
-(* under injected link faults (drop/dup/reorder/delay/flaky).        *)
-
-module Net_shadow = Rts_netcheck.Net_shadow
-module Net_fault = Rts_net.Net_fault
-
-let net p =
-  header
-    "Networked DT: per-query distributed tracking over faulty links — maturity must land on \
-     the same element as the in-process engine";
-  (* The network simulation costs O(protocol messages * retransmits), so
-     the workload is scaled down; the geometry (tau/m ratio, maturity at
-     ~tau/10 elements) is preserved. *)
-  let m = max 20 (p.m / 100) and tau = max 120 (p.tau / 100) in
-  let specs =
-    [
-      ("lossless", "", engines_1d);
-      ("moderate", "drop=0.15,dup=0.1,reorder=0.25,delay=1-4", engines_1d);
-      ("heavy", "drop=0.4,dup=0.2,reorder=0.4,delay=1-6,spread=12", roster [ "dt" ]);
-      ("degrading", "flaky=0:0.9,delay=1-3", roster [ "dt" ]);
-    ]
-  in
-  pf "@[<h>%-12s %-14s %10s %9s %9s %9s %6s %9s %9s@]@." "spec" "engine" "seconds" "msgs"
-    "useful" "bound" "ok" "retx" "degraded";
-  List.iter
-    (fun (name, spec_str, engines) ->
-      let faults =
-        match Net_fault.parse spec_str with Ok s -> s | Error e -> failwith e
-      in
-      List.iter
-        (fun (ename, factory) ->
-          let shadow = ref None in
-          let cfg =
-            {
-              (base_cfg p) with
-              Scenario.dim = 1;
-              initial_queries = m;
-              tau;
-              max_elements = 4 * (tau / 10);
-              chunk = max 16 (tau / 10 / 16);
-            }
-          in
-          let r =
-            (if p.json then Scenario.run_traced else Scenario.run) cfg (fun ~dim ->
-                let s =
-                  Net_shadow.create
-                    ~config:{ Net_shadow.default with faults; seed = p.seed }
-                    ~dim ()
-                in
-                shadow := Some s;
-                Net_shadow.wrap s (factory ~dim))
-          in
-          let s = Option.get !shadow in
-          pf "@[<h>%-12s %-14s %10.3f %9d %9d %9d %6b %9d %9d@]@." name ename
-            r.Scenario.total_seconds (Net_shadow.messages s)
-            (Net_shadow.useful_messages s)
-            (Net_shadow.message_bound_total s)
-            (Net_shadow.bound_ok s) (Net_shadow.retransmits s)
-            (Net_shadow.degraded_sites s);
-          if not (Net_shadow.never_early_ok s) then
-            failwith "net bench: never-early invariant violated";
-          if not (Net_shadow.bound_ok s) then
-            failwith "net bench: message bound exceeded without degradation";
-          if p.json then begin
-            let net_fields =
-              [
-                ("net_spec", Json.Str (Net_fault.to_string faults));
-                ("net_spec_name", Json.Str name);
-                ("net_sites", Json.int Net_shadow.default.Net_shadow.sites);
-                ("net_seed", Json.int p.seed);
-                ("net_messages", Json.int (Net_shadow.messages s));
-                ("net_useful_messages", Json.int (Net_shadow.useful_messages s));
-                ("net_message_bound", Json.int (Net_shadow.message_bound_total s));
-                ("net_bound_ok", Json.Bool (Net_shadow.bound_ok s));
-                ("net_retransmits", Json.int (Net_shadow.retransmits s));
-                ("net_degraded_sites", Json.int (Net_shadow.degraded_sites s));
-                ("net_never_early", Json.Bool (Net_shadow.never_early_ok s));
-                ("net_ordinal_match", Json.Bool (Net_shadow.mismatches s = 0));
-              ]
-            in
-            (* Queue the run record ourselves (this target does not go
-               through [run_one]) with the net_* fields attached. *)
-            let run =
-              match result_json r with
-              | Json.Obj fields -> Json.Obj (fields @ net_fields)
-              | j -> j
-            in
-            runs_acc := run :: !runs_acc
-          end)
-        engines)
-    specs;
-  emit_json p "net";
-  pf "@."
-
-(* ---------------------------------------------------------------- *)
 (* Perf: batched ingestion vs element-at-a-time, with deterministic  *)
 (* work counters. Static fig6-scale geometry (m, tau, n as fig6; no  *)
 (* terminations, static registration) so every batch size sees the   *)
@@ -1148,7 +1053,6 @@ let implementations : (string * (params -> unit)) list =
     ("dims", dims);
     ("counting", counting);
     ("robust", robust);
-    ("net", net);
     ("perf", perf);
     ("shard", shard);
     ("ablation", ablation);

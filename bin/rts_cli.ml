@@ -184,70 +184,6 @@ let sharded_factory engine_kind ~shards ~executor =
   if shards = 1 && executor = None then (base, fun () -> ())
   else Rts_shard.Shard.factory ?executor ~shards base
 
-(* ---- networked shadow validation (--net-faults) ---- *)
-
-let net_fault_conv =
-  let parse s =
-    match Rts_net.Net_fault.parse s with Ok sp -> Ok sp | Error m -> Error (`Msg m)
-  in
-  let print ppf sp = Format.pp_print_string ppf (Rts_net.Net_fault.to_string sp) in
-  Arg.conv (parse, print)
-
-let net_faults_arg =
-  let doc =
-    "Run a networked distributed-tracking shadow next to the engine: one protocol \
-     instance per query over $(b,--net-sites) simulated participants, with this \
-     fault spec injected on every link (e.g. \
-     'drop=0.2,dup=0.1,reorder=0.3,delay=1-4'; '' = lossless). The run aborts if \
-     the networked protocol ever matures a query on a different element than the \
-     engine."
-  in
-  Arg.(value & opt (some net_fault_conv) None & info [ "net-faults" ] ~docv:"SPEC" ~doc)
-
-let net_seed_arg =
-  let doc = "PRNG seed for the shadow's fault trajectories." in
-  Arg.(value & opt int 1 & info [ "net-seed" ] ~docv:"N" ~doc)
-
-let net_sites_arg =
-  let doc = "Participants per networked shadow instance." in
-  Arg.(value & opt int 4 & info [ "net-sites" ] ~docv:"H" ~doc)
-
-(* The Reliable transport's timers, exposed so operators can match the
-   retransmission behaviour to the injected fault profile instead of
-   living with the compiled-in defaults. *)
-let net_rto_arg =
-  let default = Rts_net.Reliable.default.Rts_net.Reliable.rto in
-  let doc = "Initial retransmission timeout of the reliability layer, in virtual ticks." in
-  Arg.(value & opt int default & info [ "net-rto" ] ~docv:"TICKS" ~doc)
-
-let net_rto_max_arg =
-  let default = Rts_net.Reliable.default.Rts_net.Reliable.rto_max in
-  let doc = "Retransmission backoff cap (the timeout doubles per attempt up to $(docv))." in
-  Arg.(value & opt int default & info [ "net-rto-max" ] ~docv:"TICKS" ~doc)
-
-let net_degrade_after_arg =
-  let default = Rts_net.Reliable.default.Rts_net.Reliable.degrade_after in
-  let doc =
-    "Loss budget: cumulative retransmits on one site's link beyond which that site is \
-     degraded to direct per-update forwarding."
-  in
-  Arg.(value & opt int default & info [ "net-degrade-after" ] ~docv:"N" ~doc)
-
-let net_rto_jitter_arg =
-  let doc =
-    "Deterministic retransmission-backoff jitter: each retry delay d is drawn from [d, \
-     d*(1+$(docv))] using the seeded PRNG, so links do not retry in lockstep after a \
-     partition heals. 0 disables jitter."
-  in
-  Arg.(value & opt float 0.0 & info [ "net-rto-jitter" ] ~docv:"FRAC" ~doc)
-
-let reliable_config ~rto ~rto_max ~degrade_after ~jitter =
-  if rto < 1 || rto_max < rto || degrade_after < 1 then
-    fail "--net-rto/--net-rto-max/--net-degrade-after must satisfy 1 <= rto <= rto-max, \
-          degrade-after >= 1";
-  if jitter < 0. then fail "--net-rto-jitter must be >= 0";
-  { Rts_net.Reliable.rto; rto_max; degrade_after; jitter }
-
 (* With --stats, dump the engine's uniform metric snapshot on stderr so it
    never mixes with the alert/CSV stream on stdout. *)
 let print_stats stats snapshot =
@@ -257,17 +193,14 @@ let print_stats stats snapshot =
 (* ---------------- run ---------------- *)
 
 let run_cmd engine_kind dim closed queries_file quiet stats wal_dir checkpoint_every fsync_every
-    net_faults net_seed net_sites net_rto net_rto_max net_degrade_after net_rto_jitter batch
-    shards executor top hot =
+    batch shards executor top hot =
   protect @@ fun () ->
-  if net_faults <> None && wal_dir <> None then
-    fail "--net-faults cannot be combined with --wal (the shadow is not recoverable)";
   if batch < 1 then fail "--batch must be >= 1";
   if hot <> None && (shards > 1 || executor <> None) then
     fail "--hot requires an unsharded run (the tracker lives in one engine)";
   (* Sharding sits innermost: Durable logs ops against the sharded engine
      (recovery replays the WAL into a fresh sharded engine via the same
-     factory) and the net shadow cross-checks its merged output. *)
+     factory). *)
   let make, close_shards = sharded_factory engine_kind ~shards ~executor in
   (* With --wal, the run is crash-recoverable: recover whatever durable
      state the directory already holds (fresh directory = fresh engine),
@@ -285,27 +218,6 @@ let run_cmd engine_kind dim closed queries_file quiet stats wal_dir checkpoint_e
         let config = { Durable.checkpoint_every; fsync_every } in
         let wrapped, h = Durable.wrap ~config ~report ~dir engine in
         (wrapped, Some h, report.Recovery.ops_total > 0)
-  in
-  (* With --net-faults, mirror every op into a per-query networked DT
-     shadow and abort on any maturity divergence. *)
-  let shadow = ref None in
-  let engine =
-    match net_faults with
-    | None -> engine
-    | Some faults ->
-        let config =
-          {
-            Rts_netcheck.Net_shadow.sites = net_sites;
-            faults;
-            seed = net_seed;
-            reliable =
-              reliable_config ~rto:net_rto ~rto_max:net_rto_max
-                ~degrade_after:net_degrade_after ~jitter:net_rto_jitter;
-          }
-        in
-        let s = Rts_netcheck.Net_shadow.create ~config ~dim () in
-        shadow := Some s;
-        Rts_netcheck.Net_shadow.wrap s engine
   in
   (if resuming then
      (if queries_file <> None then
@@ -370,18 +282,6 @@ let run_cmd engine_kind dim closed queries_file quiet stats wal_dir checkpoint_e
   Option.iter Durable.close handle;
   Printf.eprintf "rts-cli: %d elements, %d alerts, %d queries still live\n%!" elements alerts
     (engine.Engine.alive ());
-  (match !shadow with
-  | None -> ()
-  | Some s ->
-      let module Sh = Rts_netcheck.Net_shadow in
-      Printf.eprintf
-        "rts-cli: net shadow never matured early: %d instances over %d sites, %d \
-         protocol messages (%d useful <= bound %d: %b), %d retransmits, %d degraded \
-         sites, %d late maturities (degraded links), never-early %b\n\
-         %!"
-        (Sh.registered s) net_sites (Sh.messages s) (Sh.useful_messages s) (Sh.message_bound_total s)
-        (Sh.bound_ok s) (Sh.retransmits s) (Sh.degraded_sites s) (Sh.late_maturities s)
-        (Sh.never_early_ok s));
   print_top engine top;
   print_hot hot;
   print_stats stats (engine.Engine.metrics ());
@@ -567,9 +467,7 @@ let run_term =
   in
   Term.(
     const run_cmd $ engine_arg $ dim_arg $ closed $ queries_file $ quiet $ stats_arg $ wal
-    $ checkpoint_every $ fsync_every $ net_faults_arg $ net_seed_arg $ net_sites_arg
-    $ net_rto_arg $ net_rto_max_arg $ net_degrade_after_arg $ net_rto_jitter_arg $ batch
-    $ shards_arg $ executor_arg $ top_arg $ hot_arg)
+    $ checkpoint_every $ fsync_every $ batch $ shards_arg $ executor_arg $ top_arg $ hot_arg)
 
 let recover_term =
   let wal_dir =

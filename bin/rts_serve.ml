@@ -95,11 +95,10 @@ let net_fault_conv =
   let print ppf sp = Format.pp_print_string ppf (Rts_net.Net_fault.to_string sp) in
   Arg.conv (parse, print)
 
-let reliable_config ~rto ~rto_max ~degrade_after ~jitter =
-  if rto < 1 || rto_max < rto || degrade_after < 1 then
-    fail "--net-rto/--net-rto-max/--net-degrade-after must satisfy 1 <= rto <= rto-max";
+let reliable_config ~rto ~rto_max ~jitter =
+  if rto < 1 || rto_max < rto then fail "--net-rto/--net-rto-max must satisfy 1 <= rto <= rto-max";
   if jitter < 0. then fail "--net-rto-jitter must be >= 0";
-  { Rts_net.Reliable.rto; rto_max; degrade_after; jitter }
+  { Rts_net.Reliable.rto; rto_max; jitter }
 
 let net_rto_arg =
   let doc = "Initial retransmission timeout of the reliability layer (virtual ticks)." in
@@ -115,13 +114,6 @@ let net_rto_max_arg =
     & opt int Rts_net.Reliable.default.Rts_net.Reliable.rto_max
     & info [ "net-rto-max" ] ~docv:"TICKS" ~doc)
 
-let net_degrade_after_arg =
-  let doc = "Per-link loss budget before the transport flags the site degraded." in
-  Arg.(
-    value
-    & opt int Rts_net.Reliable.default.Rts_net.Reliable.degrade_after
-    & info [ "net-degrade-after" ] ~docv:"N" ~doc)
-
 let net_rto_jitter_arg =
   let doc =
     "Deterministic retransmission-backoff jitter: each retry delay d is drawn from [d, \
@@ -133,9 +125,9 @@ let net_rto_jitter_arg =
 (* ---------------- soak ---------------- *)
 
 let soak_cmd engine_kind dim seed tenants queries elements batch threshold churn
-    faulty_incarnations crash_every wedges net_faults net_rto net_rto_max net_degrade_after
-    net_rto_jitter replicas scenario kill_at wedge_at wedge_duration segment_records
-    queue_capacity drain_per_tick fsync_every checkpoint_every hb_every hb_timeout quiet =
+    faulty_incarnations crash_every wedges net_faults net_rto net_rto_max net_rto_jitter replicas
+    scenario kill_at wedge_at wedge_duration segment_records queue_capacity drain_per_tick
+    fsync_every checkpoint_every hb_every hb_timeout quiet =
   protect @@ fun () ->
   let scenario =
     match scenario with
@@ -167,8 +159,7 @@ let soak_cmd engine_kind dim seed tenants queries elements batch threshold churn
           hb_every;
           hb_timeout;
           reliable =
-            reliable_config ~rto:net_rto ~rto_max:net_rto_max ~degrade_after:net_degrade_after
-              ~jitter:net_rto_jitter;
+            reliable_config ~rto:net_rto ~rto_max:net_rto_max ~jitter:net_rto_jitter;
           server =
             {
               Server.default with
@@ -295,7 +286,7 @@ let soak_term =
   Term.(
     const soak_cmd $ engine_arg $ dim_arg $ seed_arg $ tenants $ queries $ elements $ batch
     $ threshold $ churn $ faulty $ crash_every $ wedges $ net_faults $ net_rto_arg $ net_rto_max_arg
-    $ net_degrade_after_arg $ net_rto_jitter_arg $ replicas $ scenario $ kill_at $ wedge_at
+    $ net_rto_jitter_arg $ replicas $ scenario $ kill_at $ wedge_at
     $ wedge_duration $ segment_records $ queue_capacity $ drain $ fsync_every $ checkpoint_every
     $ hb_every $ hb_timeout $ quiet)
 
@@ -308,8 +299,7 @@ let soak_doc =
 
 (* ---------------- session ---------------- *)
 
-let session_cmd engine_kind dim wal_dir role net_rto net_rto_max net_degrade_after
-    net_rto_jitter =
+let session_cmd engine_kind dim wal_dir role net_rto net_rto_max net_rto_jitter =
   protect @@ fun () ->
   let role =
     match role with
@@ -317,10 +307,7 @@ let session_cmd engine_kind dim wal_dir role net_rto net_rto_max net_degrade_aft
     | "replica" -> Server.Replica
     | s -> fail "unknown --role %S (primary | replica)" s
   in
-  let reliable =
-    reliable_config ~rto:net_rto ~rto_max:net_rto_max ~degrade_after:net_degrade_after
-      ~jitter:net_rto_jitter
-  in
+  let reliable = reliable_config ~rto:net_rto ~rto_max:net_rto_max ~jitter:net_rto_jitter in
   let provider ~tenant ~incarnation:_ =
     match wal_dir with
     | Some root -> Io.fs_dir (Filename.concat root tenant)
@@ -390,7 +377,7 @@ let session_term =
   in
   Term.(
     const session_cmd $ engine_arg $ dim_arg $ wal $ role $ net_rto_arg $ net_rto_max_arg
-    $ net_degrade_after_arg $ net_rto_jitter_arg)
+    $ net_rto_jitter_arg)
 
 let session_doc = "Interactive single-process serving session: wire-protocol frames on stdin, \
                    replies and maturity pushes on stdout."

@@ -1,13 +1,6 @@
 type node = Coordinator | Site of int
 
-type payload =
-  | Slack_broadcast of { round : int; lambda : int }
-  | Signal of { round : int }
-  | Round_end of { round : int }
-  | Collect_request of { direct : bool }
-  | Counter_report of { round : int; value : int }
-  | App of { body : string }
-  | Ack of { ack : int }
+type payload = App of { body : string } | Ack of { ack : int }
 
 type t = { src : node; dst : node; seq : int; epoch : int; payload : payload }
 
@@ -17,32 +10,18 @@ let pp_node ppf = function
   | Coordinator -> Format.pp_print_string ppf "co"
   | Site i -> Format.fprintf ppf "s%d" i
 
-(* The participant endpoint of a link: the protocol is a star, so every
+(* The site endpoint of a link: the topology is a star, so every
    message travels on exactly one coordinator<->site link. *)
 let site_of t =
   match (t.src, t.dst) with
   | Site i, _ | _, Site i -> i
   | Coordinator, Coordinator -> invalid_arg "Envelope.site_of: co->co message"
 
-let kind = function
-  | Slack_broadcast _ -> "slack"
-  | Signal _ -> "signal"
-  | Round_end _ -> "round_end"
-  | Collect_request _ -> "collect"
-  | Counter_report _ -> "report"
-  | App _ -> "app"
-  | Ack _ -> "ack"
+let kind = function App _ -> "app" | Ack _ -> "ack"
 
-let kinds = [ "slack"; "signal"; "round_end"; "collect"; "report"; "app"; "ack" ]
+let kinds = [ "app"; "ack" ]
 
 let pp_payload ppf = function
-  | Slack_broadcast { round; lambda } ->
-      Format.fprintf ppf "Slack_broadcast{round=%d;lambda=%d}" round lambda
-  | Signal { round } -> Format.fprintf ppf "Signal{round=%d}" round
-  | Round_end { round } -> Format.fprintf ppf "Round_end{round=%d}" round
-  | Collect_request { direct } -> Format.fprintf ppf "Collect_request{direct=%b}" direct
-  | Counter_report { round; value } ->
-      Format.fprintf ppf "Counter_report{round=%d;value=%d}" round value
   | App { body } -> Format.fprintf ppf "App{%S}" body
   | Ack { ack } -> Format.fprintf ppf "Ack{%d}" ack
 

@@ -1,30 +1,12 @@
-(** Typed message envelopes of the distributed-tracking wire protocol.
+(** Typed message envelopes of the simulated transport.
 
-    The grammar (DESIGN.md, "Networked tracking") covers both the
-    protocol of Cormode, Muthukrishnan & Yi and the reliability layer on
-    top of it:
-
-    - [Slack_broadcast {round; lambda}] — coordinator -> site: start
-      round [round] with slack [lambda]; [lambda = 0] orders the site to
-      switch to direct per-update forwarding (endgame, or a degraded
-      site).
-    - [Signal {round}] — site -> coordinator: my counter accumulated one
-      more slack [lambda] within [round].
-    - [Round_end {round}] — coordinator -> site: round [round] is over;
-      report your exact counter.
-    - [Collect_request {direct}] — coordinator -> site: out-of-band
-      resynchronization (used when a site's link degrades); with
-      [direct] the site also switches to per-update forwarding.
-    - [Counter_report {round; value}] — site -> coordinator: my exact
-      counter is [value]. [round >= 0] tags a round-end collection
-      reply; [round = -1] tags a direct-mode / resync report.
     - [App {body}] — opaque application payload: a frame of a protocol
-      layered {e over} the transport (the [rts-serve] wire protocol,
-      {!Rts_serve.Frame}) that wants Reliable's exactly-once in-order
-      delivery without the DT machine ever seeing it. The DT machine
-      treats a stray [App] as stale and drops it.
+      layered over the transport (the [rts-serve] wire protocol,
+      {!Rts_serve.Frame}, and the replication protocol of
+      {!Rts_replica.Rep}) that wants Reliable's exactly-once in-order
+      delivery.
     - [Ack {ack}] — transport-level acknowledgement of sequence number
-      [ack]; consumed by {!Reliable}, never seen by the protocol.
+      [ack]; consumed by {!Reliable}, never seen by the application.
 
     Every envelope carries a per-directed-link sequence number [seq]
     assigned by the reliability layer (0 for raw/ack sends), and an
@@ -36,14 +18,7 @@
 
 type node = Coordinator | Site of int
 
-type payload =
-  | Slack_broadcast of { round : int; lambda : int }
-  | Signal of { round : int }
-  | Round_end of { round : int }
-  | Collect_request of { direct : bool }
-  | Counter_report of { round : int; value : int }
-  | App of { body : string }
-  | Ack of { ack : int }
+type payload = App of { body : string } | Ack of { ack : int }
 
 type t = { src : node; dst : node; seq : int; epoch : int; payload : payload }
 
@@ -51,13 +26,12 @@ val node_id : node -> int
 (** [-1] for the coordinator, the site index otherwise. *)
 
 val site_of : t -> int
-(** The participant endpoint of the (star-topology) link this envelope
-    travels on. Raises [Invalid_argument] on a co->co message. *)
+(** The site endpoint of the (star-topology) link this envelope travels
+    on. Raises [Invalid_argument] on a co->co message. *)
 
 val kind : payload -> string
-(** Stable short name of the payload constructor ("slack", "signal",
-    "round_end", "collect", "report", "app", "ack") — used by metrics
-    and by the {!Net_fault} kind-targeted drop directive. *)
+(** Stable short name of the payload constructor ("app", "ack") — used
+    by the {!Net_fault} kind-targeted drop directive. *)
 
 val kinds : string list
 (** All kind names, in declaration order. *)

@@ -8,16 +8,16 @@
     it during a transient partition window, or — for [flaky] sites —
     drop it with extra probability on that site's link. [kind_drop]
     deterministically drops the first N transmissions of one envelope
-    kind, which is what the exhaustive drop-of-every-message-kind sweep
-    in the test suite uses.
+    kind ([app] or [ack]), which is what the kind-drop sweep in the test
+    suite uses.
 
     All randomness is drawn from the caller's {!Rts_util.Prng} in a
     fixed order, so every fault trajectory replays from its seed.
 
     Validation enforces quiescence: per-attempt loss probabilities stay
     below 1 and partitions must heal, so retransmission eventually
-    delivers every message — the precondition of the exactness
-    property. *)
+    delivers every message — the precondition of {!Reliable}'s
+    exactly-once guarantee. *)
 
 type spec = {
   drop : float;  (** Per-transmission loss probability, in [0, 1). *)
@@ -42,7 +42,7 @@ val validate : spec -> (spec, string) result
 
 val parse : string -> (spec, string) result
 (** Parse a comma-separated spec, e.g.
-    ["drop=0.2,dup=0.1,reorder=0.3,delay=1-4,flaky=0:0.5,partition=2@10-500,kdrop=signal:2"].
+    ["drop=0.2,dup=0.1,reorder=0.3,delay=1-4,flaky=0:0.5,partition=2@10-500,kdrop=app:2"].
     The empty string is {!none}. Includes {!validate}. *)
 
 val to_string : spec -> string

@@ -90,9 +90,3 @@ let metrics t =
       ("net_reordered_total", Metrics.Counter t.reordered);
       ("net_delivered_total", Metrics.Counter t.delivered);
     ]
-
-let sent t = t.sent
-let dropped t = t.dropped
-let duplicated t = t.duplicated
-let reordered t = t.reordered
-let delivered t = t.delivered

@@ -9,8 +9,7 @@
     virtual-time order.
 
     With {!Net_fault.none} the network consumes no randomness and
-    degenerates to lossless per-link FIFO at latency 1 — the zero-fault
-    instantiation the exactness property compares against. *)
+    degenerates to lossless per-link FIFO at latency 1. *)
 
 type t
 
@@ -28,9 +27,3 @@ val send : t -> Envelope.t -> unit
 val metrics : t -> Rts_obs.Metrics.snapshot
 (** [net_sent_total], [net_dropped_total], [net_duplicated_total],
     [net_reordered_total], [net_delivered_total]. *)
-
-val sent : t -> int
-val dropped : t -> int
-val duplicated : t -> int
-val reordered : t -> int
-val delivered : t -> int

@@ -1,9 +1,9 @@
 module Prng = Rts_util.Prng
 module Metrics = Rts_obs.Metrics
 
-type config = { rto : int; rto_max : int; degrade_after : int; jitter : float }
+type config = { rto : int; rto_max : int; jitter : float }
 
-let default = { rto = 12; rto_max = 192; degrade_after = 24; jitter = 0.0 }
+let default = { rto = 12; rto_max = 192; jitter = 0.0 }
 
 type entry = { env : Envelope.t; mutable attempts : int; mutable timer : Vclock.timer option }
 
@@ -17,11 +17,8 @@ type t = {
   rng : Prng.t; (* jitter draws only; the Network owns its own stream *)
   mutable net : Network.t option; (* tied after create; always Some in use *)
   deliver : Envelope.t -> unit;
-  on_degrade : int -> unit;
   senders : (int * int, sender_link) Hashtbl.t;
   receivers : (int * int, recv_link) Hashtbl.t;
-  site_retx : (int, int) Hashtbl.t;
-  degraded : (int, unit) Hashtbl.t;
   mutable protocol_sends : int;
   mutable retransmits : int;
   mutable acks_sent : int;
@@ -50,10 +47,6 @@ let recv_link t key =
 
 let link_key src dst = (Envelope.node_id src, Envelope.node_id dst)
 
-let is_degraded t site = Hashtbl.mem t.degraded site
-
-let degraded_sites t = Hashtbl.length t.degraded
-
 (* Exponential backoff: rto * 2^(attempts-1), capped, plus optional
    deterministic jitter. Without jitter, every link that lost traffic to
    the same partition retries on the same tick when it heals — a
@@ -77,15 +70,8 @@ let rec arm_timer t entry =
            (* Still unacked: retransmit with doubled timeout. *)
            entry.attempts <- entry.attempts + 1;
            t.retransmits <- t.retransmits + 1;
-           let site = Envelope.site_of entry.env in
-           let n = 1 + Option.value ~default:0 (Hashtbl.find_opt t.site_retx site) in
-           Hashtbl.replace t.site_retx site n;
            Network.send (network t) entry.env;
-           arm_timer t entry;
-           if n > t.config.degrade_after && not (is_degraded t site) then begin
-             Hashtbl.replace t.degraded site ();
-             t.on_degrade site
-           end))
+           arm_timer t entry))
 
 let send ?(epoch = 0) t ~src ~dst payload =
   let key = link_key src dst in
@@ -114,7 +100,7 @@ let on_receive t (env : Envelope.t) =
               Option.iter (Vclock.cancel t.clock) entry.timer;
               entry.timer <- None;
               Hashtbl.remove l.unacked ack))
-  | _ ->
+  | Envelope.App _ ->
       (* Always (re-)ack, even duplicates: the previous ack may have been
          lost. Acks are raw datagrams — unsequenced, never retried. *)
       t.acks_sent <- t.acks_sent + 1;
@@ -152,7 +138,7 @@ let on_receive t (env : Envelope.t) =
         t.held <- t.held + 1
       end
 
-let create ~config ~clock ~rng ~spec ~deliver ~on_degrade () =
+let create ~config ~clock ~rng ~spec ~deliver () =
   if config.jitter < 0. then invalid_arg "Reliable.create: jitter < 0";
   (* [copy], not [split]: copying leaves the caller's stream untouched,
      so enabling (or merely plumbing) jitter never perturbs the fault
@@ -166,11 +152,8 @@ let create ~config ~clock ~rng ~spec ~deliver ~on_degrade () =
       rng = jitter_rng;
       net = None;
       deliver;
-      on_degrade;
       senders = Hashtbl.create 16;
       receivers = Hashtbl.create 16;
-      site_retx = Hashtbl.create 16;
-      degraded = Hashtbl.create 4;
       protocol_sends = 0;
       retransmits = 0;
       acks_sent = 0;
@@ -186,10 +169,6 @@ let create ~config ~clock ~rng ~spec ~deliver ~on_degrade () =
 let unacked t =
   Hashtbl.fold (fun _ l acc -> acc + Hashtbl.length l.unacked) t.senders 0
 
-let protocol_sends t = t.protocol_sends
-
-let retransmits t = t.retransmits
-
 let metrics t =
   let net = network t in
   Metrics.merge (Network.metrics net)
@@ -201,5 +180,4 @@ let metrics t =
          ("net_acks_received_total", Metrics.Counter t.acks_received);
          ("net_dup_suppressed_total", Metrics.Counter t.dup_suppressed);
          ("net_held_out_of_order_total", Metrics.Counter t.held);
-         ("net_degraded_sites", Metrics.Gauge (float_of_int (degraded_sites t)));
        ])

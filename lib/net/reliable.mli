@@ -1,27 +1,17 @@
 (** Reliability layer over the lossy {!Network}: per-directed-link
     sequence numbers, positive acks, exponential-backoff retransmission,
-    duplicate suppression, in-order (hold-back) delivery, and a
-    loss-budget degradation signal.
+    duplicate suppression and in-order (hold-back) delivery.
 
     Guarantee: for every fault spec accepted by {!Net_fault.validate}
     (per-attempt loss < 1, partitions transient), every [send] is
-    delivered to the protocol {e exactly once, in per-link FIFO order},
-    after finitely many retransmissions. Acks are raw datagrams — lost
-    acks simply cause a duplicate retransmission, which the receiver
-    suppresses and re-acks.
-
-    Degradation: when a site's cumulative retransmission count exceeds
-    [degrade_after], [on_degrade site] fires once. The protocol layer
-    responds by switching that site to direct per-update forwarding
-    (exact counter reports) — correctness preserved, the [O(h log tau)]
-    message bound traded for per-update messages on that link. *)
+    delivered to the application {e exactly once, in per-link FIFO
+    order}, after finitely many retransmissions. Acks are raw datagrams
+    — lost acks simply cause a duplicate retransmission, which the
+    receiver suppresses and re-acks. *)
 
 type config = {
   rto : int;  (** Initial retransmission timeout, in virtual ticks. *)
   rto_max : int;  (** Backoff cap: timeout doubles per attempt up to this. *)
-  degrade_after : int;
-      (** Loss budget: cumulative retransmits on one site's link beyond
-          which [on_degrade] fires. *)
   jitter : float;
       (** Deterministic backoff jitter: each retransmission delay [d] is
           drawn uniformly from [d, d * (1 + jitter)] using the fabric's
@@ -31,7 +21,7 @@ type config = {
 }
 
 val default : config
-(** [{ rto = 12; rto_max = 192; degrade_after = 24; jitter = 0.0 }]. *)
+(** [{ rto = 12; rto_max = 192; jitter = 0.0 }]. *)
 
 type t
 
@@ -41,37 +31,24 @@ val create :
   rng:Rts_util.Prng.t ->
   spec:Net_fault.spec ->
   deliver:(Envelope.t -> unit) ->
-  on_degrade:(int -> unit) ->
   unit ->
   t
 (** Build the fabric (and its underlying {!Network}). [deliver] receives
-    each unique non-ack envelope exactly once, in per-link order;
-    [on_degrade] fires at most once per site. Both may call {!send}
-    re-entrantly. *)
+    each unique [App] envelope exactly once, in per-link order, and may
+    call {!send} re-entrantly. *)
 
 val send : ?epoch:int -> t -> src:Envelope.node -> dst:Envelope.node -> Envelope.payload -> unit
-(** Enqueue one protocol message; the layer owns sequencing and retry.
+(** Enqueue one application message; the layer owns sequencing and retry.
     [epoch] (default 0) stamps the sender incarnation's fencing number
     into the envelope — opaque to the transport, read by receivers that
     fence stale incarnations. *)
 
-val network : t -> Network.t
-
 val unacked : t -> int
 (** Messages still awaiting their ack (0 at quiescence). *)
 
-val protocol_sends : t -> int
-(** Unique protocol messages sent (first transmissions; retransmits and
-    acks excluded) — the count held against [message_bound]. *)
-
-val retransmits : t -> int
-
-val degraded_sites : t -> int
-
-val is_degraded : t -> int -> bool
-
 val metrics : t -> Rts_obs.Metrics.snapshot
-(** Union of {!Network.metrics} and [net_protocol_sends_total],
+(** Union of {!Network.metrics} and [net_protocol_sends_total] (first
+    transmissions of {!send}; retransmits and acks excluded),
     [net_retransmits_total], [net_acks_sent_total],
     [net_acks_received_total], [net_dup_suppressed_total],
-    [net_held_out_of_order_total], [net_degraded_sites]. *)
+    [net_held_out_of_order_total]. *)

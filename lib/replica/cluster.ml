@@ -15,7 +15,6 @@ type config = {
   server : Server.config;
   reliable : Reliable.config;
   net : Net_fault.spec;
-  net_seed : int;
   hb_every : int;
   hb_timeout : int;
   check_every : int;
@@ -29,7 +28,6 @@ let default =
     server = Server.default;
     reliable = Reliable.default;
     net = Net_fault.none;
-    net_seed = 1;
     hb_every = 8;
     hb_timeout = 48;
     check_every = 16;
@@ -407,7 +405,7 @@ let rec controller_check t =
 
 (* ---- construction --------------------------------------------------- *)
 
-let create ?(config = default) ~make ~provider ~base_dir () =
+let create ?(config = default) ~net_seed ~make ~provider ~base_dir () =
   if config.serving < 1 then invalid_arg "Cluster.create: need at least one serving node";
   if config.clients < 1 then invalid_arg "Cluster.create: need at least one client";
   if
@@ -416,7 +414,7 @@ let create ?(config = default) ~make ~provider ~base_dir () =
   then invalid_arg "Cluster.create: cadence fields must be positive";
   let dim = config.server.Server.dim in
   let clock = Vclock.create () in
-  let rng = Prng.create ~seed:config.net_seed in
+  let rng = Prng.create ~seed:net_seed in
   let t_ref = ref None in
   let the () = match !t_ref with Some t -> t | None -> assert false in
   let deliver (env : Envelope.t) =
@@ -429,11 +427,10 @@ let create ?(config = default) ~make ~provider ~base_dir () =
         | Envelope.Site i when i < t.cfg.serving ->
             node_recv t t.nodes.(i) ~src ~epoch:env.epoch body
         | Envelope.Site i -> client_recv t t.cnodes.(i - t.cfg.serving) ~epoch:env.epoch body)
-    | _ -> ()
+    | Envelope.Ack _ -> ()
   in
   let fab =
     Reliable.create ~config:config.reliable ~clock ~rng ~spec:config.net ~deliver
-      ~on_degrade:(fun _ -> ())
       ()
   in
   let nodes =

@@ -51,7 +51,6 @@ type config = {
   server : Server.config;  (** per-node server config (dim lives here) *)
   reliable : Rts_net.Reliable.config;
   net : Rts_net.Net_fault.spec;
-  net_seed : int;
   hb_every : int;  (** primary heartbeat cadence, ticks *)
   hb_timeout : int;  (** controller: silence before declaring death *)
   check_every : int;  (** controller liveness-check cadence *)
@@ -65,15 +64,17 @@ type t
 
 val create :
   ?config:config ->
+  net_seed:int ->
   make:(dim:int -> Rts_core.Engine.t) ->
   provider:(node:int -> tenant:string -> incarnation:int -> Rts_resilience.Io.dir) ->
   base_dir:(node:int -> tenant:string -> Rts_resilience.Io.dir) ->
   unit ->
   t
-(** [provider] yields the (possibly fault-wrapped) storage dir for one
-    tenant life on one node; [base_dir] must yield the {e unwrapped}
-    persistent dir underneath — promotion scans it to build the
-    catch-up history volley. *)
+(** [net_seed] seeds the fabric's fault draws ([net]) and its backoff
+    jitter. [provider] yields the (possibly fault-wrapped) storage dir
+    for one tenant life on one node; [base_dir] must yield the
+    {e unwrapped} persistent dir underneath — promotion scans it to
+    build the catch-up history volley. *)
 
 (* ---- scenario controls ---- *)
 

@@ -275,7 +275,7 @@ let run ?(progress = fun _ -> ()) ~make cfg =
     }
   in
   let cluster =
-    Cluster.create ~config:ccfg ~make ~provider
+    Cluster.create ~config:ccfg ~net_seed:(mix cfg.seed "net" 0) ~make ~provider
       ~base_dir:(fun ~node ~tenant -> base_of node tenant)
       ()
   in

@@ -42,11 +42,10 @@ let create ?(server_config = Server.default) ?(reliable = Reliable.default) ~cli
             match Frame.server_of_string body with
             | Ok frame -> Client.deliver !clients_ref.(i) frame
             | Error msg -> failwith ("Hub: bad server frame on the wire: " ^ msg)))
-    | _ -> ()
+    | Envelope.Ack _ -> ()
   in
   let fabric =
     Reliable.create ~config:reliable ~clock ~rng ~spec:Net_fault.none ~deliver
-      ~on_degrade:(fun _ -> ())
       ()
   in
   fabric_ref := Some fabric;

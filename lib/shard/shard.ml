@@ -93,17 +93,34 @@ let register_batch t qs =
   match qs with
   | [] -> ()
   | _ ->
-      (* Partition into per-shard buckets preserving list order, then
-         fan out once: each shard ingests its sub-batch with the same
-         relative order the caller gave, so engines that exploit the
+      (* Validate the whole batch before any shard registers, with the
+         checks of [Engine.batch_of_register] (each query valid, no id
+         repeated, none alive on its owner shard), so a refused batch
+         leaves every shard as it was. Partition into per-shard buckets
+         preserving list order: each shard ingests its sub-batch with
+         the relative order the caller gave, so engines that exploit the
          batch (the DT endpoint-tree build) see a faithful slice. *)
+      let ids = Hashtbl.create 16 in
       let buckets = Array.make t.nshards [] in
       List.iter
-        (fun q ->
-          let s = owner t q.Types.id in
+        (fun (q : Types.query) ->
+          Types.validate_query ~dim:t.dim q;
+          if Hashtbl.mem ids q.id then invalid_arg "register_batch: duplicate id";
+          Hashtbl.replace ids q.id ();
+          let s = owner t q.id in
           buckets.(s) <- q :: buckets.(s))
         qs;
       let buckets = Array.map List.rev buckets in
+      (* An id is only ever alive on its owner shard, so each shard with
+         a bucket checks its own alive set against the batch's ids. *)
+      let clash =
+        Executor.run_all t.exec (fun i ->
+            buckets.(i) <> []
+            && List.exists
+                 (fun ((q : Types.query), _) -> Hashtbl.mem ids q.id)
+                 (t.engines.(i).Engine.alive_snapshot ()))
+      in
+      if Array.exists Fun.id clash then invalid_arg "register_batch: id already alive";
       ignore
         (Executor.run_all t.exec (fun i ->
              match buckets.(i) with

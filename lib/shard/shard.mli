@@ -31,11 +31,14 @@
     the whole stream). The shard layer's own [shard_*] metrics count
     stream-level quantities exactly once.
 
-    Wrappers compose on both sides: [Durable.wrap] around
-    [Shard.engine] gives a crash-recoverable sharded run (recovery
-    replays the WAL into a fresh sharded engine via {!factory}), and
-    [Net_shadow.wrap] cross-checks a sharded engine against networked
-    distributed tracking exactly as it does an unsharded one. *)
+    [register_batch] is atomic across shards: the whole batch is
+    checked (each query valid, no id repeated, none alive on its owner
+    shard) before any shard registers, so a refused batch leaves every
+    shard as it was.
+
+    [Durable.wrap] around [Shard.engine] gives a crash-recoverable
+    sharded run (recovery replays the WAL into a fresh sharded engine
+    via {!factory}). *)
 
 open Rts_core
 

@@ -15,7 +15,6 @@ let all =
     t "dims" "Dimensionality sweep d = 1..3 (Theorem 1 extension)";
     t "counting" "Counting RTS: the unweighted special case (Section 4)";
     t "robust" "Non-uniform element distributions (Zipf, clustered)";
-    t "net" "Networked DT over faulty links: equivalence + message accounting";
     t "perf" "Batched ingestion vs element-at-a-time: wall clock + work counters"
       ~strict_trace:true ~budgeted:true;
     t "shard"
@@ -172,7 +171,7 @@ let check_run cx ~figure ~strict ~budgets i run =
   | _ -> err cx "%s: reps/total_seconds_min/total_seconds_max must appear together" where);
   Option.iter (fun entries -> check_budget cx ~figure ~where entries run) budgets;
   (* The paper's budget: if the run reports DT messages, they must fit. *)
-  (match (num "dt_messages" run, num "dt_message_budget" run) with
+  match (num "dt_messages" run, num "dt_message_budget" run) with
   | Some messages, Some budget ->
       if messages > budget then
         err cx "%s (%s): dt_messages %.0f exceeds O(h log tau) budget %.0f" where
@@ -184,37 +183,6 @@ let check_run cx ~figure ~strict ~budgets i run =
             err cx "%s: dt_budget_ok disagrees with the numbers" where
       | _ -> err cx "%s: dt_messages present but dt_budget_ok missing" where)
   | Some _, None -> err cx "%s: dt_messages without dt_message_budget" where
-  | None, _ -> ());
-  (* Networked runs (bench `net`): the useful-message count must fit the
-     same analytic budget unless the fault spec degraded links, the
-     never-early invariant is unconditional, and the maturity ordinals of
-     the faulty run must match the zero-fault reference. *)
-  match (num "net_useful_messages" run, num "net_message_bound" run) with
-  | Some useful, Some bound ->
-      let degraded = Option.value ~default:0.0 (num "net_degraded_sites" run) in
-      if useful > bound && degraded <= 0.0 then
-        err cx "%s (%s): net_useful_messages %.0f exceeds bound %.0f with no degraded sites" where
-          (Option.value ~default:"?" (str "net_spec_name" run))
-          useful bound;
-      (match mem "net_bound_ok" run with
-      | Some (Json.Bool ok) ->
-          if ok <> (degraded > 0.0 || useful <= bound) then
-            err cx "%s: net_bound_ok disagrees with the numbers" where
-      | _ -> err cx "%s: net_useful_messages present but net_bound_ok missing" where);
-      (match mem "net_never_early" run with
-      | Some (Json.Bool true) -> ()
-      | Some (Json.Bool false) -> err cx "%s: net_never_early is false" where
-      | _ -> err cx "%s: net run missing net_never_early" where);
-      (match mem "net_ordinal_match" run with
-      | Some (Json.Bool true) -> ()
-      | Some (Json.Bool false) -> err cx "%s: net_ordinal_match is false" where
-      | _ -> err cx "%s: net run missing net_ordinal_match" where);
-      ignore (require_num cx ~where "net_messages" run);
-      ignore (require_num cx ~where "net_retransmits" run);
-      (match str "net_spec" run with
-      | Some _ -> ()
-      | None -> err cx "%s: net run missing string \"net_spec\"" where)
-  | Some _, None -> err cx "%s: net_useful_messages without net_message_bound" where
   | None, _ -> ()
 
 (* perf documents: batched-ingestion shape, the batching verdict, and

@@ -75,8 +75,7 @@ val check : ?budgets:budgets -> Rts_obs.Json.t -> report
       each with engine, total_seconds, per_op_us, elements, metrics and
       a trace, strictly advancing for [strict_trace] figures; a median
       inside its min/max envelope);
-    - the paper's O(h log tau) DT message budget, and the networked
-      message bound, never-early and ordinal verdicts of [net] runs;
+    - the paper's O(h log tau) DT message budget;
     - [perf]: the batching verdict, and [allocated_words_per_element]
       exactly 0 on every [dt] run;
     - [shard]: the sweep shape, honest core counts and the determinism

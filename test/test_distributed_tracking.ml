@@ -4,7 +4,7 @@
    under adversarial increment schedules (round-robin, single hot site,
    huge weights, alternating). *)
 
-module Dt = Rts_dt.Distributed_tracking
+module Dt = Distributed_tracking
 module Prng = Rts_util.Prng
 
 (* Drive an instance with a schedule of (site, weight) increments; return

@@ -1,87 +1,90 @@
-(* Networked distributed tracking: the headline robustness property of
-   the transport layer. For every fault schedule that eventually delivers
-   (drop < 1, partitions transient), the networked protocol must mature
-   on exactly the same increment ordinal as the zero-fault run, must
-   never be early (estimate <= truth throughout), and its useful message
-   traffic must stay within the O(h log tau) bound. Degraded links trade
-   the bound for per-update traffic but keep never-early detection.
+(* The simulated transport that serving and replication run on
+   ({!Rts_serve.Hub}, {!Rts_replica.Cluster}): the virtual clock, the
+   fault-spec language, and Reliable's guarantee. For every fault spec
+   that eventually delivers (drop < 1, partitions transient), every
+   [App] message sent on a link is delivered to the application exactly
+   once and in send order, nothing stays unacked at quiescence, and a
+   (spec, seed) pair replays one exact delivery trace.
 
-   The seed sweeps run on pinned seeds; RTS_NET_SEEDS (comma-separated)
-   replaces them. *)
+   Every run below drives a star of sites around the coordinator with
+   traffic in both directions on every link. The seed sweeps run on
+   pinned seeds; RTS_NET_SEEDS (comma-separated) replaces them. *)
 
-module Dt = Rts_dt.Distributed_tracking
-module Nt = Rts_dt.Net_tracking
 module Envelope = Rts_net.Envelope
 module Net_fault = Rts_net.Net_fault
 module Vclock = Rts_net.Vclock
 module Reliable = Rts_net.Reliable
-module Net_shadow = Rts_netcheck.Net_shadow
-module Engine = Rts_core.Engine
 module Prng = Rts_util.Prng
 module Metrics = Rts_obs.Metrics
 
 let seeds = Qcheck_env.seeds "RTS_NET_SEEDS" ~default:[ 7; 19; 101 ]
 
-let nt_config ?(faults = Net_fault.none) ?(seed = 1) ?(reliable = Reliable.default) () =
-  { Nt.default with Nt.faults; seed; reliable }
+let counter snap name =
+  match Metrics.get snap name with
+  | Some (Metrics.Counter c) -> c
+  | _ -> Alcotest.failf "missing counter %s" name
 
-(* Drive classic and networked instances in lockstep over the same
-   schedule; check the maturity ordinal and the never-early invariant at
-   every step, and that both end on the same total (also when the
-   schedule stops short of tau). Returns (classic, networked, ordinal). *)
-let lockstep ~h ~tau ~config schedule =
-  let classic = Dt.create ~h ~tau in
-  let net = Nt.create ~config ~h ~tau () in
-  let ordinal = ref None in
-  List.iteri
-    (fun i (site, by) ->
-      if !ordinal = None then begin
-        let m_classic = Dt.increment classic ~site ~by in
-        let m_net = Nt.increment net ~site ~by in
-        Alcotest.(check bool)
-          (Printf.sprintf "estimate <= total at step %d" (i + 1))
-          true
-          (Nt.estimate net <= Nt.total net);
-        Alcotest.(check bool)
-          (Printf.sprintf "same maturity verdict at step %d (classic=%b net=%b)" (i + 1)
-             m_classic m_net)
-          true (m_classic = m_net);
-        if m_classic then ordinal := Some (i + 1)
-      end)
-    schedule;
-  Alcotest.(check int) "classic total = networked total" (Dt.total classic) (Nt.total net);
-  (classic, net, !ordinal)
+(* Both directed links of every site. *)
+let links ~sites =
+  List.concat_map
+    (fun i -> [ (Envelope.Site i, Envelope.Coordinator); (Envelope.Coordinator, Envelope.Site i) ])
+    (List.init sites Fun.id)
 
-let random_schedule ~rng ~h ~n ~max_by =
-  List.init n (fun _ -> (Prng.int rng h, 1 + Prng.int rng max_by))
+let link_name (src, dst) = Printf.sprintf "%d>%d" (Envelope.node_id src) (Envelope.node_id dst)
 
-(* ---- zero-fault parity: the lossless network reproduces the classic
-   run exactly — ordinal, message count, and accounting identity. ---- *)
+let body link i = Printf.sprintf "%s#%d" (link_name link) i
 
-let test_zero_fault_parity () =
-  List.iter
-    (fun (h, tau, seed) ->
-      let rng = Prng.create ~seed in
-      let schedule = random_schedule ~rng ~h ~n:(tau + 10) ~max_by:3 in
-      let classic, net, ordinal =
-        lockstep ~h ~tau ~config:(nt_config ()) schedule
-      in
-      Alcotest.(check bool) "matured" true (ordinal <> None);
-      (* Lossless: every unique send is delivered, nothing is stale, and
-         the wire traffic equals the classic run's message count. *)
-      Alcotest.(check int)
-        (Printf.sprintf "deliveries = sends (h=%d tau=%d)" h tau)
-        (Nt.messages net) (Nt.deliveries net);
-      Alcotest.(check int) "no stale traffic" 0 (Nt.stale net);
-      Alcotest.(check int)
-        (Printf.sprintf "useful messages = classic messages (h=%d tau=%d)" h tau)
-        (Dt.messages classic) (Nt.useful_messages net);
-      Alcotest.(check int) "same rounds" (Dt.rounds classic) (Nt.rounds net);
-      Alcotest.(check int) "no retransmits" 0 (Nt.retransmits net))
-    [ (1, 37, 1); (3, 200, 2); (4, 997, 3); (8, 5_000, 4); (16, 20_000, 5) ]
+type run = {
+  trace : (int * string) list; (* (tick, body) of every delivery, in delivery order *)
+  unacked : int;
+  metrics : Metrics.snapshot;
+}
 
-(* ---- headline property: fault schedules that eventually deliver give
-   the exact zero-fault maturity ordinal. ---- *)
+(* Send message [i] (1..n) on every link at tick [i * spacing], run the
+   clock to quiescence, and record what the application saw. *)
+let drive ?(config = Reliable.default) ?(spacing = 3) ~spec ~seed ~sites ~n () =
+  let clock = Vclock.create () in
+  let trace = ref [] in
+  let deliver (env : Envelope.t) =
+    match env.payload with
+    | Envelope.App { body = b } ->
+        let expected = link_name (env.src, env.dst) ^ "#" in
+        if not (String.starts_with ~prefix:expected b) then
+          Alcotest.failf "%s delivered on link %s" b expected;
+        trace := (Vclock.now clock, b) :: !trace
+    | Envelope.Ack _ -> Alcotest.fail "an ack reached the application"
+  in
+  let t = Reliable.create ~config ~clock ~rng:(Prng.create ~seed) ~spec ~deliver () in
+  let all = links ~sites in
+  for i = 1 to n do
+    ignore
+      (Vclock.schedule clock ~delay:(i * spacing) (fun () ->
+           List.iter
+             (fun ((src, dst) as l) -> Reliable.send t ~src ~dst (Envelope.App { body = body l i }))
+             all))
+  done;
+  Vclock.run_until_idle clock;
+  { trace = List.rev !trace; unacked = Reliable.unacked t; metrics = Reliable.metrics t }
+
+(* Each link delivered exactly its sent sequence, once and in order. *)
+let exact ~sites ~n r =
+  List.for_all
+    (fun l ->
+      let prefix = link_name l ^ "#" in
+      List.filter_map
+        (fun (_, b) -> if String.starts_with ~prefix b then Some b else None)
+        r.trace
+      = List.init n (fun i -> body l (i + 1)))
+    (links ~sites)
+
+let check_exact ctx ~sites ~n r =
+  Alcotest.(check bool) (ctx ^ ": every link delivers its sequence once, in order") true
+    (exact ~sites ~n r);
+  Alcotest.(check int) (ctx ^ ": nothing unacked at quiescence") 0 r.unacked
+
+(* ---- the headline property: random drop/dup/reorder/delay specs with
+   transient partitions deliver every link's sequence exactly once, in
+   order, and settle every ack. ---- *)
 
 let fault_spec_gen =
   QCheck.Gen.(
@@ -91,6 +94,13 @@ let fault_spec_gen =
     let* dmin = int_range 1 3 in
     let* dspan = int_range 0 4 in
     let* spread = int_range 1 16 in
+    let* partitions =
+      list_size (int_range 0 3)
+        (let* site = int_range 0 3 in
+         let* from = int_range 0 150 in
+         let* len = int_range 0 200 in
+         return (site, from, from + len))
+    in
     return
       {
         Net_fault.none with
@@ -100,49 +110,54 @@ let fault_spec_gen =
         delay_min = dmin;
         delay_max = dmin + dspan;
         reorder_spread = spread;
+        partitions;
       })
 
-let prop_fault_equivalence =
+let prop_exactly_once =
   QCheck.Test.make ~count:(Qcheck_env.count 60)
-    ~name:"faulty run = zero-fault run (maturity ordinal, useful messages, bound)"
+    ~name:"faulty links deliver every sent sequence once, in order, all acked"
     QCheck.(
       pair
-        (make ~print:(fun s -> Net_fault.to_string s) fault_spec_gen)
-        (triple (int_range 1 8) (int_range 1 2_000) small_int))
-    (fun (faults, (h, tau, seed)) ->
-      let rng = Prng.create ~seed in
-      let schedule = random_schedule ~rng ~h ~n:(tau + 10) ~max_by:5 in
-      let classic = Dt.create ~h ~tau in
-      let net =
-        Nt.create
-          ~config:
-            (nt_config ~faults ~seed:(seed + 1)
-               (* huge budget: we are testing equivalence, not degradation *)
-               ~reliable:{ Reliable.default with degrade_after = max_int / 2 }
-               ())
-          ~h ~tau ()
-      in
-      let ok = ref true in
-      let mature = ref false in
-      List.iter
-        (fun (site, by) ->
-          if not !mature then begin
-            let a = Dt.increment classic ~site ~by in
-            let b = Nt.increment net ~site ~by in
-            if a <> b then ok := false;
-            if Nt.estimate net > Nt.total net then ok := false;
-            if a then mature := true
-          end)
-        schedule;
-      !ok && !mature
-      && Nt.degraded_sites net = 0
-      && Nt.useful_messages net = Dt.messages classic
-      && Nt.useful_messages net <= Dt.message_bound ~h ~tau
-      && Nt.deliveries net = Nt.messages net)
+        (make ~print:Net_fault.to_string fault_spec_gen)
+        (triple (int_range 1 4) (int_range 1 30) small_int))
+    (fun (spec, (sites, n, seed)) ->
+      (match Net_fault.validate spec with
+      | Ok _ -> ()
+      | Error e -> QCheck.Test.fail_reportf "generated an invalid spec: %s" e);
+      let r = drive ~spec ~seed ~sites ~n () in
+      exact ~sites ~n r && r.unacked = 0)
 
-(* ---- pinned-seed exhaustive sweep: drop the first transmissions of
-   every envelope kind and re-check equivalence. Retransmission must
-   absorb each loss. ---- *)
+(* ---- lossless: the fabric Hub runs on. Latency 1, FIFO, nothing
+   retransmitted or suppressed, every App answered by one ack. ---- *)
+
+let test_lossless () =
+  let sites = 3 and n = 20 and spacing = 3 in
+  let r = drive ~spec:Net_fault.none ~seed:1 ~spacing ~sites ~n () in
+  check_exact "lossless" ~sites ~n r;
+  let sends = 2 * sites * n in
+  List.iter
+    (fun (tick, b) ->
+      let i = int_of_string (List.nth (String.split_on_char '#' b) 1) in
+      if tick <> (i * spacing) + 1 then Alcotest.failf "%s delivered at tick %d" b tick)
+    r.trace;
+  let c = counter r.metrics in
+  Alcotest.(check int) "protocol sends" sends (c "net_protocol_sends_total");
+  Alcotest.(check int) "one ack per send" sends (c "net_acks_sent_total");
+  Alcotest.(check int) "physical sends = sends + acks" (2 * sends) (c "net_sent_total");
+  List.iter
+    (fun name -> Alcotest.(check int) name 0 (c name))
+    [
+      "net_retransmits_total";
+      "net_dropped_total";
+      "net_duplicated_total";
+      "net_dup_suppressed_total";
+      "net_held_out_of_order_total";
+    ]
+
+(* ---- kind-drop sweep: dropping the first transmissions of each
+   envelope kind costs retransmissions, never a message. A dropped app
+   is retransmitted; a dropped ack makes the sender retransmit, and the
+   receiver suppresses the duplicate and acks it again. ---- *)
 
 let test_kind_drop_sweep () =
   List.iter
@@ -150,114 +165,65 @@ let test_kind_drop_sweep () =
       List.iter
         (fun kind ->
           List.iter
-            (fun n ->
-              let h = 5 and tau = 600 in
-              let faults = { Net_fault.none with Net_fault.kind_drop = [ (kind, n) ] } in
-              let rng = Prng.create ~seed in
-              let schedule = random_schedule ~rng ~h ~n:(tau + 10) ~max_by:4 in
-              let _, net, ordinal =
-                lockstep ~h ~tau
-                  ~config:
-                    (nt_config ~faults ~seed
-                       ~reliable:{ Reliable.default with degrade_after = max_int / 2 }
-                       ())
-                  schedule
-              in
-              Alcotest.(check bool)
-                (Printf.sprintf "matured (kind=%s n=%d seed=%d)" kind n seed)
-                true (ordinal <> None);
-              (* The dropped transmissions were retransmitted. Acks are
-                 raw (a lost ack just causes a duplicate), and collect
-                 requests only exist after degradation — that kind's drop
-                 coverage lives in the degradation test. *)
-              if List.mem kind [ "slack"; "signal"; "round_end"; "report" ] then
-                Alcotest.(check bool)
-                  (Printf.sprintf "retransmits >= 1 (kind=%s n=%d)" kind n)
-                  true
-                  (Nt.retransmits net >= 1))
+            (fun k ->
+              let ctx = Printf.sprintf "kdrop=%s:%d seed=%d" kind k seed in
+              let spec = { Net_fault.none with Net_fault.kind_drop = [ (kind, k) ] } in
+              let sites = 3 and n = 12 in
+              let r = drive ~spec ~seed ~sites ~n () in
+              check_exact ctx ~sites ~n r;
+              let c = counter r.metrics in
+              Alcotest.(check int) (ctx ^ ": dropped") k (c "net_dropped_total");
+              Alcotest.(check bool) (ctx ^ ": every drop retransmitted") true
+                (c "net_retransmits_total" >= k);
+              if kind = "ack" then begin
+                Alcotest.(check bool) (ctx ^ ": duplicates suppressed") true
+                  (c "net_dup_suppressed_total" >= k);
+                Alcotest.(check bool) (ctx ^ ": re-acked") true
+                  (c "net_acks_sent_total" >= c "net_protocol_sends_total" + k)
+              end)
             [ 1; 3 ])
         Envelope.kinds)
     seeds
 
-(* ---- degradation: a link over its loss budget switches to direct
-   forwarding; correctness (never-early + eventual detection) holds and
-   the accounting shows the degraded site. ---- *)
-
-let test_degradation () =
-  List.iter
-    (fun seed ->
-      let h = 4 and tau = 2_000 in
-      let faults =
-        {
-          Net_fault.none with
-          Net_fault.flaky = [ (0, 0.9) ];
-          delay_max = 3;
-          (* Also drop the first post-degradation collect requests: the
-             exhaustive kind sweep's coverage for the "collect" kind. *)
-          kind_drop = [ ("collect", 2) ];
-        }
-      in
-      let net =
-        Nt.create
-          ~config:(nt_config ~faults ~seed ~reliable:{ Reliable.default with degrade_after = 8 } ())
-          ~h ~tau ()
-      in
-      let truth = ref 0 in
-      let rng = Prng.create ~seed in
-      let matured_at = ref None in
-      let i = ref 0 in
-      while !matured_at = None && !i < 3 * tau do
-        incr i;
-        let site = Prng.int rng h in
-        let by = 1 + Prng.int rng 3 in
-        truth := !truth + by;
-        let m = Nt.increment net ~site ~by in
-        (* Never early: no maturity before the true crossing. *)
-        if m && !truth < tau then Alcotest.fail "matured before threshold";
-        Alcotest.(check bool) "estimate <= total" true (Nt.estimate net <= Nt.total net);
-        if m then matured_at := Some !i
-      done;
-      Alcotest.(check bool) (Printf.sprintf "matured (seed=%d)" seed) true (!matured_at <> None);
-      Alcotest.(check bool) "site 0 degraded" true (Nt.is_degraded net 0);
-      Alcotest.(check bool) "degraded count positive" true (Nt.degraded_sites net > 0);
-      let snap = Nt.metrics net in
-      Alcotest.(check bool) "net_degraded_sites metric > 0" true
-        (match Metrics.get snap "net_degraded_sites" with
-        | Some (Metrics.Gauge g) -> g > 0.
-        | _ -> false))
-    seeds
-
-(* ---- partitions: a transient partition heals and the run still
-   matches the zero-fault ordinal. ---- *)
+(* ---- partitions: a transient partition black-holes its site's links
+   for the window, then heals, and retransmission delivers everything
+   sent into it. ---- *)
 
 let test_partition_heals () =
   List.iter
     (fun seed ->
-      let h = 4 and tau = 800 in
-      let faults =
-        {
-          Net_fault.none with
-          Net_fault.partitions = [ (1, 5, 400); (2, 200, 700) ];
-          delay_max = 2;
-        }
-      in
-      let rng = Prng.create ~seed in
-      let schedule = random_schedule ~rng ~h ~n:(tau + 10) ~max_by:3 in
-      let _, _, ordinal =
-        lockstep ~h ~tau
-          ~config:
-            (nt_config ~faults ~seed
-               ~reliable:{ Reliable.default with degrade_after = max_int / 2 }
-               ())
-          schedule
-      in
-      Alcotest.(check bool) (Printf.sprintf "matured (seed=%d)" seed) true (ordinal <> None))
+      let partitions = [ (1, 5, 400); (2, 200, 700) ] and delay_max = 2 in
+      let spec = { Net_fault.none with Net_fault.partitions; delay_max } in
+      let sites = 4 and n = 150 and spacing = 5 in
+      let r = drive ~spec ~seed ~spacing ~sites ~n () in
+      let ctx = Printf.sprintf "seed=%d" seed in
+      check_exact ctx ~sites ~n r;
+      List.iter
+        (fun (site, from, until) ->
+          let on_site b =
+            List.exists
+              (fun l -> String.starts_with ~prefix:(link_name l ^ "#") b)
+              [ (Envelope.Site site, Envelope.Coordinator); (Envelope.Coordinator, Envelope.Site site) ]
+          in
+          (* In flight at [from] may still land until [from + delay_max]. *)
+          List.iter
+            (fun (tick, b) ->
+              if on_site b && tick > from + delay_max && tick <= until then
+                Alcotest.failf "%s: %s delivered at %d inside site %d's partition" ctx b tick site)
+            r.trace;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: site %d traffic resumes after the heal" ctx site)
+            true
+            (List.exists (fun (tick, b) -> on_site b && tick > until) r.trace))
+        partitions;
+      Alcotest.(check bool) (ctx ^ ": partitions cost retransmissions") true
+        (counter r.metrics "net_retransmits_total" > 0))
     seeds
 
 (* ---- fault-spec parser ---- *)
 
 let test_fault_parse () =
-  (match Net_fault.parse "drop=0.2,dup=0.1,reorder=0.3,delay=1-4,spread=12,flaky=0:0.5,partition=2@10-500,kdrop=signal:2" with
+  (match Net_fault.parse "drop=0.2,dup=0.1,reorder=0.3,delay=1-4,spread=12,flaky=0:0.5,partition=2@10-500,kdrop=app:2" with
   | Error e -> Alcotest.failf "parse failed: %s" e
   | Ok sp ->
       Alcotest.(check (float 1e-9)) "drop" 0.2 sp.Net_fault.drop;
@@ -267,7 +233,7 @@ let test_fault_parse () =
       Alcotest.(check int) "spread" 12 sp.Net_fault.reorder_spread;
       Alcotest.(check bool) "flaky" true (sp.Net_fault.flaky = [ (0, 0.5) ]);
       Alcotest.(check bool) "partition" true (sp.Net_fault.partitions = [ (2, 10, 500) ]);
-      Alcotest.(check bool) "kdrop" true (sp.Net_fault.kind_drop = [ ("signal", 2) ]);
+      Alcotest.(check bool) "kdrop" true (sp.Net_fault.kind_drop = [ ("app", 2) ]);
       (* Round-trip through the canonical rendering. *)
       (match Net_fault.parse (Net_fault.to_string sp) with
       | Ok sp' -> Alcotest.(check bool) "round-trip" true (sp = sp')
@@ -291,120 +257,93 @@ let test_fault_parse () =
       "nonsense=1";
     ]
 
-(* ---- deterministic replay: same spec + seed => identical trajectory;
-   different seed => (almost surely) different fault pattern, same
-   ordinal. Every run is held step by step against the classic protocol
-   under the default (degrading) reliability config, including runs cut
-   short of tau. ---- *)
+(* ---- envelope kinds: the names kdrop accepts are exactly the two
+   payload constructors ---- *)
+
+let test_envelope_kinds () =
+  Alcotest.(check (list string)) "kind of each payload" [ "app"; "ack" ]
+    [ Envelope.kind (Envelope.App { body = "" }); Envelope.kind (Envelope.Ack { ack = 1 }) ];
+  Alcotest.(check (list string)) "kinds" [ "app"; "ack" ] Envelope.kinds;
+  List.iter
+    (fun k ->
+      match Net_fault.parse ("kdrop=" ^ k ^ ":1") with
+      | Ok sp -> Alcotest.(check bool) (k ^ " parsed") true (sp.Net_fault.kind_drop = [ (k, 1) ])
+      | Error e -> Alcotest.failf "kdrop=%s:1 refused: %s" k e)
+    Envelope.kinds;
+  List.iter
+    (fun k ->
+      match Net_fault.parse ("kdrop=" ^ k ^ ":1") with
+      | Ok _ -> Alcotest.failf "kdrop=%s:1 accepted" k
+      | Error _ -> ())
+    [ "slack"; "signal"; "round_end"; "collect"; "report" ]
+
+(* ---- deterministic replay: same spec + seed => identical delivery
+   trace and counters; a different seed draws a different trace with
+   the same per-link sequences. ---- *)
 
 let test_deterministic_replay () =
-  let h = 4 and tau = 500 in
-  let run ~faults ~n seed =
-    let rng = Prng.create ~seed:99 in
-    let schedule = random_schedule ~rng ~h ~n ~max_by:3 in
-    let _, net, ordinal = lockstep ~h ~tau ~config:(nt_config ~faults ~seed ()) schedule in
-    (ordinal, Nt.messages net, Nt.deliveries net, Nt.retransmits net, Nt.stale net)
-  in
-  let ord_of (o, _, _, _, _) = o in
-  List.iter
-    (fun faults ->
-      let spec = Net_fault.to_string faults in
-      let a = run ~faults ~n:(tau + 10) 5 and b = run ~faults ~n:(tau + 10) 5 in
-      let c = run ~faults ~n:(tau + 10) 6 in
-      Alcotest.(check bool) (spec ^ ": same seed, identical trajectory") true (a = b);
-      Alcotest.(check bool) (spec ^ ": different seed, same ordinal") true (ord_of a = ord_of c);
-      (* At most 3 per step over tau / 4 steps: no maturity, equal totals. *)
-      Alcotest.(check bool) (spec ^ ": no maturity short of tau") true
-        (ord_of (run ~faults ~n:(tau / 4) 7) = None))
-    [
-      { Net_fault.none with Net_fault.drop = 0.3; duplicate = 0.2; reorder = 0.3; delay_max = 4 };
-      { Net_fault.none with Net_fault.drop = 0.25; duplicate = 0.15; reorder = 0.3; delay_max = 4 };
-    ]
-
-(* ---- three engines under one faulty shadow: identical maturity logs,
-   all bit-identical to the zero-fault run. ---- *)
-
-let test_three_engine_shadow () =
-  let module Types = Rts_core.Types in
-  let module Generator = Rts_workload.Generator in
-  let dim = 1 in
-  let engines : (string * (unit -> Engine.t)) list =
-    [
-      ("dt", fun () -> Rts_core.Dt_engine.make ~dim);
-      ("baseline", fun () -> Rts_core.Baseline_engine.make ~dim);
-      ("interval-tree", fun () -> Rts_core.Stab1d_engine.make ());
-    ]
-  in
-  let specs =
-    [
-      Net_fault.none;
-      { Net_fault.none with Net_fault.drop = 0.25; duplicate = 0.15; reorder = 0.3; delay_max = 4 };
-    ]
-  in
-  let run spec (name, make) =
-    let gen = Generator.create ~dim ~seed:77 () in
-    let shadow =
-      Net_shadow.create
-        ~config:{ Net_shadow.default with Net_shadow.faults = spec; seed = 13; sites = 3 }
-        ~dim ()
-    in
-    let engine = Net_shadow.wrap shadow (make ()) in
-    let queries = List.init 30 (fun id -> Generator.query gen ~id ~threshold:400) in
-    engine.Engine.register_batch queries;
-    let log = ref [] in
-    for i = 1 to 1_200 do
-      let matured = engine.Engine.process (Generator.element gen) in
-      List.iter (fun id -> log := (i, id) :: !log) matured
-    done;
-    Alcotest.(check int) (name ^ ": no mismatches") 0 (Net_shadow.mismatches shadow);
-    Alcotest.(check bool) (name ^ ": never early") true (Net_shadow.never_early_ok shadow);
-    List.rev !log
-  in
-  (* All engines, all specs: one identical maturity log. *)
-  let reference = run (List.hd specs) (List.hd engines) in
-  Alcotest.(check bool) "reference log nonempty" true (reference <> []);
+  let sites = 4 and n = 40 in
   List.iter
     (fun spec ->
-      List.iter
-        (fun engine ->
-          let log = run spec engine in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s log = zero-fault dt log" (fst engine))
-            true (log = reference))
-        engines)
-    specs
+      let name = Net_fault.to_string spec in
+      let a = drive ~spec ~seed:5 ~sites ~n () and b = drive ~spec ~seed:5 ~sites ~n () in
+      let c = drive ~spec ~seed:6 ~sites ~n () in
+      Alcotest.(check (list (pair int string))) (name ^ ": same seed, identical trace") a.trace
+        b.trace;
+      Alcotest.(check bool) (name ^ ": same seed, identical counters") true
+        (a.metrics = b.metrics);
+      check_exact (name ^ " seed 6") ~sites ~n c;
+      Alcotest.(check bool) (name ^ ": different seed, different trace") true
+        (a.trace <> c.trace))
+    [
+      { Net_fault.none with Net_fault.drop = 0.3; duplicate = 0.2; reorder = 0.3; delay_max = 4 };
+      {
+        Net_fault.none with
+        Net_fault.drop = 0.25;
+        duplicate = 0.15;
+        reorder = 0.3;
+        delay_max = 4;
+        partitions = [ (0, 20, 90) ];
+        flaky = [ (3, 0.3) ];
+      };
+    ]
 
-(* ---- accounting identity + metrics surface ---- *)
+(* ---- accounting at quiescence: every unique send was delivered once,
+   and every physical transmission is accounted for. ---- *)
 
 let test_metrics_surface () =
-  let faults = { Net_fault.none with Net_fault.drop = 0.2; duplicate = 0.1; delay_max = 3 } in
-  let net = Nt.create ~config:(nt_config ~faults ~seed:3 ()) ~h:4 ~tau:300 () in
-  let i = ref 0 in
-  while not (Nt.is_mature net) do
-    incr i;
-    ignore (Nt.increment net ~site:(!i mod 4) ~by:1)
-  done;
-  let snap = Nt.metrics net in
-  let counter name =
-    match Metrics.get snap name with
-    | Some (Metrics.Counter c) -> c
-    | _ -> Alcotest.failf "missing counter %s" name
+  let spec =
+    { Net_fault.none with Net_fault.drop = 0.2; duplicate = 0.1; reorder = 0.2; delay_max = 3 }
   in
-  (* At quiescence every unique protocol send was delivered exactly once. *)
-  Alcotest.(check int) "sends = machine deliveries" (counter "net_protocol_sends_total")
-    (counter "net_machine_deliveries_total");
-  Alcotest.(check int) "useful = deliveries - stale"
-    (counter "net_machine_deliveries_total" - counter "net_stale_total")
-    (counter "net_useful_messages_total");
   List.iter
-    (fun name -> ignore (counter name))
-    [ "net_sent_total"; "net_dropped_total"; "net_retransmits_total"; "net_acks_sent_total" ];
-  Alcotest.(check bool) "mature gauge" true
-    (match Metrics.get snap "net_mature" with Some (Metrics.Gauge 1.0) -> true | _ -> false)
+    (fun seed ->
+      let sites = 4 and n = 30 in
+      let r = drive ~spec ~seed ~sites ~n () in
+      let ctx = Printf.sprintf "seed=%d" seed in
+      check_exact ctx ~sites ~n r;
+      let c = counter r.metrics in
+      let sends = c "net_protocol_sends_total" in
+      Alcotest.(check int) (ctx ^ ": sends = application sends") (2 * sites * n) sends;
+      (* Every App arrival is acked; the ones not suppressed as
+         duplicates are the deliveries. *)
+      Alcotest.(check int) (ctx ^ ": sends = deliveries") sends
+        (c "net_acks_sent_total" - c "net_dup_suppressed_total");
+      Alcotest.(check int) (ctx ^ ": deliveries the application saw") sends
+        (List.length r.trace);
+      Alcotest.(check int) (ctx ^ ": transmissions = sends + retransmits + acks")
+        (sends + c "net_retransmits_total" + c "net_acks_sent_total")
+        (c "net_sent_total");
+      Alcotest.(check int) (ctx ^ ": transmissions = dropped + delivered - duplicated")
+        (c "net_sent_total")
+        (c "net_dropped_total" + c "net_delivered_total" - c "net_duplicated_total");
+      Alcotest.(check bool) (ctx ^ ": faults happened") true
+        (c "net_dropped_total" > 0 && c "net_duplicated_total" > 0
+        && c "net_held_out_of_order_total" > 0))
+    seeds
 
-(* ---- reliable fabric directly: backoff jitter + epoch stamping ---- *)
+(* ---- backoff jitter + epoch stamping ---- *)
 
-(* Drive N sends over a lossy link and record (tick, round) for every
+(* Drive N sends over a lossy link and record (tick, index) for every
    delivery. Everything is seeded, so a (seed, jitter) pair names one
    exact retransmission schedule. *)
 let reliable_run ~jitter ~seed ~n =
@@ -414,22 +353,20 @@ let reliable_run ~jitter ~seed ~n =
   let log = ref [] in
   let deliver env =
     match env.Envelope.payload with
-    | Envelope.Signal { round } -> log := (Vclock.now clock, round) :: !log
-    | _ -> ()
+    | Envelope.App { body } -> log := (Vclock.now clock, int_of_string body) :: !log
+    | Envelope.Ack _ -> ()
   in
   let t =
     Reliable.create
       ~config:{ Reliable.default with Reliable.rto = 6; jitter }
-      ~clock ~rng ~spec ~deliver
-      ~on_degrade:(fun _ -> ())
-      ()
+      ~clock ~rng ~spec ~deliver ()
   in
   for i = 1 to n do
     Reliable.send t ~src:(Envelope.Site 0) ~dst:Envelope.Coordinator
-      (Envelope.Signal { round = i })
+      (Envelope.App { body = string_of_int i })
   done;
   Vclock.run_until_idle clock;
-  (List.rev !log, Reliable.retransmits t)
+  (List.rev !log, counter (Reliable.metrics t) "net_retransmits_total")
 
 let test_reliable_jitter_deterministic () =
   (* same seed, same jitter: bit-identical delivery schedule — jitter
@@ -465,13 +402,12 @@ let test_reliable_epoch_stamped () =
   let t =
     Reliable.create ~config:Reliable.default ~clock ~rng ~spec:Net_fault.none
       ~deliver:(fun env -> epochs := env.Envelope.epoch :: !epochs)
-      ~on_degrade:(fun _ -> ())
       ()
   in
   Reliable.send t ~src:(Envelope.Site 0) ~dst:Envelope.Coordinator
-    (Envelope.Signal { round = 1 });
+    (Envelope.App { body = "1" });
   Reliable.send ~epoch:7 t ~src:(Envelope.Site 0) ~dst:Envelope.Coordinator
-    (Envelope.Signal { round = 2 });
+    (Envelope.App { body = "2" });
   Vclock.run_until_idle clock;
   Alcotest.(check (list int)) "default epoch 0, explicit stamped" [ 0; 7 ]
     (List.rev !epochs)
@@ -497,16 +433,15 @@ let () =
         [
           Alcotest.test_case "vclock" `Quick test_vclock;
           Alcotest.test_case "fault spec parse" `Quick test_fault_parse;
-          Alcotest.test_case "zero-fault parity" `Quick test_zero_fault_parity;
+          Alcotest.test_case "envelope kinds" `Quick test_envelope_kinds;
+          Alcotest.test_case "lossless fabric" `Quick test_lossless;
           Alcotest.test_case "kind-drop sweep" `Quick test_kind_drop_sweep;
-          Alcotest.test_case "degradation" `Quick test_degradation;
           Alcotest.test_case "partition heals" `Quick test_partition_heals;
           Alcotest.test_case "deterministic replay" `Quick test_deterministic_replay;
-          Alcotest.test_case "three engines, one shadow" `Quick test_three_engine_shadow;
           Alcotest.test_case "metrics surface" `Quick test_metrics_surface;
           Alcotest.test_case "reliable jitter deterministic" `Quick
             test_reliable_jitter_deterministic;
           Alcotest.test_case "reliable epoch stamped" `Quick test_reliable_epoch_stamped;
         ] );
-      ("property", [ QCheck_alcotest.to_alcotest prop_fault_equivalence ]);
+      ("property", [ QCheck_alcotest.to_alcotest prop_exactly_once ]);
     ]

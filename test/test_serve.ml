@@ -468,8 +468,6 @@ let serve_leg seed =
       {
         cluster with
         Cluster.serving = 1;
-        (* the fabric's fault stream follows the seed, like the workload *)
-        net_seed = seed;
         net = { Net_fault.none with drop = 0.1; duplicate = 0.05; reorder = 0.2 };
         server =
           {

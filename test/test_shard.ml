@@ -20,8 +20,7 @@
      list) asserting maturity-log equality for
      k in {1,2,4} x executors x batch in {1,64};
    - wrapper composition: Durable.wrap around a sharded engine recovers
-     into an equivalent sharded engine, and Net_shadow cross-checks a
-     sharded engine without divergence. *)
+     into an equivalent sharded engine. *)
 
 open Rts_core
 open Rts_workload
@@ -31,7 +30,6 @@ module Metrics = Rts_obs.Metrics
 module Shard = Rts_shard.Shard
 module Executor = Rts_shard.Executor
 module Rendezvous = Rts_shard.Rendezvous
-module Net_shadow = Rts_netcheck.Net_shadow
 
 let executors = Executor.Seq :: (if Executor.domains_available then [ Executor.Domains ] else [])
 
@@ -619,24 +617,87 @@ let test_durable_composition () = durable_composition ()
 let test_durable_composition_default_executor () =
   durable_composition ~executor:Executor.default_kind ()
 
-(* Net_shadow.wrap over a sharded engine: the networked protocol must
-   land every maturity on the same element as the sharded engine (wrap
-   raises on divergence), with zero mismatches on lossless links. *)
-let test_net_shadow_composition () =
+(* ---- register_batch is atomic across shards ----------------------- *)
+
+(* With id 1 alive, batches that one shard would refuse, each spread
+   over fresh ids 2..21 that land on every one of 4 shards: id 1 again
+   (alive on its owner), a repeated id, an invalid query. *)
+let refused_batches () =
+  let rng = Prng.create ~seed:41 in
+  let q id = gen_query rng ~dim:1 ~domain:8 ~max_tau:500 ~id in
+  let fresh = List.init 20 (fun i -> q (i + 2)) in
+  (* out of reach of the elements fed before the refusal *)
+  let q1 = { (q 1) with Types.threshold = 1_000_000 } in
+  ( q1,
+    fresh,
+    [
+      ("id alive", fresh @ [ { q1 with Types.threshold = 7 } ]);
+      ("repeated id", fresh @ [ q 5 ]);
+      ("invalid query", fresh @ [ { (q 30) with Types.threshold = 0 } ]);
+    ] )
+
+let check_refused ctx (e : Engine.t) batches =
+  let before = snapshot_str (e.alive_snapshot ()) in
+  List.iter
+    (fun (what, batch) ->
+      (match e.register_batch batch with
+      | () -> Alcotest.failf "%s: %s batch accepted" ctx what
+      | exception Invalid_argument _ -> ());
+      Alcotest.(check string)
+        (Printf.sprintf "%s: refused %s batch leaves alive_snapshot unchanged" ctx what)
+        before
+        (snapshot_str (e.alive_snapshot ())))
+    batches
+
+let test_register_batch_atomic () =
+  let q1, fresh, batches = refused_batches () in
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun (name, base) ->
+          let sh = Shard.create ~executor:kind ~shards:4 ~dim:1 base in
+          Fun.protect ~finally:(fun () -> Shard.close sh) @@ fun () ->
+          let e = Shard.engine sh in
+          let ctx = Printf.sprintf "%s k=4 %s" name (exec_str kind) in
+          Alcotest.(check bool) (ctx ^ ": the fresh ids reach every shard") true
+            (List.for_all
+               (fun s -> List.exists (fun (q : Types.query) -> Shard.owner sh q.id = s) fresh)
+               [ 0; 1; 2; 3 ]);
+          e.Engine.register q1;
+          check_refused ctx e batches;
+          Alcotest.(check int) (ctx ^ ": nothing counted") 1
+            (Metrics.counter_value (e.Engine.metrics ()) "shard_registered_total");
+          e.Engine.register_batch fresh;
+          Alcotest.(check int) (ctx ^ ": a valid batch still registers") 21 (e.Engine.alive ()))
+        [
+          ("baseline", fun ~dim -> Baseline_engine.make ~dim);
+          ("dt", fun ~dim -> Dt_engine.make ~dim);
+        ])
+    executors
+
+(* Under Durable a refused batch is neither applied nor logged, so
+   recovery rebuilds exactly the pre-refusal alive set. *)
+let test_register_batch_atomic_durable () =
   let dim = 1 in
-  let rng = Prng.create ~seed:31 in
-  let queries = List.init 25 (fun id -> gen_query rng ~dim ~domain:8 ~max_tau:120 ~id) in
-  let elems = Array.init 400 (fun _ -> gen_elem rng ~dim ~domain:8 ~max_weight:3) in
-  let make, close_all = Shard.factory ~shards:2 (fun ~dim -> Dt_engine.make ~dim) in
+  let q1, fresh, batches = refused_batches () in
+  let rng = Prng.create ~seed:43 in
+  let elems = Array.init 60 (fun _ -> gen_elem rng ~dim ~domain:8 ~max_weight:3) in
+  let make, close_all = Shard.factory ~shards:4 (fun ~dim -> Dt_engine.make ~dim) in
   Fun.protect ~finally:close_all @@ fun () ->
-  let shadow = Net_shadow.create ~config:{ Net_shadow.default with seed = 5 } ~dim () in
-  let e = Net_shadow.wrap shadow (make ~dim) in
-  e.Engine.register_batch queries;
-  let matured = ref 0 in
-  Array.iter (fun el -> matured := !matured + List.length (e.Engine.process el)) elems;
-  Alcotest.(check bool) "some queries matured" true (!matured > 0);
-  Alcotest.(check int) "no engine/shadow mismatches" 0 (Net_shadow.mismatches shadow);
-  Alcotest.(check bool) "never early" true (Net_shadow.never_early_ok shadow)
+  let dir = Io.mem_dir () in
+  let wrapped, h = Durable.wrap ~dir (make ~dim) in
+  wrapped.Engine.register q1;
+  ignore (wrapped.Engine.feed_batch elems);
+  let before = snapshot_str (wrapped.Engine.alive_snapshot ()) in
+  check_refused "durable k=4" wrapped batches;
+  Durable.close h;
+  let recovered, _report = Recovery.recover ~dim ~make ~dir () in
+  Alcotest.(check string) "recovery rebuilds the pre-refusal alive set" before
+    (snapshot_str (recovered.Engine.alive_snapshot ()));
+  recovered.Engine.register_batch fresh;
+  Alcotest.(check int) "a valid batch registers after recovery"
+    (List.length fresh + wrapped.Engine.alive ())
+    (recovered.Engine.alive ())
 
 (* ---- shard metrics + lifecycle ------------------------------------ *)
 
@@ -908,7 +969,10 @@ let () =
             test_durable_composition;
           Alcotest.test_case "durable wrap + recovery on the default executor" `Quick
             test_durable_composition_default_executor;
-          Alcotest.test_case "net shadow over sharded engine" `Quick test_net_shadow_composition;
+          Alcotest.test_case "refused register_batch leaves every shard unchanged" `Quick
+            test_register_batch_atomic;
+          Alcotest.test_case "refused register_batch under durable + recovery" `Quick
+            test_register_batch_atomic_durable;
         ] );
       ( "surface",
         [

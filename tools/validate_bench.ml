@@ -5,7 +5,7 @@
 
    Every document goes through Rts_workload.Bench_targets.check: the
    shape its figure promises, the paper's O(h log tau) DT message
-   budget, the networked bounds, the determinism and never-early
+   budget, the determinism and never-early
    verdicts, and the two zero contracts (no allocation on the DT feed
    path of a perf run, no certified-bound violation in an approx run).
    These hold at any scale, so the nightly run at a wider scale passes
