@@ -447,7 +447,8 @@ let run_term =
   let checkpoint_every =
     Arg.(
       value & opt int Durable.default.Durable.checkpoint_every
-      & info [ "checkpoint-every" ] ~docv:"N" ~doc:"Ops between checkpoints (with --wal).")
+      & info [ "checkpoint-every" ] ~docv:"N" ~doc:"Minimum ops between checkpoints (with --wal); a checkpoint also waits \
+                for WAL bytes reaching half the previous checkpoint's size.")
   in
   let fsync_every =
     Arg.(

@@ -267,7 +267,7 @@ let soak_term =
     Arg.(value & opt int 5 & info [ "fsync-every" ] ~docv:"N" ~doc:"WAL fsync batching.")
   in
   let checkpoint_every =
-    Arg.(value & opt int 67 & info [ "checkpoint-every" ] ~docv:"N" ~doc:"Checkpoint cadence.")
+    Arg.(value & opt int 67 & info [ "checkpoint-every" ] ~docv:"N" ~doc:"Minimum ops between checkpoints.")
   in
   let hb_every =
     Arg.(

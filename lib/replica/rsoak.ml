@@ -4,6 +4,7 @@ module Generator = Rts_workload.Generator
 module Io = Rts_resilience.Io
 module Fault = Rts_resilience.Fault
 module Wal = Rts_resilience.Wal
+module Checkpoint = Rts_resilience.Checkpoint
 module Vclock = Rts_net.Vclock
 module Net_fault = Rts_net.Net_fault
 module Metrics = Rts_obs.Metrics
@@ -347,6 +348,21 @@ let run ?(progress = fun _ -> ()) ~make cfg =
   let srv = Cluster.server cluster promoted in
   let subscriber = Cluster.client cluster 0 in
   let checkpoint_every = ccfg.Cluster.server.Server.durable.Rts_resilience.Durable.checkpoint_every in
+  (* The most ops a checkpoint can trail by. Durable checkpoints once
+     [checkpoint_every] ops and WAL bytes reaching half the previous
+     checkpoint's size are both logged. The serve path logs one record
+     per op, none shorter than a terminate record; the two generations
+     kept on disk sized the last interval and the open one. *)
+  let checkpoint_interval (dir : Io.dir) =
+    let largest =
+      List.fold_left
+        (fun m (_, file) ->
+          match dir.Io.read_file file with Some s -> max m (String.length s) | None -> m)
+        0 (Checkpoint.generations ~dir)
+    in
+    let per_op = 2 * String.length (Wal.frame (Replay.Terminate 0)) in
+    max checkpoint_every ((largest + per_op - 1) / per_op)
+  in
   let segment_records = ccfg.Cluster.server.Server.segment_records in
   let per_tenant =
     List.init cfg.tenants (fun i ->
@@ -387,7 +403,8 @@ let run ?(progress = fun _ -> ()) ~make cfg =
         let rejected = Server.rejected_ops srv name in
         let disk_ok =
           segment_records = 0
-          || scanned.Wal.records <= (2 * checkpoint_every) + (2 * segment_records) + 128
+          || scanned.Wal.records
+             <= (2 * checkpoint_interval (base_of promoted name)) + (2 * segment_records) + 128
         in
         {
           name;

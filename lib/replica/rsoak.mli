@@ -35,9 +35,10 @@
     and failover. Accepted ops must equal applied + benignly rejected,
     and the chain must hold exactly [applied] records. With rotation on,
     pruning must also have actually happened ([pruned_somewhere]) and
-    the surviving chain must stay under the disk bound, so the run
-    demonstrates bounded disk at 10× the checkpoint interval, not
-    pruning disabled.
+    the surviving chain must stay under the disk bound — twice the most
+    ops a checkpoint can trail by under {!Rts_resilience.Durable}'s
+    cadence, plus two segments — so the run demonstrates bounded disk
+    over 10× [checkpoint_every] ops, not pruning disabled.
 
     [RTS_SERVE_TRACE=<tenant>|all] dumps the oracle, server and
     subscriber streams and the oracle's ops for a tenant that diverges. *)
@@ -104,7 +105,7 @@ type report = {
       (** [faulty_incarnations = 0] or at least one storage crash was
           actually exercised *)
   volume_ok : bool;
-      (** ≥ 10 × checkpoint interval of ops per tenant. Reported but not
+      (** ≥ 10 × [checkpoint_every] ops per tenant. Reported but not
           folded into [ok]: survival-to-application depends on
           fault-plan luck (disk-full windows and kills shed ops under
           the at-least-once admission contract), so only pinned-seed

@@ -62,7 +62,7 @@ let write ~dir ~gen ~dim ~ops ~elements entries =
   Bytes.set_int32_le b (len - crc_bytes) (Crc32.subbytes b ~pos:0 ~len:(len - crc_bytes));
   let name = filename gen in
   dir.Io.write_atomic name (Bytes.unsafe_to_string b);
-  name
+  (name, len)
 
 (* Every check runs before anything proportional to [count] is
    allocated, and each failure is a [Corrupt]: the image is untrusted. *)

@@ -62,9 +62,9 @@ val parse_filename : string -> int option
 
 val write :
   dir:Io.dir -> gen:int -> dim:int -> ops:int -> elements:int ->
-  (Types.query * int) list -> string
+  (Types.query * int) list -> string * int
 (** Serialize and atomically publish one generation; returns the file
-    name. Entries are [(q, consumed)] as produced by [alive_snapshot].
+    name and its size in bytes. Entries are [(q, consumed)] as produced by [alive_snapshot].
     Raises [Invalid_argument] on a negative [gen], a [dim] below 1, or an
     entry whose rectangle is not [dim]-dimensional. *)
 

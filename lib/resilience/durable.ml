@@ -14,6 +14,8 @@ type handle = {
   mutable ops : int;  (** durable-stream op ordinal of the last applied op *)
   mutable elements : int;
   mutable last_checkpoint_ops : int;
+  mutable checkpoint_wal_bytes : int;  (** [Wal.bytes] when the newest checkpoint was taken *)
+  mutable checkpoint_bytes : int;  (** its size; 0 until this handle takes one *)
   mutable next_gen : int;
   mutable checkpoints : int;
 }
@@ -23,16 +25,25 @@ let count_elements ops =
 
 let checkpoint_now h =
   Wal.sync h.wal;
-  ignore
-    (Checkpoint.write ~dir:h.dir ~gen:h.next_gen ~dim:h.inner.Engine.dim ~ops:h.ops
-       ~elements:h.elements
-       (h.inner.Engine.alive_snapshot ()));
+  let _, bytes =
+    Checkpoint.write ~dir:h.dir ~gen:h.next_gen ~dim:h.inner.Engine.dim ~ops:h.ops
+      ~elements:h.elements
+      (h.inner.Engine.alive_snapshot ())
+  in
   h.checkpoints <- h.checkpoints + 1;
   h.next_gen <- h.next_gen + 1;
   h.last_checkpoint_ops <- h.ops;
+  h.checkpoint_wal_bytes <- Wal.bytes h.wal;
+  h.checkpoint_bytes <- bytes;
   Checkpoint.prune ~dir:h.dir
 
-let checkpoint_due h = h.ops - h.last_checkpoint_ops >= h.cfg.checkpoint_every
+(* A checkpoint costs in proportion to its snapshot, so it waits until
+   the WAL grew by half the last one: its cost stays within twice the
+   replay it saves. The op floor keeps a small snapshot from
+   checkpointing after nearly every batch. *)
+let checkpoint_due h =
+  h.ops - h.last_checkpoint_ops >= h.cfg.checkpoint_every
+  && 2 * (Wal.bytes h.wal - h.checkpoint_wal_bytes) >= h.checkpoint_bytes
 
 let maybe_checkpoint h = if checkpoint_due h then checkpoint_now h
 
@@ -75,6 +86,7 @@ let wrap ?(config = default) ?report ?wal_epoch ?(segment_records = 0) ~dir (eng
   if config.checkpoint_every < 1 then invalid_arg "Durable.wrap: checkpoint_every < 1";
   let wal =
     Wal.writer ~fsync_every:config.fsync_every ?epoch:wal_epoch ~segment_records
+      ?scanned:(Option.map (fun (r : Recovery.report) -> r.wal) report)
       ~dim:engine.Engine.dim ~dir ()
   in
   let ops, elements =
@@ -99,6 +111,8 @@ let wrap ?(config = default) ?report ?wal_epoch ?(segment_records = 0) ~dir (eng
       ops;
       elements;
       last_checkpoint_ops = ops;
+      checkpoint_wal_bytes = 0;
+      checkpoint_bytes = 0;
       next_gen;
       checkpoints = 0;
     }

@@ -12,7 +12,12 @@
     - whenever {!checkpoint_due} holds after an op (after the whole
       batch for [register_batch] / [feed_batch]), fsyncs the WAL and
       atomically publishes a {!Checkpoint} generation built from the
-      engine's [alive_snapshot], then prunes all but the newest two generations;
+      engine's [alive_snapshot], then prunes all but the newest two
+      generations. The cadence is sized to the snapshot: a checkpoint
+      waits for at least [checkpoint_every] ops {e and} for WAL bytes
+      reaching half the size of the previous checkpoint, so a large
+      snapshot is published at most once per half its size in log, and
+      recovery replays at most that much past the op floor;
     - folds the durability counters ([wal_records_total],
       [wal_fsyncs_total], [checkpoints_total]) — and, when a
       {!Recovery.report} is supplied, the [recovery_*] metrics — into
@@ -43,7 +48,9 @@ open Rts_core
 
 type config = {
   fsync_every : int;  (** WAL fsync batching (default 1 — every op). *)
-  checkpoint_every : int;  (** Ops between checkpoints (default 1024). *)
+  checkpoint_every : int;
+      (** Minimum ops between checkpoints (default 1024); see
+          {!checkpoint_due} for the byte rule on top. *)
 }
 
 val default : config
@@ -66,6 +73,8 @@ val wrap :
     checkpoint. [wal_epoch] stamps the writer incarnation's epoch into
     the log (raises {!Wal.Fenced} if the chain carries a higher one);
     [segment_records] > 0 enables WAL rotation at that segment size.
+    The WAL writer opens from the report's scan, so nothing may write
+    to [dir] between that recovery and [wrap].
     Raises [Invalid_argument] on a nonsensical config. *)
 
 val apply : handle -> Rts_workload.Replay.op -> int list
@@ -74,9 +83,14 @@ val apply : handle -> Rts_workload.Replay.op -> int list
     rejected op, before anything is logged. *)
 
 val checkpoint_due : handle -> bool
-(** At least [checkpoint_every] ops were logged since the last
-    checkpoint (or since [wrap]). The wrapped engine checkpoints exactly
-    when this holds after an op or batch. *)
+(** Both: at least [checkpoint_every] ops were logged since the last
+    checkpoint (or since [wrap]), and the WAL bytes written since that
+    checkpoint reach half its size. Until this handle's first checkpoint
+    the size counts as 0, so the op floor alone decides. A checkpoint
+    costs in proportion to its snapshot, so this caps its cost at twice
+    the WAL bytes it spares recovery; the floor keeps a small snapshot
+    from being republished after nearly every batch. The wrapped engine
+    checkpoints exactly when this holds after an op or batch. *)
 
 val synced : handle -> int
 (** The op ordinal the WAL is fsynced through ({!Wal.synced}): rotation

@@ -13,6 +13,7 @@ type report = {
   ops_total : int;
   elements_total : int;
   maturities : (int * int) list;
+  wal : Wal.scanned;
 }
 
 (* Newest checkpoint that validates, plus how many newer ones were
@@ -104,6 +105,7 @@ let recover ~dim ~make ~dir () =
       elements_total = checkpoint_elements + outcome.Replay.elements;
       maturities =
         List.map (fun (ord, id) -> (ord + checkpoint_elements, id)) outcome.Replay.maturities;
+      wal;
     }
   in
   (engine, report)

@@ -34,6 +34,9 @@ type report = {
   elements_total : int;  (** Durable element count. *)
   maturities : (int * int) list;
       (** [(global element ordinal, query id)] fired during replay. *)
+  wal : Wal.scanned;
+      (** The chain as recovery scanned it. {!Durable.wrap} hands it to
+          the WAL writer, so a restart reads each WAL file once. *)
 }
 
 exception Gap of { checkpoint_ops : int; wal_base : int }

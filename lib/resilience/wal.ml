@@ -85,6 +85,16 @@ let frame op =
 
 (* ---------------- scanning ---------------- *)
 
+(* The active file as the opening scan found it. *)
+type active = { a_epoch : int; a_base : int; a_ops : Replay.op list; a_records : int }
+
+(* How the chain lay on disk when it was scanned: what {!writer} needs
+   to position its appends without reading the chain again. *)
+type layout = {
+  cold_end : int;  (* op ordinal the cold chain ends at; 0 without one *)
+  active_file : [ `Absent | `Empty | `Damaged | `Header of active ];
+}
+
 type scanned = {
   ops : Replay.op list;
   records : int;
@@ -92,9 +102,13 @@ type scanned = {
   epoch : int;
   valid_bytes : int;
   bytes_discarded : int;
+  layout : layout;
 }
 
-let empty_scanned = { ops = []; records = 0; base = 0; epoch = 0; valid_bytes = 0; bytes_discarded = 0 }
+let no_layout = { cold_end = 0; active_file = `Absent }
+
+let empty_scanned =
+  { ops = []; records = 0; base = 0; epoch = 0; valid_bytes = 0; bytes_discarded = 0; layout = no_layout }
 
 (* Raised inside the decoder only; ends the intact prefix. *)
 exception Refused
@@ -169,7 +183,7 @@ let scan_range ~dim data ~pos:start =
 
 let scan_string ~dim data =
   let ops, records, valid_bytes, bytes_discarded = scan_range ~dim data ~pos:0 in
-  { ops; records; base = 0; epoch = 0; valid_bytes; bytes_discarded }
+  { ops; records; base = 0; epoch = 0; valid_bytes; bytes_discarded; layout = no_layout }
 
 (* ---------------- headers ---------------- *)
 
@@ -238,14 +252,16 @@ let parse_active_header data : [ `Empty | `Damaged | `Header of int * int * int 
     | _ -> `Damaged
 
 (* Scan the active file image: header plus records. A damaged header
-   makes the base unknowable, so nothing in the file can be trusted. *)
+   makes the base unknowable, so nothing in the file can be trusted.
+   Returns the file's state, its intact byte length and its torn-tail
+   length. *)
 let scan_active ~dim data =
   match parse_active_header data with
-  | `Empty -> (0, 0, [], 0, 0, 0)
-  | `Damaged -> (0, 0, [], 0, 0, String.length data)
-  | `Header (epoch, base, hlen) ->
-      let ops, records, valid, disc = scan_range ~dim data ~pos:hlen in
-      (epoch, base, ops, records, hlen + valid, disc)
+  | `Empty -> (`Empty, 0, 0)
+  | `Damaged -> (`Damaged, 0, String.length data)
+  | `Header (a_epoch, a_base, hlen) ->
+      let a_ops, a_records, valid, disc = scan_range ~dim data ~pos:hlen in
+      (`Header { a_epoch; a_base; a_ops; a_records }, hlen + valid, disc)
 
 (* [Some (epoch, base, count, header_len)] if [data] begins with a
    valid cold-segment header. *)
@@ -332,6 +348,7 @@ let cold_chain ~dim ~dir =
 
 let scan ~dim ~dir () =
   let chain, seg_epoch = cold_chain ~dim ~dir in
+  let cold_end = match chain with Some c -> c.c_end | None -> 0 in
   match dir.Io.read_file default_file with
   | None -> (
       match chain with
@@ -344,10 +361,17 @@ let scan ~dim ~dir () =
             epoch = seg_epoch;
             valid_bytes = 0;
             bytes_discarded = 0;
+            layout = { cold_end; active_file = `Absent };
           })
   | Some data -> (
-      let aepoch, abase, aops, arecords, valid_bytes, bytes_discarded = scan_active ~dim data in
+      let active_file, valid_bytes, bytes_discarded = scan_active ~dim data in
+      let aepoch, abase, aops, arecords =
+        match active_file with
+        | `Header a -> (a.a_epoch, a.a_base, a.a_ops, a.a_records)
+        | `Empty | `Damaged -> (0, 0, [], 0)
+      in
       let epoch = max seg_epoch aepoch in
+      let layout = { cold_end; active_file } in
       match chain with
       | Some c when abase <= c.c_end ->
           (* Overlap is the crash window between publishing a cold
@@ -364,18 +388,12 @@ let scan ~dim ~dir () =
             epoch;
             valid_bytes;
             bytes_discarded;
+            layout;
           }
       | _ ->
           (* No cold chain, or a gap between it and the active file: the
              active file is where appends land, so it wins. *)
-          {
-            ops = aops;
-            records = arecords;
-            base = abase;
-            epoch;
-            valid_bytes;
-            bytes_discarded;
-          })
+          { ops = aops; records = arecords; base = abase; epoch; valid_bytes; bytes_discarded; layout })
 
 (* ---------------- writer ---------------- *)
 
@@ -392,6 +410,7 @@ type writer = {
   mutable active_records : int;
   mutable logged : int;
   mutable appended : int;
+  mutable bytes : int;
   mutable since_sync : int;
   mutable fsyncs : int;
   mutable rotations : int;
@@ -404,12 +423,12 @@ let rewrite_active dir ~epoch ~base ops =
   List.iter (fun op -> Buffer.add_string buf (frame op)) ops;
   dir.Io.write_atomic default_file (Buffer.contents buf)
 
-let writer ?(fsync_every = 1) ?epoch ?(segment_records = 0) ~dim ~dir () =
+let writer ?(fsync_every = 1) ?epoch ?(segment_records = 0) ?scanned ~dim ~dir () =
   if fsync_every < 1 then invalid_arg "Wal.writer: fsync_every < 1";
   if segment_records < 0 then invalid_arg "Wal.writer: segment_records < 0";
   if register_bytes dim > max_payload then
     invalid_arg "Wal.writer: dimension too large for one record";
-  let existing = scan ~dim ~dir () in
+  let existing = match scanned with Some s -> s | None -> scan ~dim ~dir () in
   let epoch =
     match epoch with
     | None -> existing.epoch
@@ -417,8 +436,7 @@ let writer ?(fsync_every = 1) ?epoch ?(segment_records = 0) ~dim ~dir () =
         if e < existing.epoch then raise (Fenced { requested = e; found = existing.epoch });
         e
   in
-  let cold, _ = cold_chain ~dim ~dir in
-  let cold_end = match cold with Some c -> c.c_end | None -> 0 in
+  let { cold_end; active_file } = existing.layout in
   (* A header records a base or an epoch the records cannot; without
      either, a fresh file gets its header with its first record. *)
   let fresh ~base =
@@ -429,31 +447,27 @@ let writer ?(fsync_every = 1) ?epoch ?(segment_records = 0) ~dim ~dir () =
     else (base, 0, false)
   in
   let active_base, active_records, headed =
-    match dir.Io.read_file default_file with
-    | None -> fresh ~base:(existing.base + existing.records)
-    | Some data -> (
-        let header = parse_active_header data in
-        let aepoch, abase, aops, arecords, valid_bytes, bytes_discarded = scan_active ~dim data in
+    match active_file with
+    | `Absent -> fresh ~base:(existing.base + existing.records)
+    | `Empty -> fresh ~base:cold_end
+    | `Damaged ->
+        dir.Io.truncate_file default_file 0;
+        fresh ~base:cold_end
+    | `Header a when cold_end > a.a_base || epoch > a.a_epoch ->
         (* Records already sealed into cold segments supersede any copy
            still sitting in the active file (the rotation crash
            window). *)
-        let overlap = cold_end > abase in
-        let cold_end = max cold_end abase in
-        match header with
-        | `Damaged ->
-            dir.Io.truncate_file default_file 0;
-            fresh ~base:cold_end
-        | _ when overlap || epoch > aepoch ->
-            let keep = drop (cold_end - abase) aops in
-            rewrite_active dir ~epoch ~base:cold_end keep;
-            (cold_end, List.length keep, true)
-        | `Empty -> (0, 0, false)
-        | `Header _ ->
-            (* The classic path: amputate a torn tail before appending —
-               a record appended after garbage would be unreachable to
-               the scanner forever. *)
-            if bytes_discarded > 0 then dir.Io.truncate_file default_file valid_bytes;
-            (abase, arecords, true))
+        let base = max cold_end a.a_base in
+        let keep = drop (base - a.a_base) a.a_ops in
+        rewrite_active dir ~epoch ~base keep;
+        (base, List.length keep, true)
+    | `Header a ->
+        (* The classic path: amputate a torn tail before appending — a
+           record appended after garbage would be unreachable to the
+           scanner forever. *)
+        if existing.bytes_discarded > 0 then
+          dir.Io.truncate_file default_file existing.valid_bytes;
+        (a.a_base, a.a_records, true)
   in
   let handle = dir.Io.open_append default_file in
   {
@@ -469,6 +483,7 @@ let writer ?(fsync_every = 1) ?epoch ?(segment_records = 0) ~dim ~dir () =
     active_records;
     logged = 0;
     appended = 0;
+    bytes = 0;
     since_sync = 0;
     fsyncs = 0;
     rotations = 0;
@@ -491,31 +506,32 @@ let rotate w =
   w.file.Io.close ();
   (match w.dir.Io.read_file default_file with
   | None -> ()
-  | Some data ->
-      let _, abase, _, arecords, valid_bytes, _ = scan_active ~dim:w.dim data in
-      if arecords > 0 then begin
-        (* Seal the intact records byte for byte, behind a segment
-           header in place of the active one. *)
-        let hlen = header_bytes 2 in
-        w.dir.Io.write_atomic (segment_name abase)
-          (segment_header ~epoch:w.epoch ~base:abase ~count:arecords
-          ^ String.sub data hlen (valid_bytes - hlen));
-        rewrite_active w.dir ~epoch:w.epoch ~base:(abase + arecords) [];
-        w.headed <- true;
-        w.active_base <- abase + arecords;
-        w.active_records <- 0;
-        w.rotations <- w.rotations + 1
-      end);
+  | Some data -> (
+      match scan_active ~dim:w.dim data with
+      | `Header { a_base; a_records; _ }, valid_bytes, _ when a_records > 0 ->
+          (* Seal the intact records byte for byte, behind a segment
+             header in place of the active one. *)
+          let hlen = header_bytes 2 in
+          w.dir.Io.write_atomic (segment_name a_base)
+            (segment_header ~epoch:w.epoch ~base:a_base ~count:a_records
+            ^ String.sub data hlen (valid_bytes - hlen));
+          rewrite_active w.dir ~epoch:w.epoch ~base:(a_base + a_records) [];
+          w.headed <- true;
+          w.active_base <- a_base + a_records;
+          w.active_records <- 0;
+          w.rotations <- w.rotations + 1
+      | _ -> ()));
   w.file <- w.dir.Io.open_append default_file
 
 (* One write(2) of [b], which holds [records] records of [ops] ops. *)
 let write w b ~records ~ops =
   if w.closed then invalid_arg "Wal.append: writer is closed";
   let s = Bytes.unsafe_to_string b in
-  w.file.Io.append
-    (if w.headed then s else active_header ~epoch:w.epoch ~base:w.active_base ^ s);
+  let s = if w.headed then s else active_header ~epoch:w.epoch ~base:w.active_base ^ s in
+  w.file.Io.append s;
   w.headed <- true;
   w.appended <- w.appended + records;
+  w.bytes <- w.bytes + String.length s;
   w.logged <- w.logged + ops;
   w.active_records <- w.active_records + ops;
   w.since_sync <- w.since_sync + ops;
@@ -556,6 +572,7 @@ let close w =
 let records w = w.existing.base + w.existing.records + w.logged
 let synced w = records w - w.since_sync
 let appended w = w.appended
+let bytes w = w.bytes
 let fsyncs w = w.fsyncs
 let rotations w = w.rotations
 

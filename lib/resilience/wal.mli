@@ -109,6 +109,11 @@ exception Unsupported_format of string
 val frame : Replay.op -> string
 (** One op as one record. *)
 
+type layout
+(** How the chain lay on disk when it was scanned: where the cold chain
+    ends and what the active file held. {!writer} positions its appends
+    from it. *)
+
 type scanned = {
   ops : Replay.op list;  (** Available ops, chain order. *)
   records : int;  (** [List.length ops]: ops, not records. *)
@@ -122,6 +127,7 @@ type scanned = {
           included). *)
   bytes_discarded : int;
       (** Torn-tail bytes in the {e active file} after that prefix. *)
+  layout : layout;
 }
 
 val scan_string : dim:int -> string -> scanned
@@ -163,6 +169,7 @@ val writer :
   ?fsync_every:int ->
   ?epoch:int ->
   ?segment_records:int ->
+  ?scanned:scanned ->
   dim:int ->
   dir:Io.dir ->
   unit ->
@@ -181,7 +188,11 @@ val writer :
     seals; raises {!Fenced} if the chain already carries a higher one.
     [segment_records] > 0 rotates automatically once that many ops
     accumulate in the active file (checked after each write); 0
-    (default) disables rotation and keeps a single file. *)
+    (default) disables rotation and keeps a single file.
+
+    [scanned] is a {!scan} of [dir] already in hand — {!Recovery.recover}
+    takes one — so the writer opens without reading the chain again.
+    Nothing may have written to [dir] since that scan. *)
 
 val existing : writer -> scanned
 (** What the opening chain scan found (before any {!append} by this
@@ -227,6 +238,11 @@ val synced : writer -> int
 
 val appended : writer -> int
 (** Records (not ops) appended through this writer. *)
+
+val bytes : writer -> int
+(** Bytes appended through this writer, active headers included
+    (what {!Durable}'s checkpoint cadence weighs against the
+    snapshot's size). *)
 
 val fsyncs : writer -> int
 (** Fsyncs issued by this writer (feeds [wal_fsyncs_total]). *)

@@ -589,8 +589,12 @@ let sample_entries =
 
 let test_checkpoint_roundtrip () =
   let dir = Io.mem_dir () in
-  let name = Checkpoint.write ~dir ~gen:3 ~dim:1 ~ops:10 ~elements:7 sample_entries in
+  let name, bytes = Checkpoint.write ~dir ~gen:3 ~dim:1 ~ops:10 ~elements:7 sample_entries in
   Alcotest.(check string) "file name" (Checkpoint.filename 3) name;
+  Alcotest.(check int) "size as published: header, 2 entries of 40 bytes, CRC"
+    (48 + (2 * 40) + 4) bytes;
+  Alcotest.(check int) "size on disk" bytes
+    (String.length (Option.get (dir.Io.read_file name)));
   let meta, entries = Checkpoint.load ~dir name in
   Alcotest.(check int) "gen" 3 meta.Checkpoint.gen;
   Alcotest.(check int) "dim" 1 meta.Checkpoint.dim;
@@ -614,7 +618,7 @@ let expect_corrupt label f =
    catches every single-bit flip, so none does.) *)
 let test_checkpoint_detects_every_bit_flip () =
   let dir = Io.mem_dir () in
-  let name = Checkpoint.write ~dir ~gen:0 ~dim:1 ~ops:10 ~elements:7 sample_entries in
+  let name, _ = Checkpoint.write ~dir ~gen:0 ~dim:1 ~ops:10 ~elements:7 sample_entries in
   let image = Option.get (dir.Io.read_file name) in
   let original = Checkpoint.load ~dir name in
   for byte = 0 to String.length image - 1 do
@@ -634,7 +638,7 @@ let test_checkpoint_detects_every_bit_flip () =
 
 let test_checkpoint_detects_every_truncation () =
   let dir = Io.mem_dir () in
-  let name = Checkpoint.write ~dir ~gen:0 ~dim:1 ~ops:10 ~elements:7 sample_entries in
+  let name, _ = Checkpoint.write ~dir ~gen:0 ~dim:1 ~ops:10 ~elements:7 sample_entries in
   let image = Option.get (dir.Io.read_file name) in
   for len = 0 to String.length image - 1 do
     let d = Io.mem_dir () in
@@ -647,12 +651,12 @@ let test_checkpoint_semantic_validation () =
   let dir = Io.mem_dir () in
   expect_corrupt "missing file" (fun () -> Checkpoint.load ~dir "nope.ckpt");
   (* consumed >= threshold is nonsense: the query would already have matured *)
-  let name =
+  let name, _ =
     Checkpoint.write ~dir ~gen:0 ~dim:1 ~ops:1 ~elements:0
       [ (q ~id:1 ~threshold:3 (0., 1.), 3) ]
   in
   expect_corrupt "consumed >= threshold" (fun () -> Checkpoint.load ~dir name);
-  let name =
+  let name, _ =
     Checkpoint.write ~dir ~gen:1 ~dim:1 ~ops:2 ~elements:0
       [ (q ~id:1 ~threshold:3 (0., 1.), 0); (q ~id:1 ~threshold:5 (0., 2.), 1) ]
   in
@@ -695,7 +699,7 @@ let test_checkpoint_bit_exact_roundtrip () =
           ]
       in
       let dir = Io.mem_dir () in
-      let name = Checkpoint.write ~dir ~gen:max_int ~dim ~ops:max_int ~elements:(max_int - 1) entries in
+      let name, _ = Checkpoint.write ~dir ~gen:max_int ~dim ~ops:max_int ~elements:(max_int - 1) entries in
       let meta, loaded = Checkpoint.load ~dir name in
       Alcotest.(check (list int)) "meta" [ max_int; dim; max_int; max_int - 1; 5 ]
         [ meta.Checkpoint.gen; meta.dim; meta.ops; meta.elements; meta.count ];
@@ -771,9 +775,9 @@ let fuzz_base_images () =
     ]
   in
   [|
-    image (Checkpoint.write ~dir ~gen:0 ~dim:1 ~ops:10 ~elements:7 sample_entries);
-    image (Checkpoint.write ~dir ~gen:1 ~dim:2 ~ops:12 ~elements:3 e2);
-    image (Checkpoint.write ~dir ~gen:2 ~dim:1 ~ops:0 ~elements:0 []);
+    image (fst (Checkpoint.write ~dir ~gen:0 ~dim:1 ~ops:10 ~elements:7 sample_entries));
+    image (fst (Checkpoint.write ~dir ~gen:1 ~dim:2 ~ops:12 ~elements:3 e2));
+    image (fst (Checkpoint.write ~dir ~gen:2 ~dim:1 ~ops:0 ~elements:0 []));
   |]
 
 (* Random bit flips (1-8 bits), truncations and splices of two images,
@@ -1224,6 +1228,229 @@ let test_durable_refused_batch_recovers () =
       Alcotest.(check bool) (name ^ ": recovered alive set as without the batch") true
         (engine.Engine.alive_snapshot () = before))
     [ "baseline"; "dt"; "interval-tree"; "r-tree" ]
+
+(* ------------------------------------------------------------------ *)
+(* Checkpoint cadence and restart reads                                *)
+(* ------------------------------------------------------------------ *)
+
+(* A store that counts the bytes appended to the WAL and logs each
+   checkpoint publication as (WAL bytes appended by then, image size),
+   newest first. *)
+let cadence_store () =
+  let store = Io.mem_dir () in
+  let wal_bytes = ref 0 and published = ref [] in
+  let dir =
+    {
+      store with
+      Io.open_append =
+        (fun name ->
+          let f = store.Io.open_append name in
+          if name <> Wal.default_file then f
+          else
+            {
+              f with
+              Io.append =
+                (fun s ->
+                  f.Io.append s;
+                  wal_bytes := !wal_bytes + String.length s);
+            });
+      write_atomic =
+        (fun name data ->
+          store.Io.write_atomic name data;
+          if Checkpoint.parse_filename name <> None then
+            published := (!wal_bytes, String.length data) :: !published);
+    }
+  in
+  (dir, wal_bytes, published)
+
+(* The cli_wal shape: 10,000 1D queries, then 256 batches of 64
+   elements, the default op floor. No query can mature (thresholds
+   exceed the stream's total weight), so every checkpoint is 48 + 10,000
+   x 40 + 4 = 400,052 bytes, and each batch is one 1,037-byte record.
+   The set-up checkpoint is the first; the next waits for 200,026 WAL
+   bytes, which batch 193 reaches (2 x 193 x 1,037 = 400,282). A
+   checkpoint every 1,024 ops would take 17. *)
+let test_cadence_cli_wal_shape () =
+  let dir, _, published = cadence_store () in
+  let cfg = { Durable.fsync_every = 64; checkpoint_every = 1024 } in
+  let durable, h = Durable.wrap ~config:cfg ~dir (Dt_engine.make ~dim:1) in
+  let rng = Prng.create ~seed:1 in
+  durable.Engine.register_batch
+    (List.init 10_000 (fun id ->
+         let a = float_of_int (Prng.int rng 1000) in
+         q ~id ~threshold:(2_000_000 + Prng.int rng 2_000_000) (a, a +. 1. +. float_of_int (Prng.int rng 50))));
+  for _ = 1 to 256 do
+    let batch = Array.init 64 (fun _ -> e (float_of_int (Prng.int rng 1050)) (1 + Prng.int rng 100)) in
+    Alcotest.(check (list int)) "nothing matures" [] (durable.Engine.feed_batch batch)
+  done;
+  Alcotest.(check int) "two checkpoints: set-up and batch 193" 2
+    (Metrics.counter_value (durable.Engine.metrics ()) "checkpoints_total");
+  Alcotest.(check int) "the second covers 193 batches" (10_000 + (193 * 64))
+    (Durable.last_checkpoint_ops h);
+  Alcotest.(check (list int)) "each image is the full snapshot" [ 400_052; 400_052 ]
+    (List.map snd !published);
+  Durable.close h
+
+type cadence_case = { seed : int; dim : int; floor : int; steps : int }
+
+let pp_cadence_case c =
+  Printf.sprintf "{seed=%d; dim=%d; floor=%d; steps=%d}" c.seed c.dim c.floor c.steps
+
+(* A random stream of registrations (single and batched), terminations,
+   single elements and element batches through the wrapped DT engine.
+   Checked at every checkpoint: it comes at least [floor] ops and half
+   the previous image's bytes of WAL after the previous one. Checked
+   after every op or batch: the WAL past the newest checkpoint stays
+   below the larger of the bytes the floor's ops took and half that
+   checkpoint, plus the step's own record. *)
+let run_cadence_case c =
+  let dir, wal_bytes, published = cadence_store () in
+  let cfg = { Durable.fsync_every = 8; checkpoint_every = c.floor } in
+  let durable, h = Durable.wrap ~config:cfg ~dir (Dt_engine.make ~dim:c.dim) in
+  let rng = Prng.create ~seed:c.seed in
+  let alive = ref [] and next = ref 0 and ops = ref 0 in
+  let query () =
+    let id = !next in
+    incr next;
+    alive := id :: !alive;
+    let side _ =
+      let a = float_of_int (Prng.int rng 20) in
+      (a, a +. 1. +. float_of_int (Prng.int rng 10))
+    in
+    { Types.id; rect = Types.rect_make (Array.init c.dim side); threshold = 1 + Prng.int rng 400 }
+  in
+  let elem () =
+    { Types.value = Array.init c.dim (fun _ -> float_of_int (Prng.int rng 30)); weight = 1 + Prng.int rng 5 }
+  in
+  let gone ids = alive := List.filter (fun i -> not (List.mem i ids)) !alive in
+  let fail fmt = Printf.ksprintf (fun m -> QCheck.Test.fail_reportf "%s: %s" (pp_cadence_case c) m) fmt in
+  let last_ops = ref 0 and last_at = ref 0 and last_size = ref 0 in
+  let floor_bytes = ref None and seen = ref 0 in
+  for step = 1 to c.steps do
+    let before = !wal_bytes in
+    let n =
+      match Prng.int rng 10 with
+      | 0 ->
+          let qs = List.init (1 + Prng.int rng 40) (fun _ -> query ()) in
+          durable.Engine.register_batch qs;
+          List.length qs
+      | 1 ->
+          durable.Engine.register (query ());
+          1
+      | 2 when !alive <> [] ->
+          let v = List.nth !alive (Prng.int rng (List.length !alive)) in
+          durable.Engine.terminate v;
+          gone [ v ];
+          1
+      | 3 | 4 ->
+          gone (durable.Engine.process (elem ()));
+          1
+      | _ ->
+          let es = Array.init (1 + Prng.int rng 64) (fun _ -> elem ()) in
+          gone (durable.Engine.feed_batch es);
+          Array.length es
+    in
+    ops := !ops + n;
+    let record = !wal_bytes - before in
+    (match !published with
+    | (at, size) :: _ when List.length !published > !seen ->
+        if List.length !published > !seen + 1 then fail "step %d: two checkpoints" step;
+        seen := List.length !published;
+        if !ops - !last_ops < c.floor then
+          fail "step %d: checkpoint %d ops after the previous one" step (!ops - !last_ops);
+        if 2 * (at - !last_at) < !last_size then
+          fail "step %d: checkpoint after %d WAL bytes, previous image %d bytes" step
+            (at - !last_at) !last_size;
+        last_ops := !ops;
+        last_at := at;
+        last_size := size;
+        floor_bytes := None
+    | _ -> ());
+    let since = !wal_bytes - !last_at in
+    if !floor_bytes = None && !ops - !last_ops >= c.floor then floor_bytes := Some since;
+    let bound = max (Option.value !floor_bytes ~default:since) (!last_size / 2) + record in
+    if since >= bound then fail "step %d: %d WAL bytes past the checkpoint, bound %d" step since bound;
+    if Durable.checkpoint_due h then fail "step %d: a due checkpoint was not taken" step
+  done;
+  Durable.close h;
+  true
+
+let prop_checkpoint_cadence =
+  let gen =
+    QCheck.Gen.(
+      let* seed = int_bound 1_000_000 in
+      let* dim = int_range 1 3 in
+      let* floor = int_range 1 64 in
+      let+ steps = int_range 20 160 in
+      { seed; dim; floor; steps })
+  in
+  QCheck.Test.make ~count:(Qcheck_env.count 60) ~name:"checkpoint cadence: floor, half image, replay bound"
+    (QCheck.make ~print:pp_cadence_case gen)
+    run_cadence_case
+
+(* Recover, then wrap with the report, over a counting store: the WAL
+   writer opens from recovery's scan, so each WAL file is read once. *)
+let restart_reads store ~segment_records =
+  let reads = Hashtbl.create 8 in
+  let dir =
+    {
+      store with
+      Io.read_file =
+        (fun name ->
+          Hashtbl.replace reads name (1 + Option.value ~default:0 (Hashtbl.find_opt reads name));
+          store.Io.read_file name);
+    }
+  in
+  let engine, report = Recovery.recover ~dim:1 ~make:make_baseline ~dir () in
+  let cfg = { Durable.fsync_every = 1; checkpoint_every = 4 } in
+  let durable, h = Durable.wrap ~config:cfg ~report ~segment_records ~dir engine in
+  let count name = Option.value ~default:0 (Hashtbl.find_opt reads name) in
+  Alcotest.(check int) "one read of wal.log" 1 (count Wal.default_file);
+  List.iter
+    (fun seg -> Alcotest.(check int) ("one read of " ^ seg.Wal.seg_file) 1 (count seg.Wal.seg_file))
+    (Wal.segments ~dir:store);
+  (durable, h, report)
+
+let test_restart_reads_wal_once () =
+  (* a rotated chain with a checkpoint and a torn active tail *)
+  let store = Io.mem_dir () in
+  let cfg = { Durable.fsync_every = 1; checkpoint_every = 4 } in
+  let durable, h =
+    Durable.wrap ~config:cfg ~segment_records:3 ~dir:store (Baseline_engine.make ~dim:1)
+  in
+  durable.Engine.register (q ~id:1 ~threshold:100 (0., 10.));
+  for i = 1 to 8 do
+    ignore (durable.Engine.process (e (float_of_int i) 1))
+  done;
+  Durable.close h;
+  Alcotest.(check int) "three cold segments" 3 (List.length (Wal.segments ~dir:store));
+  let f = store.Io.open_append Wal.default_file in
+  f.Io.append (String.sub (Wal.frame (Replay.Element (e 0.5 1))) 0 10);
+  f.Io.close ();
+  let durable, h, report = restart_reads store ~segment_records:3 in
+  Alcotest.(check int) "recovery saw the torn tail" 10 report.Recovery.bytes_discarded;
+  ignore (durable.Engine.process (e 9. 1));
+  Durable.close h;
+  let s = Wal.scan ~dim:1 ~dir:store () in
+  Alcotest.(check int) "tail amputated, the append extends the chain" 10 (s.Wal.base + s.Wal.records);
+  Alcotest.(check int) "nothing left over" 0 s.Wal.bytes_discarded;
+  (* the rotation crash window: the sealed segment and the active file
+     both hold the same records *)
+  let a = Io.mem_dir () in
+  let w = Wal.writer ~dim:1 ~segment_records:3 ~dir:a () in
+  List.iter (Wal.append w) sample_ops;
+  Wal.close w;
+  let b = Io.mem_dir () in
+  let w = Wal.writer ~dim:1 ~dir:b () in
+  List.iter (Wal.append w) sample_ops;
+  Wal.close w;
+  b.Io.write_atomic (Wal.segment_name 0) (Option.get (a.Io.read_file (Wal.segment_name 0)));
+  let durable, h, _ = restart_reads b ~segment_records:0 in
+  ignore (durable.Engine.process (e 9. 1));
+  Durable.close h;
+  let s = Wal.scan ~dim:1 ~dir:b () in
+  Alcotest.(check bool) "overlap resolved once, the append extends it" true
+    (s.Wal.ops = sample_ops @ [ Replay.Element (e 9. 1) ])
 
 (* ------------------------------------------------------------------ *)
 (* Crash equivalence                                                   *)
@@ -1743,6 +1970,14 @@ let () =
             test_durable_refused_batch_recovers;
           Alcotest.test_case "infinite coordinate refused before logging" `Quick
             test_durable_refuses_unloggable_element;
+        ] );
+      ( "cadence",
+        [
+          Alcotest.test_case "cli_wal shape: 2 checkpoints, not 17" `Quick
+            test_cadence_cli_wal_shape;
+          QCheck_alcotest.to_alcotest prop_checkpoint_cadence;
+          Alcotest.test_case "recover + wrap read each WAL file once" `Quick
+            test_restart_reads_wal_once;
         ] );
       ( "crash-equivalence",
         [
