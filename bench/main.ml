@@ -510,10 +510,10 @@ let perf_counter_names =
    loop allocate per element?", not "do buffers grow once at startup?".
    Batch size 1 goes through [Engine.process], the path batch-1 callers
    (rts-cli without --batch, the serving daemon) actually run. *)
-let alloc_words_per_element p (factory : dim:int -> Engine.t) b =
+let alloc_words_per_element p (factory : dim:int -> Engine.t) ~dim b =
   let mm = max 1 (p.m / 10) in
-  let gen = Generator.create ~dim:1 ~seed:p.seed () in
-  let engine = factory ~dim:1 in
+  let gen = Generator.create ~dim ~seed:p.seed () in
+  let engine = factory ~dim in
   for id = 0 to mm - 1 do
     engine.Engine.register (Generator.query gen ~id ~threshold:max_int)
   done;
@@ -532,11 +532,17 @@ let alloc_words_per_element p (factory : dim:int -> Engine.t) b =
   Gc.full_major ();
   Rts_obs.Alloc.words_per_item ~runs:3 ~items:(iters * b) pass
 
+(* The rows of [perf]: every 1D engine, then DT alone at d = 2 and 3,
+   whose budget keys carry the dim (perf/dt/d2/64). *)
+let perf_rows =
+  let dt = List.assoc "dt" engines_1d in
+  List.map (fun (name, factory) -> (name, factory, 1)) engines_1d @ [ ("dt", dt, 2); ("dt", dt, 3) ]
+
 let perf p =
   header
     (Printf.sprintf
-       "Perf: batched ingestion (batch 1/64/1024, 1D static, m=%d, tau=%d, n=%d) — \
-        wall-clock per op + deterministic work counters"
+       "Perf: batched ingestion (batch 1/64/1024, static, 1D engines and DT at d = 2, 3, m=%d, \
+        tau=%d, n=%d) — wall-clock per op + deterministic work counters"
        p.m p.tau p.n_dynamic);
   let batches = [ 1; 64; 1024 ] in
   let cfg =
@@ -552,20 +558,20 @@ let perf p =
       chunk = max 1024 (p.n_dynamic / 16);
     }
   in
-  pf "@[<h>%-14s %6s %12s %10s %14s %12s %12s@]@." "engine" "batch" "per_op_us" "seconds"
-    "node_updates" "heap_ops" "alloc_w/el";
+  pf "@[<h>%-14s %3s %6s %12s %10s %14s %12s %12s@]@." "engine" "dim" "batch" "per_op_us"
+    "seconds" "node_updates" "heap_ops" "alloc_w/el";
   let runs = ref [] in
   let per_op = Hashtbl.create 16 in
   let counters = Hashtbl.create 16 in
   List.iter
-    (fun (name, factory) ->
+    (fun (name, factory, dim) ->
       List.iter
         (fun b ->
-          let bcfg = { cfg with Scenario.batch = b } in
+          let bcfg = { cfg with Scenario.batch = b; dim } in
           let r, stability = measure ~traced:true p bcfg factory in
           (* The allocation audit rides along as a gauge in the run's
              metrics object, where validate_bench holds it to 0. *)
-          let alloc_w = alloc_words_per_element p factory b in
+          let alloc_w = alloc_words_per_element p factory ~dim b in
           let r =
             {
               r with
@@ -578,10 +584,11 @@ let perf p =
           let fm = r.Scenario.final_metrics in
           let c k = Metrics.counter_value fm k in
           let us = r.Scenario.total_seconds *. 1e6 /. float_of_int (max 1 r.Scenario.ops) in
-          Hashtbl.replace per_op (name, b) us;
-          Hashtbl.replace counters (name, b) (List.map (fun k -> (k, c k)) perf_counter_names);
-          pf "@[<h>%-14s %6d %12.3f %10.3f %14d %12d %12.1f@]@." name b us r.Scenario.total_seconds
-            (c "dt_node_updates_total") (c "dt_heap_ops_total") alloc_w;
+          Hashtbl.replace per_op (name, dim, b) us;
+          Hashtbl.replace counters (name, dim, b)
+            (List.map (fun k -> (k, c k)) perf_counter_names);
+          pf "@[<h>%-14s %3d %6d %12.3f %10.3f %14d %12d %12.1f@]@." name dim b us
+            r.Scenario.total_seconds (c "dt_node_updates_total") (c "dt_heap_ops_total") alloc_w;
           let run =
             match result_json ~stability r with
             | Json.Obj fields -> Json.Obj (fields @ [ ("batch", Json.int b) ])
@@ -589,11 +596,14 @@ let perf p =
           in
           runs := run :: !runs)
         batches)
-    engines_1d;
-  (* The acceptance comparison: DT at batch 1024 vs batch 1. *)
-  let dt1 = Hashtbl.find per_op ("dt", 1) and dt1024 = Hashtbl.find per_op ("dt", 1024) in
+    perf_rows;
+  (* The acceptance comparison: 1D DT at batch 1024 vs batch 1. At
+     d > 1 the batch does more node updates than batch 1 (the probe
+     that drops or rebuilds a tree runs once per batch), so the verdict
+     stays 1D. *)
+  let dt1 = Hashtbl.find per_op ("dt", 1, 1) and dt1024 = Hashtbl.find per_op ("dt", 1, 1024) in
   let speedup = dt1 /. dt1024 in
-  let counters_of b = Hashtbl.find counters ("dt", b) in
+  let counters_of b = Hashtbl.find counters ("dt", 1, b) in
   let counter_regression =
     List.exists2
       (fun (k1, v1) (k2, v1024) ->

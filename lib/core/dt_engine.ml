@@ -14,8 +14,6 @@ type t = {
       (* dense cache of the non-empty slots' trees, refreshed whenever a
          tree is installed or discarded: the per-element path iterates this
          flat array instead of matching [tree option] per slot per element *)
-  location : (int, int) Hashtbl.t; (* alive query id -> slot index *)
-  consumed : (int, int) Hashtbl.t; (* alive query id -> weight credited before its current tree *)
   mutable matured_acc : int list; (* maturities reported during the current [process] *)
   agg : Endpoint_tree.stats; (* stats inherited from destroyed trees *)
   mutable rebuilds : int;
@@ -42,8 +40,6 @@ let create ?(eager = false) ~dim () =
     eager;
     slots = [||];
     live = [||];
-    location = Hashtbl.create 64;
-    consumed = Hashtbl.create 64;
     matured_acc = [];
     agg = { elements = 0; node_updates = 0; signals = 0; round_ends = 0; heap_ops = 0 };
     rebuilds = 0;
@@ -65,6 +61,21 @@ let absorb_stats (agg : Endpoint_tree.stats) (s : Endpoint_tree.stats) =
 
 let slot_alive slot = match slot.tree with Some tr -> Endpoint_tree.alive_count tr | None -> 0
 
+(* The slot index and tree holding alive query [id]; [Not_found] if
+   none. Ids are unique across trees, and there are O(log m) slots, so
+   probing each tree's own id table replaces an engine-wide id -> slot
+   table that every migration had to rewrite. *)
+let rec find_from t id i =
+  if i < 0 then raise Not_found
+  else
+    match t.slots.(i).tree with
+    | Some tr when Endpoint_tree.is_alive tr id -> (i, tr)
+    | _ -> find_from t id (i - 1)
+
+let find_tree t id = find_from t id (Array.length t.slots - 1)
+
+let is_alive t id = match find_tree t id with _ -> true | exception Not_found -> false
+
 let ensure_slots t j =
   let g = Array.length t.slots in
   if j > g then begin
@@ -80,8 +91,6 @@ let refresh_live t =
   t.live <- Array.of_list !acc
 
 let on_mature_of t qid =
-  Hashtbl.remove t.location qid;
-  Hashtbl.remove t.consumed qid;
   t.n_matured <- t.n_matured + 1;
   t.matured_acc <- qid :: t.matured_acc
 
@@ -92,11 +101,6 @@ let install_tree t idx batch =
   Log.debug (fun m -> m "building endpoint tree in slot %d over %d queries" idx (List.length batch));
   let tree = Endpoint_tree.build ~eager:t.eager ~dim:t.dims ~on_mature:(on_mature_of t) batch in
   t.slots.(idx).tree <- Some tree;
-  List.iter
-    (fun ((q : query), remaining) ->
-      Hashtbl.replace t.location q.id idx;
-      Hashtbl.replace t.consumed q.id (q.threshold - remaining))
-    batch;
   refresh_live t
 
 let discard_slot t slot =
@@ -115,7 +119,7 @@ let admit t ~who queries =
   List.iter
     (fun (q : query) ->
       validate_query ~dim:t.dims q;
-      if Hashtbl.mem t.location q.id then invalid_arg ("Dt_engine." ^ who ^ ": id already alive");
+      if is_alive t q.id then invalid_arg ("Dt_engine." ^ who ^ ": id already alive");
       if Hashtbl.mem seen q.id then invalid_arg ("Dt_engine." ^ who ^ ": duplicate id");
       Hashtbl.replace seen q.id ())
     queries
@@ -255,26 +259,14 @@ let process_batch t elems =
   end
 
 let terminate t id =
-  match Hashtbl.find_opt t.location id with
-  | None -> raise Not_found
-  | Some idx ->
-      let tr = match t.slots.(idx).tree with Some tr -> tr | None -> assert false in
-      Endpoint_tree.remove tr id;
-      Hashtbl.remove t.location id;
-      Hashtbl.remove t.consumed id;
-      t.n_terminated <- t.n_terminated + 1;
-      maybe_rebuild t idx
+  let idx, tr = find_tree t id in
+  Endpoint_tree.remove tr id;
+  t.n_terminated <- t.n_terminated + 1;
+  maybe_rebuild t idx
 
-let is_alive t id = Hashtbl.mem t.location id
+let progress t id = Endpoint_tree.progress (snd (find_tree t id)) id
 
-let progress t id =
-  match Hashtbl.find_opt t.location id with
-  | None -> raise Not_found
-  | Some idx ->
-      let tr = match t.slots.(idx).tree with Some tr -> tr | None -> assert false in
-      Hashtbl.find t.consumed id + Endpoint_tree.current_weight tr id
-
-let alive_count t = Hashtbl.length t.location
+let alive_count t = Array.fold_left (fun acc slot -> acc + slot_alive slot) 0 t.slots
 
 let tree_count t =
   Array.fold_left (fun acc slot -> if slot_alive slot > 0 then acc + 1 else acc) 0 t.slots

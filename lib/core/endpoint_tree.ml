@@ -22,11 +22,13 @@ let ba_f n : farr = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n
 
 let ba_i n : iarr = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n
 
-(* Bigarray.Array1.create returns uninitialized memory. *)
-let ba_i0 n =
-  let a = ba_i n in
-  Bigarray.Array1.fill a 0;
-  a
+(* [k] int arrays of [n] entries carved out of one allocation. The GC
+   charges a Bigarray's off-heap bytes per allocation, and an allocation
+   that is large against the live heap forces a major cycle, so one slab
+   forces at most one where [k] separate arrays could force [k]. *)
+let ba_slab k n =
+  let a = ba_i (k * n) in
+  Array.init k (fun i -> Bigarray.Array1.sub a (i * n) n)
 
 let[@inline] bget (a : iarr) i = Bigarray.Array1.unsafe_get a i
 
@@ -45,7 +47,6 @@ type qstate = {
   tree_tau : int;
   mutable e_off : int; (* first edge of this query in the edge arena *)
   mutable e_len : int; (* h_q = |U_q| *)
-  mutable tmp_slots : int list; (* build-time accumulator of counter slots *)
   mutable lambda : int;
   mutable signals : int; (* signals received in the current round *)
   mutable direct : bool; (* endgame mode: remaining <= 6h *)
@@ -188,7 +189,116 @@ let heap_fix t slot ei =
   heap_down t base len (bget t.e_pos ei);
   heap_up t base (bget t.e_pos ei)
 
+(* ---- sorting -------------------------------------------------------- *)
+
+(* Monomorphic closure-free quicksort of (key, companion int) pairs:
+   direct float compares, no closure calls, no write barriers —
+   several times cheaper than [Array.sort] swapping boxed pointers
+   through [caml_modify]. *)
+let swap_ki (keys : float array) (idx : int array) i j =
+  let k = Array.unsafe_get keys i in
+  Array.unsafe_set keys i (Array.unsafe_get keys j);
+  Array.unsafe_set keys j k;
+  let v = Array.unsafe_get idx i in
+  Array.unsafe_set idx i (Array.unsafe_get idx j);
+  Array.unsafe_set idx j v
+
+let rec qsort_kw (keys : float array) (idx : int array) lo hi =
+  if hi - lo > 12 then begin
+    (* median-of-three pivot, Hoare partition *)
+    let mid = (lo + hi) lsr 1 in
+    if keys.(mid) < keys.(lo) then swap_ki keys idx mid lo;
+    if keys.(hi) < keys.(mid) then begin
+      swap_ki keys idx hi mid;
+      if keys.(mid) < keys.(lo) then swap_ki keys idx mid lo
+    end;
+    let p = keys.(mid) in
+    let i = ref lo and j = ref hi in
+    while !i <= !j do
+      while Array.unsafe_get keys !i < p do
+        incr i
+      done;
+      while Array.unsafe_get keys !j > p do
+        decr j
+      done;
+      if !i <= !j then begin
+        swap_ki keys idx !i !j;
+        incr i;
+        decr j
+      end
+    done;
+    qsort_kw keys idx lo !j;
+    qsort_kw keys idx !i hi
+  end
+  else
+    for i = lo + 1 to hi do
+      let k = keys.(i) and v = idx.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && Array.unsafe_get keys !j > k do
+        Array.unsafe_set keys (!j + 1) (Array.unsafe_get keys !j);
+        Array.unsafe_set idx (!j + 1) (Array.unsafe_get idx !j);
+        decr j
+      done;
+      Array.unsafe_set keys (!j + 1) k;
+      Array.unsafe_set idx (!j + 1) v
+    done
+
+let sort_kw keys idx n = if n > 1 then qsort_kw keys idx 0 (n - 1)
+
 (* ---- construction --------------------------------------------------- *)
+
+(* Construction runs on flat arrays and closure-free recursion. One
+   builder carries the scratch of a whole [build]:
+
+   - [keys]/[co]: one level's endpoints and the sort's int companion,
+     sized for the largest level (2 per query);
+   - [stk]: member ranges, used as a stack — the top level's members are
+     [0, m) (indices into [qarr]), and a non-last level pushes, per node,
+     the range of queries whose canonical set holds that node (a
+     counting sort by node), recurses into each node's secondary tree,
+     then pops;
+   - [sink]: (owner, slot) pairs in emission order. Last levels append
+     their canonical edges here for good; a non-last level appends its
+     (owner, node) pairs at the end only until its counting sort has
+     consumed them. Once [build] has read it, the sink becomes the
+     tree's [hstore] and [e_cbar].
+
+   [stk] and [sink] grow (at least doubling), so holders re-read the
+   field after any call that may grow them. [slots] is the tree-wide
+   counter/heap slot allocator: each last-dimension level claims [n]
+   consecutive slots as its [cbase .. cbase + n). *)
+type builder = {
+  bdims : int;
+  bq : qstate array;
+  keys : float array;
+  co : int array;
+  mutable stk : iarr;
+  mutable sp : int;
+  mutable sink : iarr;
+  mutable sn : int;
+  mutable slots : int;
+}
+
+(* A copy of [a]'s first [used] entries with room for [need]. *)
+let grow (a : iarr) ~used need =
+  let b = ba_i (max need (2 * Bigarray.Array1.dim a)) in
+  Bigarray.Array1.blit (Bigarray.Array1.sub a 0 used) (Bigarray.Array1.sub b 0 used);
+  b
+
+(* Room on the stack for entries up to [need], above the live [0, sp). *)
+let reserve b need =
+  if need > Bigarray.Array1.dim b.stk then b.stk <- grow b.stk ~used:b.sp need
+
+(* Room in the sink for [pairs] more pairs. *)
+let reserve_sink b pairs =
+  let need = b.sn + (2 * pairs) in
+  if need > Bigarray.Array1.dim b.sink then b.sink <- grow b.sink ~used:b.sn need
+
+(* Emits land in room [build_level] reserved after counting them. *)
+let emit b owner slot =
+  bset b.sink b.sn owner;
+  bset b.sink (b.sn + 1) slot;
+  b.sn <- b.sn + 2
 
 let empty_level k last =
   {
@@ -204,102 +314,162 @@ let empty_level k last =
     sub = [||];
   }
 
-(* [slots] threads the tree-wide counter/heap slot allocator through the
-   recursive construction: each last-dimension level claims [n]
-   consecutive slots as its [cbase .. cbase + n). *)
-let rec build_level ~dims ~slots k (qs : qstate list) : level =
-  let last = k = dims - 1 in
-  (* Grid endpoints on dimension k. A +infinity upper bound creates no
-     endpoint: the rightmost jurisdiction already extends to +infinity. *)
-  let endpoints =
-    List.concat_map
-      (fun q ->
-        let lo = q.query.rect.lo.(k) and hi = q.query.rect.hi.(k) in
-        if hi = infinity then [ lo ] else [ lo; hi ])
-      qs
-  in
-  let keys = Array.of_list (List.sort_uniq compare endpoints) in
-  let kn = Array.length keys in
+(* Depth, in nodes, of the balanced tree [fill_nodes] lays over [kn]
+   leaves: the left half always takes the larger share. *)
+let rec tree_depth kn = if kn <= 1 then 1 else 1 + tree_depth ((kn + 1) / 2)
+
+(* Lay the balanced binary tree over leaves [lo, hi] of the sorted,
+   distinct [keys] out in preorder from node [id]: a left child is its
+   parent's immediate neighbour, and the right child follows the left
+   subtree's 2 * (mid - lo + 1) - 1 nodes. *)
+let rec fill_nodes lvl (keys : float array) kn id lo hi =
+  if lo = hi then begin
+    lvl.jlo.{id} <- keys.(lo);
+    lvl.jhi.{id} <- (if lo + 1 < kn then keys.(lo + 1) else infinity)
+  end
+  else begin
+    let mid = (lo + hi) / 2 in
+    let l = id + 1 and r = id + (2 * (mid - lo + 1)) in
+    fill_nodes lvl keys kn l lo mid;
+    fill_nodes lvl keys kn r (mid + 1) hi;
+    lvl.left.{id} <- l;
+    lvl.right.{id} <- r;
+    lvl.jlo.{id} <- lvl.jlo.{l};
+    lvl.jhi.{id} <- lvl.jhi.{r}
+  end
+
+(* Canonical decomposition of the leaf range [a, z) below node [id],
+   which spans leaves [lo, hi]: emit (owner, base + node) for the maximal
+   nodes inside the range, left to right. On integer leaf indices this is
+   the float test it stands for — node [id]'s jurisdiction
+   [keys.(lo), keys.(hi + 1)) lies inside [keys.(a), keys.(z)) iff
+   a <= lo and hi < z — with no loads from the level's arrays. *)
+let rec canonical b owner base a z id lo hi =
+  if a <= lo && hi < z then emit b owner (base + id)
+  else if hi < a || z <= lo then ()
+  else begin
+    assert (lo < hi);
+    let mid = (lo + hi) / 2 in
+    canonical b owner base a z (id + 1) lo mid;
+    canonical b owner base a z (id + (2 * (mid - lo + 1))) (mid + 1) hi
+  end
+
+(* The number of nodes [canonical] emits for the same range. *)
+let rec canonical_count a z lo hi =
+  if a <= lo && hi < z then 1
+  else if hi < a || z <= lo then 0
+  else
+    let mid = (lo + hi) / 2 in
+    canonical_count a z lo mid + canonical_count a z (mid + 1) hi
+
+(* The level on dimension [k] over the queries [bq.(stk.{i})], i in
+   [mlo, mhi). *)
+let rec build_level b k mlo mhi : level =
+  let last = k = b.bdims - 1 in
+  let mn = mhi - mlo in
+  (* A stack frame at [ab] receives each member's bounds as leaf indices:
+     ab + 2i for member mlo + i's lower bound, ab + 2i + 1 for its upper
+     bound, or max_int (past every leaf) for +infinity. *)
+  let ab = b.sp in
+  reserve b (ab + (2 * mn));
+  let stk = b.stk and keys = b.keys and co = b.co in
+  (* Grid endpoints on dimension k, each tagged in the sort companion
+     with its frame slot. A +infinity upper bound creates no endpoint:
+     the rightmost jurisdiction already extends to +infinity. *)
+  let kn = ref 0 in
+  for i = 0 to mn - 1 do
+    let r = (Array.unsafe_get b.bq (bget stk (mlo + i))).query.rect in
+    keys.(!kn) <- r.lo.(k);
+    co.(!kn) <- 2 * i;
+    incr kn;
+    if r.hi.(k) <> infinity then begin
+      keys.(!kn) <- r.hi.(k);
+      co.(!kn) <- (2 * i) + 1;
+      incr kn
+    end
+    else bset stk (ab + (2 * i) + 1) max_int
+  done;
+  sort_kw keys co !kn;
+  (* Deduplicate in place; each endpoint's leaf goes to its frame slot. *)
+  let u = ref (-1) in
+  for i = 0 to !kn - 1 do
+    if !u < 0 || keys.(i) <> keys.(!u) then begin
+      incr u;
+      keys.(!u) <- keys.(i)
+    end;
+    bset stk (ab + co.(i)) !u
+  done;
+  let kn = !u + 1 in
   if kn = 0 then empty_level k last
   else begin
-    (* Balanced binary tree over the kn leaves: exactly 2*kn - 1 nodes,
-       allocated preorder so a left child is its parent's immediate
-       neighbour in every array. *)
     let n = (2 * kn) - 1 in
-    let jlo = ba_f n and jhi = ba_f n in
-    let left = ba_i n and right = ba_i n in
-    Bigarray.Array1.fill left (-1);
-    Bigarray.Array1.fill right (-1);
-    let next = ref 0 in
-    let maxdepth = ref 0 in
-    let rec build lo hi d =
-      let id = !next in
-      incr next;
-      if d > !maxdepth then maxdepth := d;
-      if lo = hi then begin
-        jlo.{id} <- keys.(lo);
-        jhi.{id} <- (if lo + 1 < kn then keys.(lo + 1) else infinity)
-      end
-      else begin
-        let mid = (lo + hi) / 2 in
-        let l = build lo mid (d + 1) in
-        let r = build (mid + 1) hi (d + 1) in
-        left.{id} <- l;
-        right.{id} <- r;
-        jlo.{id} <- jlo.{l};
-        jhi.{id} <- jhi.{r}
-      end;
-      id
-    in
-    ignore (build 0 (kn - 1) 1 : int);
-    let cbase =
-      if last then begin
-        let c = !slots in
-        slots := c + n;
-        c
-      end
-      else 0
-    in
+    let cbase = if last then b.slots else 0 in
+    if last then b.slots <- cbase + n;
     let lvl =
       {
         k;
         last;
         n;
-        depth = !maxdepth;
+        depth = tree_depth kn;
         cbase;
-        jlo;
-        jhi;
-        left;
-        right;
+        jlo = ba_f n;
+        jhi = ba_f n;
+        left = ba_i n;
+        right = ba_i n;
         sub = (if last then [||] else Array.make n None);
       }
     in
-    (* Canonical decomposition of each [qlo, qhi) over the level: emit the
-       maximal nodes whose jurisdiction is contained in the range. Since
-       qlo and qhi are grid endpoints of this level, a leaf can never
-       partially overlap the range. *)
-    let pending = if last then [||] else Array.make n [] in
-    let rec add_canonical u qlo qhi q =
-      if qlo <= jlo.{u} && jhi.{u} <= qhi then begin
-        if last then q.tmp_slots <- (cbase + u) :: q.tmp_slots
-        else pending.(u) <- q :: pending.(u)
-      end
-      else if jhi.{u} <= qlo || qhi <= jlo.{u} then ()
-      else begin
-        assert (left.{u} >= 0);
-        add_canonical left.{u} qlo qhi q;
-        add_canonical right.{u} qlo qhi q
-      end
-    in
-    List.iter
-      (fun q -> add_canonical 0 q.query.rect.lo.(k) q.query.rect.hi.(k) q)
-      qs;
-    (* Recursively hang the secondary trees. *)
-    if not last then
-      for u = 0 to n - 1 do
-        if pending.(u) <> [] then
-          lvl.sub.(u) <- Some (build_level ~dims ~slots (k + 1) pending.(u))
+    Bigarray.Array1.fill lvl.left (-1);
+    Bigarray.Array1.fill lvl.right (-1);
+    fill_nodes lvl keys kn 0 0 (kn - 1);
+    (* A last level's pairs are its canonical edges; a non-last level's
+       are (owner, node) and only feed the counting sort below. Counted
+       first, so the sink grows once per level at most and a 1D build
+       sizes it exactly: the GC charges every Bigarray byte allocated. *)
+    let npairs = ref 0 in
+    for i = 0 to mn - 1 do
+      let a = bget stk (ab + (2 * i)) and z = bget stk (ab + (2 * i) + 1) in
+      npairs := !npairs + canonical_count a z 0 (kn - 1)
+    done;
+    reserve_sink b !npairs;
+    let s0 = b.sn in
+    for i = 0 to mn - 1 do
+      let a = bget stk (ab + (2 * i)) and z = bget stk (ab + (2 * i) + 1) in
+      canonical b (bget stk (mlo + i)) cbase a z 0 0 (kn - 1)
+    done;
+    if not last then begin
+      (* Counting sort of the pairs by node, over the [ab] frame: [cnt]
+         holds n + 1 counters, then the members follow node by node.
+         After the scatter, node u's members are [cnt.{u - 1}, cnt.{u})
+         relative to [m0] (from 0 for u = 0). *)
+      let npairs = !npairs in
+      let c0 = ab in
+      let m0 = c0 + n + 1 in
+      reserve b (m0 + npairs);
+      let stk = b.stk and sink = b.sink in
+      Bigarray.Array1.fill (Bigarray.Array1.sub stk c0 (n + 1)) 0;
+      for p = 0 to npairs - 1 do
+        let c = c0 + 1 + bget sink (s0 + (2 * p) + 1) in
+        bset stk c (bget stk c + 1)
       done;
+      for u = 1 to n do
+        bset stk (c0 + u) (bget stk (c0 + u) + bget stk (c0 + u - 1))
+      done;
+      for p = 0 to npairs - 1 do
+        let c = c0 + bget sink (s0 + (2 * p) + 1) in
+        bset stk (m0 + bget stk c) (bget sink (s0 + (2 * p)));
+        bset stk c (bget stk c + 1)
+      done;
+      b.sn <- s0;
+      b.sp <- m0 + npairs;
+      (* Hang the secondary trees. *)
+      for u = 0 to n - 1 do
+        let lo = if u = 0 then 0 else bget b.stk (c0 + u - 1) in
+        let hi = bget b.stk (c0 + u) in
+        if hi > lo then lvl.sub.(u) <- Some (build_level b (k + 1) (m0 + lo) (m0 + hi))
+      done
+    end;
+    b.sp <- ab;
     lvl
   end
 
@@ -542,67 +712,13 @@ let feed_sorted t elems keys idx wts n =
     flush t
   end
 
-(* Monomorphic closure-free quicksort of (key, companion int) pairs:
-   direct float compares, no closure calls, no write barriers —
-   several times cheaper than [Array.sort] swapping boxed pointers
-   through [caml_modify]. *)
-let swap_ki (keys : float array) (idx : int array) i j =
-  let k = Array.unsafe_get keys i in
-  Array.unsafe_set keys i (Array.unsafe_get keys j);
-  Array.unsafe_set keys j k;
-  let v = Array.unsafe_get idx i in
-  Array.unsafe_set idx i (Array.unsafe_get idx j);
-  Array.unsafe_set idx j v
-
-let rec qsort_kw (keys : float array) (idx : int array) lo hi =
-  if hi - lo > 12 then begin
-    (* median-of-three pivot, Hoare partition *)
-    let mid = (lo + hi) lsr 1 in
-    if keys.(mid) < keys.(lo) then swap_ki keys idx mid lo;
-    if keys.(hi) < keys.(mid) then begin
-      swap_ki keys idx hi mid;
-      if keys.(mid) < keys.(lo) then swap_ki keys idx mid lo
-    end;
-    let p = keys.(mid) in
-    let i = ref lo and j = ref hi in
-    while !i <= !j do
-      while Array.unsafe_get keys !i < p do
-        incr i
-      done;
-      while Array.unsafe_get keys !j > p do
-        decr j
-      done;
-      if !i <= !j then begin
-        swap_ki keys idx !i !j;
-        incr i;
-        decr j
-      end
-    done;
-    qsort_kw keys idx lo !j;
-    qsort_kw keys idx !i hi
-  end
-  else
-    for i = lo + 1 to hi do
-      let k = keys.(i) and v = idx.(i) in
-      let j = ref (i - 1) in
-      while !j >= lo && Array.unsafe_get keys !j > k do
-        Array.unsafe_set keys (!j + 1) (Array.unsafe_get keys !j);
-        Array.unsafe_set idx (!j + 1) (Array.unsafe_get idx !j);
-        decr j
-      done;
-      Array.unsafe_set keys (!j + 1) k;
-      Array.unsafe_set idx (!j + 1) v
-    done
-
-let sort_kw keys idx n = if n > 1 then qsort_kw keys idx 0 (n - 1)
-
 (* ---- public API ------------------------------------------------------ *)
 
 let build ?(eager = false) ~dim ~on_mature batch =
   if dim < 1 then invalid_arg "Endpoint_tree.build: dim < 1";
   let states = Hashtbl.create (max 16 (2 * List.length batch)) in
-  let qstates =
-    List.map
+  let qarr =
+    Array.map
       (fun (q, remaining) ->
         validate_query ~dim q;
         if remaining < 1 then invalid_arg "Endpoint_tree.build: remaining < 1";
@@ -615,7 +731,6 @@ let build ?(eager = false) ~dim ~on_mature batch =
             tree_tau = remaining;
             e_off = 0;
             e_len = 0;
-            tmp_slots = [];
             lambda = 0;
             signals = 0;
             direct = false;
@@ -625,44 +740,73 @@ let build ?(eager = false) ~dim ~on_mature batch =
         in
         Hashtbl.replace states q.id qs;
         qs)
-      batch
+      (Array.of_list batch)
   in
-  let slots = ref 0 in
-  let top = build_level ~dims:dim ~slots 0 qstates in
-  let nslots = !slots in
-  let qarr = Array.of_list qstates in
-  let nedges = List.fold_left (fun acc q -> acc + List.length q.tmp_slots) 0 qstates in
-  (* Per-slot exact heap capacities, then prefix-sum the region bases. *)
-  let counters = ba_i0 nslots in
-  let hcap = ba_i0 nslots in
-  List.iter (fun q -> List.iter (fun s -> hcap.{s} <- hcap.{s} + 1) q.tmp_slots) qstates;
-  let hbase = ba_i nslots and hlen = ba_i0 nslots in
+  let m = Array.length qarr in
+  let b =
+    {
+      bdims = dim;
+      bq = qarr;
+      keys = Array.make (2 * m) 0.;
+      co = Array.make (2 * m) 0;
+      stk = ba_i (max 16 (4 * m));
+      sp = m;
+      sink = ba_i 0;
+      sn = 0;
+      slots = 0;
+    }
+  in
+  for i = 0 to m - 1 do
+    bset b.stk i i
+  done;
+  let top = build_level b 0 0 m in
+  let nslots = b.slots and sink = b.sink and nedges = b.sn / 2 in
+  (* Edges per query and exact heap capacities per slot, from the sink. *)
+  let per_slot = ba_slab 4 nslots in
+  let counters = per_slot.(0) and hcap = per_slot.(1) in
+  let hbase = per_slot.(2) and hlen = per_slot.(3) in
+  Bigarray.Array1.fill counters 0;
+  Bigarray.Array1.fill hcap 0;
+  Bigarray.Array1.fill hlen 0;
+  for p = 0 to nedges - 1 do
+    let q = Array.unsafe_get qarr (bget sink (2 * p)) and s = bget sink ((2 * p) + 1) in
+    q.e_len <- q.e_len + 1;
+    bset hcap s (bget hcap s + 1)
+  done;
   let off = ref 0 in
   for s = 0 to nslots - 1 do
-    hbase.{s} <- !off;
-    off := !off + hcap.{s}
+    bset hbase s !off;
+    off := !off + bget hcap s
   done;
-  let hstore = ba_i nedges in
-  let e_owner = ba_i nedges and e_slot = ba_i nedges in
-  let e_cbar = ba_i nedges and e_sigma = ba_i nedges and e_pos = ba_i nedges in
-  let eoff = ref 0 in
-  Array.iteri
-    (fun qi q ->
-      q.e_off <- !eoff;
-      List.iter
-        (fun s ->
-          let ei = !eoff in
-          e_owner.{ei} <- qi;
-          e_slot.{ei} <- s;
-          e_cbar.{ei} <- 0;
-          e_sigma.{ei} <- 0;
-          e_pos.{ei} <- -1;
-          incr eoff)
-        q.tmp_slots;
-      q.e_len <- !eoff - q.e_off;
-      q.tmp_slots <- [];
-      assert (q.e_len >= 1))
+  (* Queries own contiguous edge ranges in build order. One scatter pass
+     fills each range from its end, so a query's edges come out in the
+     reverse of their emission order; [e_off] walks down from the range
+     end and finishes on its start. *)
+  let off = ref 0 in
+  Array.iter
+    (fun q ->
+      assert (q.e_len >= 1);
+      off := !off + q.e_len;
+      q.e_off <- !off)
     qarr;
+  let per_edge = ba_slab 4 nedges in
+  let e_owner = per_edge.(0) and e_slot = per_edge.(1) in
+  let e_sigma = per_edge.(2) and e_pos = per_edge.(3) in
+  for p = 0 to nedges - 1 do
+    let qi = bget sink (2 * p) in
+    let q = Array.unsafe_get qarr qi in
+    q.e_off <- q.e_off - 1;
+    bset e_owner q.e_off qi;
+    bset e_slot q.e_off (bget sink ((2 * p) + 1))
+  done;
+  (* The sink is read. Its 2 * nedges entries become the heap store,
+     which [start_phase] fills, and [e_cbar]: the tree keeps the
+     builder's largest buffer rather than allocating two more. *)
+  let hstore = Bigarray.Array1.sub sink 0 nedges in
+  let e_cbar = Bigarray.Array1.sub sink nedges nedges in
+  Bigarray.Array1.fill e_cbar 0;
+  Bigarray.Array1.fill e_sigma 0;
+  Bigarray.Array1.fill e_pos (-1);
   let t =
     {
       dims = dim;
@@ -725,6 +869,10 @@ let current_weight t id = tree_weight t (find_alive t id)
 let remaining t id =
   let q = find_alive t id in
   q.tree_tau - tree_weight t q
+
+let progress t id =
+  let q = find_alive t id in
+  q.query.threshold - (q.tree_tau - tree_weight t q)
 
 let alive_count t = t.alive
 

@@ -57,7 +57,8 @@ val sort_kw : float array -> int array -> int -> unit
     (key, int) arrays ascending by key, in place, with a monomorphic
     closure-free quicksort. Allocation-free. {!Dt_engine} sorts each batch
     once this way — first coordinates against an identity permutation —
-    and feeds every live tree from the result via {!feed_sorted}. *)
+    and feeds every live tree from the result via {!feed_sorted}; {!build}
+    sorts each level's endpoints with it. *)
 
 val feed_sorted : t -> elem array -> float array -> int array -> int array -> int -> unit
 (** [feed_sorted t elems keys idx wts n] feeds the batch [elems] in the
@@ -97,6 +98,12 @@ val current_weight : t -> int -> int
 val remaining : t -> int -> int
 (** [remaining t id] = the query's remaining threshold minus
     {!current_weight}; always [>= 1] for an alive query. *)
+
+val progress : t -> int -> int
+(** [progress t id] is W(q) since the query was registered: its
+    threshold minus {!remaining}. The weight credited before this tree
+    is the threshold minus the [remaining] the tree was built with, so
+    the tree alone knows it. Raises [Not_found] if not alive. *)
 
 val alive_count : t -> int
 

@@ -84,9 +84,13 @@ let wrap ?(config = default) ?report ?wal_epoch ?(segment_records = 0) ~dir (eng
     =
   if config.fsync_every < 1 then invalid_arg "Durable.wrap: fsync_every < 1";
   if config.checkpoint_every < 1 then invalid_arg "Durable.wrap: checkpoint_every < 1";
+  let scanned =
+    match report with
+    | Some (r : Recovery.report) -> r.wal
+    | None -> Wal.scan ~dim:engine.Engine.dim ~dir ()
+  in
   let wal =
-    Wal.writer ~fsync_every:config.fsync_every ?epoch:wal_epoch ~segment_records
-      ?scanned:(Option.map (fun (r : Recovery.report) -> r.wal) report)
+    Wal.writer ~fsync_every:config.fsync_every ?epoch:wal_epoch ~segment_records ~scanned
       ~dim:engine.Engine.dim ~dir ()
   in
   let ops, elements =
@@ -95,9 +99,9 @@ let wrap ?(config = default) ?report ?wal_epoch ?(segment_records = 0) ~dir (eng
     | None ->
         (* Without a recovery report the element count can only come
            from the records actually present, so a pruned chain (base >
-           0) must go through {!Recovery.recover} instead. *)
-        let existing = Wal.existing wal in
-        (existing.Wal.base + existing.Wal.records, count_elements existing.Wal.ops)
+           0) must go through {!Recovery.recover} instead. Counted once,
+           here: nothing keeps the scan past opening. *)
+        (scanned.Wal.base + scanned.Wal.records, count_elements scanned.Wal.ops)
   in
   let next_gen =
     match Checkpoint.generations ~dir with (g, _) :: _ -> g + 1 | [] -> 0

@@ -400,7 +400,7 @@ let scan ~dim ~dir () =
 type writer = {
   dir : Io.dir;
   dim : int;
-  existing : scanned;
+  found : int; (* ops the chain held on opening: its base plus its records *)
   fsync_every : int;
   segment_records : int;
   epoch : int;
@@ -473,7 +473,7 @@ let writer ?(fsync_every = 1) ?epoch ?(segment_records = 0) ?scanned ~dim ~dir (
   {
     dir;
     dim;
-    existing;
+    found = existing.base + existing.records;
     fsync_every;
     segment_records;
     epoch;
@@ -490,7 +490,6 @@ let writer ?(fsync_every = 1) ?epoch ?(segment_records = 0) ?scanned ~dim ~dir (
     closed = false;
   }
 
-let existing w = w.existing
 let epoch w = w.epoch
 
 let sync w =
@@ -569,7 +568,7 @@ let close w =
     w.file.Io.close ()
   end
 
-let records w = w.existing.base + w.existing.records + w.logged
+let records w = w.found + w.logged
 let synced w = records w - w.since_sync
 let appended w = w.appended
 let bytes w = w.bytes

@@ -192,11 +192,9 @@ val writer :
 
     [scanned] is a {!scan} of [dir] already in hand — {!Recovery.recover}
     takes one — so the writer opens without reading the chain again.
-    Nothing may have written to [dir] since that scan. *)
-
-val existing : writer -> scanned
-(** What the opening chain scan found (before any {!append} by this
-    writer). *)
+    Nothing may have written to [dir] since that scan. The writer keeps
+    none of the scan past opening, only the chain's op count and epoch:
+    its footprint does not grow with the log it opened. *)
 
 val epoch : writer -> int
 (** The epoch this writer stamps (after inheritance/fencing). *)

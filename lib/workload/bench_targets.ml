@@ -75,13 +75,16 @@ let budgets_of_json doc =
 let budget_key ~figure run =
   Option.map
     (fun engine ->
+      let dim =
+        match num "dim" run with Some d when d > 1. -> Printf.sprintf "/d%.0f" d | _ -> ""
+      in
       let param =
         match (num "batch" run, num "shards" run) with
         | Some b, _ -> Printf.sprintf "/%.0f" b
         | None, Some k -> Printf.sprintf "/k%.0f" k
         | None, None -> ""
       in
-      Printf.sprintf "%s/%s%s" figure engine param)
+      Printf.sprintf "%s/%s%s%s" figure engine dim param)
     (str "engine" run)
 
 type row = { key : string; counter : string; budget : float; actual : float }

@@ -41,9 +41,10 @@ val budgets_of_json : Rts_obs.Json.t -> (budgets, string) result
     ... }, ... } }]; [Error] names the first malformed part. *)
 
 val budget_key : figure:string -> Rts_obs.Json.t -> string option
-(** A run's budget key, ["<figure>/<engine>"] followed by ["/<batch>"]
-    when the run records a batch size or ["/k<shards>"] when it records
-    a shard count: ["perf/dt/64"], ["shard/baseline/k4"],
+(** A run's budget key, ["<figure>/<engine>"], then ["/d<dim>"] when
+    the run records a dim above 1, then ["/<batch>"] when it records a
+    batch size or ["/k<shards>"] when it records a shard count:
+    ["perf/dt/64"], ["perf/dt/d2/64"], ["shard/baseline/k4"],
     ["approx/crprecis"]. [None] when the run has no engine. *)
 
 type row = { key : string; counter : string; budget : float; actual : float }

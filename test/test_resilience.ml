@@ -133,10 +133,10 @@ let test_wal_writer_truncates_torn_tail_on_open () =
   let f = dir.Io.open_append Wal.default_file in
   f.Io.append (String.sub (Wal.frame (Replay.Element (e 0.5 1))) 0 10);
   f.Io.close ();
+  let ex = Wal.scan ~dim:1 ~dir () in
+  Alcotest.(check bool) "the scan reports the tail" true (ex.Wal.bytes_discarded > 0);
   let w = Wal.writer ~dim:1 ~dir () in
-  let ex = Wal.existing w in
-  Alcotest.(check int) "opening scan sees intact prefix" 3 ex.Wal.records;
-  Alcotest.(check bool) "opening scan reports the tail" true (ex.Wal.bytes_discarded > 0);
+  Alcotest.(check int) "opening scan sees intact prefix" 3 (Wal.records w);
   List.iter (Wal.append w) (drop 3 sample_ops);
   Wal.close w;
   let s = Wal.scan ~dim:1 ~dir () in
@@ -235,7 +235,7 @@ let test_wal_rotation_crash_overlap () =
   Alcotest.(check int) "overlap deduplicated" 5 s.Wal.records;
   Alcotest.(check bool) "each op appears once" true (s.Wal.ops = sample_ops);
   let w = Wal.writer ~dim:1 ~dir:b () in
-  Alcotest.(check int) "opening scan agrees" 5 (Wal.existing w).Wal.records;
+  Alcotest.(check int) "opening scan agrees" 5 (Wal.records w);
   Wal.append w (Replay.Element (e 9. 1));
   Wal.close w;
   let s = Wal.scan ~dim:1 ~dir:b () in
@@ -522,6 +522,36 @@ let test_wal_batch_over_payload_cap () =
   Alcotest.(check int) "recovery replays the whole batch" n r.Recovery.elements_total;
   Alcotest.(check (list int)) "and re-fires its maturities" matured
     (List.sort compare (List.map snd r.Recovery.maturities))
+
+(* An open writer keeps the chain's op count and epoch, not its opening
+   scan: on a real directory, its reachable heap is the same over a
+   10k-op and a 100k-op log. *)
+let test_wal_writer_footprint_flat () =
+  let root =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "rts-wal-footprint-%d" (Unix.getpid ()))
+  in
+  let dir = Io.fs_dir root in
+  let grow_to ops =
+    let w = Wal.writer ~fsync_every:1_000_000 ~dim:1 ~dir () in
+    while Wal.records w < ops do
+      Wal.append_elements w (Array.init 1000 (fun i -> e (float_of_int i) 1))
+    done;
+    Wal.close w
+  in
+  let footprint ops =
+    grow_to ops;
+    let w = Wal.writer ~dim:1 ~dir () in
+    Alcotest.(check int) (Printf.sprintf "%d ops found" ops) ops (Wal.records w);
+    let words = Obj.reachable_words (Obj.repr w) in
+    Wal.close w;
+    words
+  in
+  let small = footprint 10_000 in
+  let large = footprint 100_000 in
+  List.iter (fun n -> Sys.remove (Filename.concat root n)) (Array.to_list (Sys.readdir root));
+  Sys.rmdir root;
+  Alcotest.(check int) "writer words, 10k vs 100k ops" small large
 
 (* The count gate: appends and bytes per op are exact at dims 1-3. *)
 let test_wal_count_gate () =
@@ -1919,6 +1949,8 @@ let () =
           Alcotest.test_case "forged records behind a valid CRC" `Quick test_wal_forged_records;
           Alcotest.test_case "batch over the payload cap" `Quick test_wal_batch_over_payload_cap;
           Alcotest.test_case "count gate: appends and bytes per batch" `Quick test_wal_count_gate;
+          Alcotest.test_case "open writer's footprint flat in log length" `Quick
+            test_wal_writer_footprint_flat;
         ] );
       ( "checkpoint",
         [

@@ -339,6 +339,21 @@ let test_gate_missing_entry () =
   check_fails "run with no entry" "no budgets entry for \"perf/dt/1024\""
     (gate_errors ~budgets:test_budgets (perf_doc [ dt_run 1024 10 ]))
 
+(* The dim joins the key only above 1, so the 1D keys keep their names
+   and a d = 2 run needs its own entry. *)
+let test_budget_key_dim () =
+  let with_dim d = function
+    | Json.Obj fields -> Json.Obj (("dim", Json.int d) :: fields)
+    | j -> j
+  in
+  let key run = Bench_targets.budget_key ~figure:"perf" run in
+  Alcotest.(check (option string)) "no dim" (Some "perf/dt/64") (key (dt_run 64 1));
+  Alcotest.(check (option string)) "dim 1" (Some "perf/dt/64") (key (with_dim 1 (dt_run 64 1)));
+  Alcotest.(check (option string)) "dim 3" (Some "perf/dt/d3/64")
+    (key (with_dim 3 (dt_run 64 1)));
+  check_fails "a d = 2 run does not borrow the 1D entry" "no budgets entry for \"perf/dt/d2/64\""
+    (gate_errors ~budgets:test_budgets (perf_doc [ with_dim 2 (dt_run 64 10) ]))
+
 let test_gate_scale_seed () =
   check_fails "scale" "params.scale = 0.2"
     (gate_errors ~budgets:test_budgets (perf_doc ~scale:0.2 [ dt_run 1 80 ]));
@@ -449,6 +464,7 @@ let () =
           Alcotest.test_case "document within budget passes" `Quick test_gate_passes;
           Alcotest.test_case "counter over budget fails" `Quick test_gate_over_budget;
           Alcotest.test_case "budgeted run without entry fails" `Quick test_gate_missing_entry;
+          Alcotest.test_case "budget key carries a dim above 1" `Quick test_budget_key_dim;
           Alcotest.test_case "scale or seed mismatch fails" `Quick test_gate_scale_seed;
           Alcotest.test_case "dt allocation fails without budgets" `Quick
             test_gate_alloc_invariant;
