@@ -509,8 +509,14 @@ let perf_counter_names =
    scratch buffer to its steady-state size: the audit asks "does the hot
    loop allocate per element?", not "do buffers grow once at startup?".
    Batch size 1 goes through [Engine.process], the path batch-1 callers
-   (rts-cli without --batch, the serving daemon) actually run. *)
-let alloc_words_per_element p (factory : dim:int -> Engine.t) ~dim b =
+   (rts-cli without --batch, the serving daemon) actually run.
+
+   The warm engine also yields the `engine_words_per_query` gauge: the
+   heap words reachable from it per alive query, batch scratch included.
+   It is an exact function of (scale, seed), so the budgets gate it; for
+   DT it holds the endpoint trees' on-heap footprint to one arena's few
+   blocks per tree, whatever the dimension. *)
+let alloc_audit p (factory : dim:int -> Engine.t) ~dim b =
   let mm = max 1 (p.m / 10) in
   let gen = Generator.create ~dim ~seed:p.seed () in
   let engine = factory ~dim in
@@ -530,7 +536,12 @@ let alloc_words_per_element p (factory : dim:int -> Engine.t) ~dim b =
   in
   pass ();
   Gc.full_major ();
-  Rts_obs.Alloc.words_per_item ~runs:3 ~items:(iters * b) pass
+  let words_per_element = Rts_obs.Alloc.words_per_item ~runs:3 ~items:(iters * b) pass in
+  let words_per_query =
+    float_of_int (Obj.reachable_words (Obj.repr engine))
+    /. float_of_int (max 1 (engine.Engine.alive ()))
+  in
+  (words_per_element, words_per_query)
 
 (* The rows of [perf]: every 1D engine, then DT alone at d = 2 and 3,
    whose budget keys carry the dim (perf/dt/d2/64). *)
@@ -569,16 +580,20 @@ let perf p =
         (fun b ->
           let bcfg = { cfg with Scenario.batch = b; dim } in
           let r, stability = measure ~traced:true p bcfg factory in
-          (* The allocation audit rides along as a gauge in the run's
-             metrics object, where validate_bench holds it to 0. *)
-          let alloc_w = alloc_words_per_element p factory ~dim b in
+          (* The allocation audit rides along as two gauges in the run's
+             metrics object: validate_bench holds the first to 0, and the
+             budgets cap the second. *)
+          let alloc_w, words_q = alloc_audit p factory ~dim b in
           let r =
             {
               r with
               Scenario.final_metrics =
                 Metrics.merge r.Scenario.final_metrics
                   (Metrics.of_assoc
-                     [ ("allocated_words_per_element", Metrics.Gauge alloc_w) ]);
+                     [
+                       ("allocated_words_per_element", Metrics.Gauge alloc_w);
+                       ("engine_words_per_query", Metrics.Gauge words_q);
+                     ]);
             }
           in
           let fm = r.Scenario.final_metrics in

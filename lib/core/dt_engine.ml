@@ -11,12 +11,14 @@ type t = {
   eager : bool;
   mutable slots : slot array; (* slots.(i) plays the role of T_{i+1}, capacity 2^i *)
   mutable live : Endpoint_tree.t array;
-      (* dense cache of the non-empty slots' trees, refreshed whenever a
-         tree is installed or discarded: the per-element path iterates this
+      (* dense cache of the non-empty slots' trees, refreshed once per
+         migration, rebuild or drop: the per-element path iterates this
          flat array instead of matching [tree option] per slot per element *)
   mutable matured_acc : int list; (* maturities reported during the current [process] *)
   agg : Endpoint_tree.stats; (* stats inherited from destroyed trees *)
-  mutable rebuilds : int;
+  mutable rebuilds : int; (* tree installs: migrations and global rebuilds *)
+  mutable built_queries : int; (* queries handed to [Endpoint_tree.build] *)
+  mutable global_rebuilds : int; (* Section 4 rebuilds of a halved tree *)
   (* engine-level tallies for the uniform metrics surface; the protocol
      counters (signals, round ends, heap ops, node updates) live in the
      endpoint trees' flat stats records and are folded in on demand *)
@@ -33,6 +35,9 @@ type t = {
   mutable bwts : int array;
 }
 
+let zero_stats () : Endpoint_tree.stats =
+  { elements = 0; node_updates = 0; signals = 0; round_ends = 0; heap_ops = 0 }
+
 let create ?(eager = false) ~dim () =
   if dim < 1 then invalid_arg "Dt_engine.create: dim < 1";
   {
@@ -41,8 +46,10 @@ let create ?(eager = false) ~dim () =
     slots = [||];
     live = [||];
     matured_acc = [];
-    agg = { elements = 0; node_updates = 0; signals = 0; round_ends = 0; heap_ops = 0 };
+    agg = zero_stats ();
     rebuilds = 0;
+    built_queries = 0;
+    global_rebuilds = 0;
     n_elements = 0;
     n_registered = 0;
     n_terminated = 0;
@@ -78,37 +85,31 @@ let is_alive t id = match find_tree t id with _ -> true | exception Not_found ->
 
 let ensure_slots t j =
   let g = Array.length t.slots in
-  if j > g then begin
-    let slots = Array.init j (fun i -> if i < g then t.slots.(i) else { tree = None }) in
-    t.slots <- slots
-  end
+  if j > g then t.slots <- Array.init j (fun i -> if i < g then t.slots.(i) else { tree = None })
 
 let refresh_live t =
-  let acc = ref [] in
-  for i = Array.length t.slots - 1 downto 0 do
-    match t.slots.(i).tree with Some tr -> acc := tr :: !acc | None -> ()
-  done;
-  t.live <- Array.of_list !acc
+  t.live <- Array.of_list (List.filter_map (fun slot -> slot.tree) (Array.to_list t.slots))
 
 let on_mature_of t qid =
   t.n_matured <- t.n_matured + 1;
   t.matured_acc <- qid :: t.matured_acc
 
 (* Build a tree over [batch] (query, remaining) pairs and install it in
-   slot [idx], updating per-query bookkeeping. *)
+   slot [idx]. The caller refreshes [live]. *)
 let install_tree t idx batch =
-  t.rebuilds <- t.rebuilds + 1;
-  Log.debug (fun m -> m "building endpoint tree in slot %d over %d queries" idx (List.length batch));
   let tree = Endpoint_tree.build ~eager:t.eager ~dim:t.dims ~on_mature:(on_mature_of t) batch in
-  t.slots.(idx).tree <- Some tree;
-  refresh_live t
+  let n = Endpoint_tree.built_count tree in
+  Log.debug (fun m -> m "built endpoint tree in slot %d over %d queries" idx n);
+  t.rebuilds <- t.rebuilds + 1;
+  t.built_queries <- t.built_queries + n;
+  t.slots.(idx).tree <- Some tree
 
+(* Empty [slot], keeping its tree's stats. The caller refreshes [live]. *)
 let discard_slot t slot =
   match slot.tree with
   | Some tr ->
       absorb_stats t.agg (Endpoint_tree.stats tr);
-      slot.tree <- None;
-      refresh_live t
+      slot.tree <- None
   | None -> ()
 
 (* Refuse an invalid query, an alive id or an id repeated in [queries]
@@ -148,7 +149,8 @@ let collapse t fresh =
     | None -> ());
     discard_slot t t.slots.(i)
   done;
-  install_tree t (j - 1) !batch
+  install_tree t (j - 1) !batch;
+  refresh_live t
 
 let register t (q : query) =
   admit t ~who:"register" [ q ];
@@ -178,14 +180,17 @@ let maybe_rebuild t idx =
       let alive = Endpoint_tree.alive_count tr and built = Endpoint_tree.built_count tr in
       if alive = 0 then begin
         Log.debug (fun m -> m "slot %d empty, dropping its tree" idx);
-        discard_slot t slot
+        discard_slot t slot;
+        refresh_live t
       end
       else if 2 * alive <= built then begin
         Log.debug (fun m ->
             m "global rebuild of slot %d: %d alive of %d built" idx alive built);
         let batch = Endpoint_tree.alive_queries tr in
         discard_slot t slot;
-        install_tree t idx batch
+        install_tree t idx batch;
+        t.global_rebuilds <- t.global_rebuilds + 1;
+        refresh_live t
       end
 
 (* The feeds' epilogue, skipped entirely on the common no-maturity case:
@@ -274,15 +279,8 @@ let tree_count t =
 let rebuild_count t = t.rebuilds
 
 let stats t =
-  let total : Endpoint_tree.stats =
-    {
-      elements = t.agg.elements;
-      node_updates = t.agg.node_updates;
-      signals = t.agg.signals;
-      round_ends = t.agg.round_ends;
-      heap_ops = t.agg.heap_ops;
-    }
-  in
+  let total = zero_stats () in
+  absorb_stats total t.agg;
   Array.iter
     (fun slot ->
       match slot.tree with Some tr -> absorb_stats total (Endpoint_tree.stats tr) | None -> ())
@@ -345,6 +343,8 @@ let metrics t : Rts_obs.Metrics.snapshot =
       ("alive", Rts_obs.Metrics.Gauge (float_of_int (alive_count t)));
       ("trees", Rts_obs.Metrics.Gauge (float_of_int (tree_count t)));
       ("rebuilds_total", Rts_obs.Metrics.Counter t.rebuilds);
+      ("built_queries_total", Rts_obs.Metrics.Counter t.built_queries);
+      ("global_rebuilds_total", Rts_obs.Metrics.Counter t.global_rebuilds);
       ("dt_node_updates_total", Rts_obs.Metrics.Counter st.node_updates);
       ("dt_signals_total", Rts_obs.Metrics.Counter st.signals);
       ("dt_round_ends_total", Rts_obs.Metrics.Counter st.round_ends);

@@ -90,10 +90,14 @@ val metrics : t -> Engine.Metrics.snapshot
 (** The uniform observability surface (see {!Engine.t.metrics}): folds
     {!stats} into the shared metric names ([dt_signals_total] = DT
     messages delivered, [dt_round_ends_total], [dt_heap_ops_total],
-    [dt_node_updates_total], [rebuilds_total]) next to the engine-level
-    tallies ([elements_total], [registered_total], [terminated_total],
-    [matured_total]) and the [alive] / [trees] gauges. Counters agree
-    with {!stats} exactly — asserted by the test suite. *)
+    [dt_node_updates_total]) next to the engine-level tallies
+    ([elements_total], [registered_total], [terminated_total],
+    [matured_total]), the construction tallies ([rebuilds_total] = every
+    tree installed, by a registration's migration or a global rebuild;
+    [built_queries_total] = the queries those builds took, newcomers
+    included; [global_rebuilds_total] = Section 4 rebuilds of a tree
+    that lost half its queries) and the [alive] / [trees] gauges.
+    Counters agree with {!stats} exactly — asserted by the test suite. *)
 
 val alive_snapshot : t -> (query * int) list
 (** [(q, W)] for every alive query, ascending id: the original query and

@@ -54,37 +54,26 @@ type qstate = {
   mutable alive : bool;
 }
 
-(* One endpoint-tree level, stored structure-of-arrays on Bigarray: every
-   per-node attribute lives in a contiguous unboxed array indexed by node
-   id (preorder, root = 0), with -1 child sentinels instead of
-   [node option] records. The hot path — one root-to-leaf descent per
-   element per level — then touches a handful of flat off-heap int/float
-   arrays whose upper levels stay cache-resident, instead of chasing
-   boxed node pointers. [jlo, jhi) is node id's jurisdiction interval;
-   the rightmost spine has jhi = infinity. Last-dimension nodes own
-   [cbase + id] in the tree-wide counter/heap slot space (see [t]);
-   other levels carry the secondary trees on the next dimension. *)
-type level = {
-  k : int; (* dimension of this level *)
-  last : bool; (* k = dims - 1: nodes carry counters + heaps *)
-  n : int; (* node count; 0 = empty level *)
-  depth : int; (* longest root-to-leaf path, in nodes *)
-  cbase : int; (* first counter/heap slot of this level (last levels only) *)
-  jlo : farr;
-  jhi : farr;
-  left : iarr; (* -1 for leaves *)
-  right : iarr;
-  sub : level option array; (* non-last levels only, else [||] *)
-}
+(* The tree. Every node of every level — the top level on dimension 0
+   and each secondary tree on a later dimension — has one id in one node
+   arena, stored structure-of-arrays on Bigarray. The hot path — one
+   root-to-leaf descent per element per level — touches a few flat
+   off-heap arrays, and a tree holds the same few heap blocks whatever
+   its dimension. A level occupies a contiguous id range in preorder
+   (the top level's root is 0; a level's ids precede those of the
+   secondary trees it carries), so an internal node's left child is the
+   next id. [jlo, jhi) is a node's jurisdiction interval on its level's
+   dimension; the rightmost spine has jhi = infinity. Walks pass the
+   dimension down, so no node records its level.
 
-(* The tree. All last-dimension nodes of all (secondary) levels share one
-   flat slot space [0, nslots): [counters] holds the element counters and
-   [hbase]/[hlen]/[hcap] describe each slot's sigma min-heap H(u) — the
-   per-node heap of slack deadlines (Section 4, "putting together all
-   queries with heaps") — stored as index regions of the shared [hstore].
-   Heap capacities are exact by construction (one entry per canonical
-   (query, node) edge, and edges are only ever removed after build), so a
-   heap push can never need to grow anything.
+   A last-dimension node's id is also its slot in [counters] and in
+   [hbase]/[hlen]/[hcap], which describe the slot's sigma min-heap H(u)
+   — the per-node heap of slack deadlines (Section 4, "putting together
+   all queries with heaps") — stored as index regions of the shared
+   [hstore]. Other nodes' slots stay at capacity 0. Heap capacities are
+   exact by construction (one entry per canonical (query, node) edge,
+   and edges are only ever removed after build), so a heap push can
+   never need to grow anything.
 
    Edges themselves are a structure-of-arrays arena indexed by edge id:
    [e_owner] (index into [qarr]), [e_slot] (counter/heap slot),
@@ -95,7 +84,10 @@ type level = {
 type t = {
   dims : int;
   eager : bool; (* ablation: skip DT rounds, signal every counter change *)
-  top : level;
+  jlo : farr; (* per node: jurisdiction start *)
+  jhi : farr; (* per node: jurisdiction end *)
+  right : iarr; (* per node: right child, -1 for a leaf; left is id + 1 *)
+  sub : iarr; (* per node: secondary tree's root, -1 for none; empty at d = 1 *)
   states : (int, qstate) Hashtbl.t;
   mutable alive : int;
   built : int;
@@ -261,12 +253,18 @@ let sort_kw keys idx n = if n > 1 then qsort_kw keys idx 0 (n - 1)
      their canonical edges here for good; a non-last level appends its
      (owner, node) pairs at the end only until its counting sort has
      consumed them. Once [build] has read it, the sink becomes the
-     tree's [hstore] and [e_cbar].
+     tree's [hstore] and [e_cbar];
+   - [njlo]/[njhi]/[nright]/[nsub]: the node arena, [nn] ids in use.
+     Each level claims [n] consecutive ids as it is built, so levels
+     take ids, and last levels their slots, in build order. [nsub]
+     stays empty in a 1D build, which has no secondary trees.
 
-   [stk] and [sink] grow (at least doubling), so holders re-read the
-   field after any call that may grow them. [slots] is the tree-wide
-   counter/heap slot allocator: each last-dimension level claims [n]
-   consecutive slots as its [cbase .. cbase + n). *)
+   [stk], [sink] and the arena grow (at least doubling), so holders
+   re-read the field after any call that may grow them. The arena starts
+   empty, and a level reserves room for its own nodes and, if it is not
+   last, a bound on the next level's: a 1D build sizes the arena
+   exactly, and a 2D build grows it once. [build] copies a larger arena
+   down to [nn] nodes, so a tree keeps exactly sized node arrays. *)
 type builder = {
   bdims : int;
   bq : qstate array;
@@ -276,14 +274,25 @@ type builder = {
   mutable sp : int;
   mutable sink : iarr;
   mutable sn : int;
-  mutable slots : int;
+  mutable njlo : farr;
+  mutable njhi : farr;
+  mutable nright : iarr;
+  mutable nsub : iarr;
+  mutable nn : int;
 }
 
-(* A copy of [a]'s first [used] entries with room for [need]. *)
-let grow (a : iarr) ~used need =
-  let b = ba_i (max need (2 * Bigarray.Array1.dim a)) in
+(* A fresh array of [n] entries that starts with [a]'s first [used]. *)
+let copy a ~used n =
+  let b = Bigarray.Array1.create (Bigarray.Array1.kind a) Bigarray.c_layout n in
   Bigarray.Array1.blit (Bigarray.Array1.sub a 0 used) (Bigarray.Array1.sub b 0 used);
   b
+
+(* A copy of [a]'s first [used] entries with room for [need]. *)
+let grow a ~used need = copy a ~used (max need (2 * Bigarray.Array1.dim a))
+
+(* [a] cut to its first [n] entries: [a] itself when it has exactly [n],
+   else a copy, so no view keeps a larger buffer alive. *)
+let fit a n = if Bigarray.Array1.dim a = n then a else copy a ~used:n n
 
 (* Room on the stack for entries up to [need], above the live [0, sp). *)
 let reserve b need =
@@ -294,48 +303,42 @@ let reserve_sink b pairs =
   let need = b.sn + (2 * pairs) in
   if need > Bigarray.Array1.dim b.sink then b.sink <- grow b.sink ~used:b.sn need
 
+(* Room in the arena for [nodes] more nodes. *)
+let reserve_nodes b nodes =
+  let need = b.nn + nodes and used = b.nn in
+  if need > Bigarray.Array1.dim b.nright then begin
+    b.njlo <- grow b.njlo ~used need;
+    b.njhi <- grow b.njhi ~used need;
+    b.nright <- grow b.nright ~used need;
+    if b.bdims > 1 then b.nsub <- grow b.nsub ~used need
+  end
+
 (* Emits land in room [build_level] reserved after counting them. *)
 let emit b owner slot =
   bset b.sink b.sn owner;
   bset b.sink (b.sn + 1) slot;
   b.sn <- b.sn + 2
 
-let empty_level k last =
-  {
-    k;
-    last;
-    n = 0;
-    depth = 0;
-    cbase = 0;
-    jlo = ba_f 0;
-    jhi = ba_f 0;
-    left = ba_i 0;
-    right = ba_i 0;
-    sub = [||];
-  }
-
-(* Depth, in nodes, of the balanced tree [fill_nodes] lays over [kn]
-   leaves: the left half always takes the larger share. *)
-let rec tree_depth kn = if kn <= 1 then 1 else 1 + tree_depth ((kn + 1) / 2)
-
 (* Lay the balanced binary tree over leaves [lo, hi] of the sorted,
-   distinct [keys] out in preorder from node [id]: a left child is its
-   parent's immediate neighbour, and the right child follows the left
-   subtree's 2 * (mid - lo + 1) - 1 nodes. *)
-let rec fill_nodes lvl (keys : float array) kn id lo hi =
+   distinct [keys] out in preorder from arena node [id]: a left child is
+   its parent's immediate neighbour, and the right child follows the
+   left subtree's 2 * (mid - lo + 1) - 1 nodes. At d > 1 every node
+   starts with no secondary tree. *)
+let rec fill_nodes b (keys : float array) kn id lo hi =
+  if b.bdims > 1 then bset b.nsub id (-1);
   if lo = hi then begin
-    lvl.jlo.{id} <- keys.(lo);
-    lvl.jhi.{id} <- (if lo + 1 < kn then keys.(lo + 1) else infinity)
+    b.njlo.{id} <- keys.(lo);
+    b.njhi.{id} <- (if lo + 1 < kn then keys.(lo + 1) else infinity);
+    bset b.nright id (-1)
   end
   else begin
     let mid = (lo + hi) / 2 in
     let l = id + 1 and r = id + (2 * (mid - lo + 1)) in
-    fill_nodes lvl keys kn l lo mid;
-    fill_nodes lvl keys kn r (mid + 1) hi;
-    lvl.left.{id} <- l;
-    lvl.right.{id} <- r;
-    lvl.jlo.{id} <- lvl.jlo.{l};
-    lvl.jhi.{id} <- lvl.jhi.{r}
+    fill_nodes b keys kn l lo mid;
+    fill_nodes b keys kn r (mid + 1) hi;
+    bset b.nright id r;
+    b.njlo.{id} <- b.njlo.{l};
+    b.njhi.{id} <- b.njhi.{r}
   end
 
 (* Canonical decomposition of the leaf range [a, z) below node [id],
@@ -343,7 +346,7 @@ let rec fill_nodes lvl (keys : float array) kn id lo hi =
    nodes inside the range, left to right. On integer leaf indices this is
    the float test it stands for — node [id]'s jurisdiction
    [keys.(lo), keys.(hi + 1)) lies inside [keys.(a), keys.(z)) iff
-   a <= lo and hi < z — with no loads from the level's arrays. *)
+   a <= lo and hi < z — with no loads from the arena. *)
 let rec canonical b owner base a z id lo hi =
   if a <= lo && hi < z then emit b owner (base + id)
   else if hi < a || z <= lo then ()
@@ -362,9 +365,10 @@ let rec canonical_count a z lo hi =
     let mid = (lo + hi) / 2 in
     canonical_count a z lo mid + canonical_count a z (mid + 1) hi
 
-(* The level on dimension [k] over the queries [bq.(stk.{i})], i in
-   [mlo, mhi). *)
-let rec build_level b k mlo mhi : level =
+(* Build the level on dimension [k] over the queries [bq.(stk.{i})], i in
+   [mlo, mhi), into the arena; its root id, or -1 when it has no
+   endpoint. *)
+let rec build_level b k mlo mhi =
   let last = k = b.bdims - 1 in
   let mn = mhi - mlo in
   (* A stack frame at [ab] receives each member's bounds as leaf indices:
@@ -400,42 +404,33 @@ let rec build_level b k mlo mhi : level =
     bset stk (ab + co.(i)) !u
   done;
   let kn = !u + 1 in
-  if kn = 0 then empty_level k last
+  if kn = 0 then -1
   else begin
     let n = (2 * kn) - 1 in
-    let cbase = if last then b.slots else 0 in
-    if last then b.slots <- cbase + n;
-    let lvl =
-      {
-        k;
-        last;
-        n;
-        depth = tree_depth kn;
-        cbase;
-        jlo = ba_f n;
-        jhi = ba_f n;
-        left = ba_i n;
-        right = ba_i n;
-        sub = (if last then [||] else Array.make n None);
-      }
-    in
-    Bigarray.Array1.fill lvl.left (-1);
-    Bigarray.Array1.fill lvl.right (-1);
-    fill_nodes lvl keys kn 0 0 (kn - 1);
-    (* A last level's pairs are its canonical edges; a non-last level's
-       are (owner, node) and only feed the counting sort below. Counted
-       first, so the sink grows once per level at most and a 1D build
-       sizes it exactly: the GC charges every Bigarray byte allocated. *)
+    (* A last level's pairs are its canonical edges, each naming its
+       node's arena id, which is the node's slot; a non-last level's
+       are (owner, node index in the level) and only feed the counting
+       sort below. Counted first, so the sink grows once per level at
+       most and a 1D build sizes it exactly: the GC charges every
+       Bigarray byte allocated. *)
     let npairs = ref 0 in
     for i = 0 to mn - 1 do
       let a = bget stk (ab + (2 * i)) and z = bget stk (ab + (2 * i) + 1) in
       npairs := !npairs + canonical_count a z 0 (kn - 1)
     done;
+    (* Room for this level and, below a non-last one, the next level's
+       trees: a pair's member gives them at most two endpoints, so at
+       most 4 * npairs nodes. A 1D or 2D build reserves once. *)
+    reserve_nodes b (if last then n else n + (4 * !npairs));
+    let base = b.nn in
+    b.nn <- base + n;
+    fill_nodes b keys kn base 0 (kn - 1);
     reserve_sink b !npairs;
     let s0 = b.sn in
+    let ebase = if last then base else 0 in
     for i = 0 to mn - 1 do
       let a = bget stk (ab + (2 * i)) and z = bget stk (ab + (2 * i) + 1) in
-      canonical b (bget stk (mlo + i)) cbase a z 0 0 (kn - 1)
+      canonical b (bget stk (mlo + i)) ebase a z 0 0 (kn - 1)
     done;
     if not last then begin
       (* Counting sort of the pairs by node, over the [ab] frame: [cnt]
@@ -466,11 +461,14 @@ let rec build_level b k mlo mhi : level =
       for u = 0 to n - 1 do
         let lo = if u = 0 then 0 else bget b.stk (c0 + u - 1) in
         let hi = bget b.stk (c0 + u) in
-        if hi > lo then lvl.sub.(u) <- Some (build_level b (k + 1) (m0 + lo) (m0 + hi))
+        if hi > lo then begin
+          let root = build_level b (k + 1) (m0 + lo) (m0 + hi) in
+          bset b.nsub (base + u) root
+        end
       done
     end;
     b.sp <- ab;
-    lvl
+    base
   end
 
 (* ---- distributed-tracking per query ---------------------------------- *)
@@ -486,28 +484,21 @@ let set_deadline t ei =
 let start_phase t (q : qstate) remaining =
   assert (remaining >= 1);
   let h = q.e_len in
-  let lo = q.e_off and hi = q.e_off + q.e_len - 1 in
-  if t.eager || remaining <= 6 * h then begin
-    q.direct <- true;
-    q.wknown <- q.tree_tau - remaining;
-    for ei = lo to hi do
-      let c = bget t.counters (bget t.e_slot ei) in
-      bset t.e_cbar ei c;
-      bset t.e_sigma ei (c + 1);
-      set_deadline t ei
-    done
-  end
+  q.direct <- t.eager || remaining <= 6 * h;
+  if q.direct then q.wknown <- q.tree_tau - remaining
   else begin
-    q.direct <- false;
     q.lambda <- remaining / (2 * h);
-    q.signals <- 0;
-    for ei = lo to hi do
-      let c = bget t.counters (bget t.e_slot ei) in
-      bset t.e_cbar ei c;
-      bset t.e_sigma ei (c + q.lambda);
-      set_deadline t ei
-    done
-  end
+    q.signals <- 0
+  end;
+  (* a direct-mode edge fires on every counter change, a round's edge
+     on every lambda *)
+  let slack = if q.direct then 1 else q.lambda in
+  for ei = q.e_off to q.e_off + h - 1 do
+    let c = bget t.counters (bget t.e_slot ei) in
+    bset t.e_cbar ei c;
+    bset t.e_sigma ei (c + slack);
+    set_deadline t ei
+  done
 
 let tree_weight t (q : qstate) =
   let acc = ref 0 in
@@ -516,7 +507,9 @@ let tree_weight t (q : qstate) =
   done;
   !acc
 
-let mature t (q : qstate) =
+(* Retire [q]: its slack entries leave their heaps, and it leaves the
+   tree. Maturity and termination share this. *)
+let retire t (q : qstate) =
   q.alive <- false;
   for ei = q.e_off to q.e_off + q.e_len - 1 do
     if bget t.e_pos ei >= 0 then begin
@@ -525,7 +518,10 @@ let mature t (q : qstate) =
     end
   done;
   t.alive <- t.alive - 1;
-  Hashtbl.remove t.states q.query.id;
+  Hashtbl.remove t.states q.query.id
+
+let mature t (q : qstate) =
+  retire t q;
   t.on_mature q.query.id
 
 let end_round t (q : qstate) =
@@ -587,27 +583,27 @@ let drain t slot =
     else continue := false
   done
 
-(* One root-to-leaf descent per level, flat-array edition: at every node
-   of the path, a last-dimension level bumps the counter and drains the
-   node's deadline heap; other levels recurse into the node's secondary
-   tree. The key is read from [value] by index at every step rather than
-   passed down as a [float] argument, which a non-flambda compiler boxes
-   on every call. Allocation-free. *)
-let rec process_level t (value : point) w lvl =
-  if lvl.n > 0 && value.(lvl.k) >= fget lvl.jlo 0 then descend t value w lvl 0
+(* One root-to-leaf descent per level, from the level root [u] on
+   dimension [k]: at every node of the path, a last-dimension level bumps
+   the node's counter and drains its deadline heap; other levels recurse
+   into the node's secondary tree. The key is read from [value] by index
+   at every step rather than passed down as a [float] argument, which a
+   non-flambda compiler boxes on every call. Allocation-free. *)
+let rec process_level t (value : point) w k u =
+  if value.(k) >= fget t.jlo u then descend t value w k u
 
-and descend t (value : point) w lvl u =
-  (if lvl.last then begin
-     let slot = lvl.cbase + u in
-     bset t.counters slot (bget t.counters slot + w);
+and descend t (value : point) w k u =
+  (if k = t.dims - 1 then begin
+     bset t.counters u (bget t.counters u + w);
      t.st.node_updates <- t.st.node_updates + 1;
-     drain t slot
+     drain t u
    end
-   else match lvl.sub.(u) with Some sub -> process_level t value w sub | None -> ());
-  let r = bget lvl.right u in
+   else
+     let s = bget t.sub u in
+     if s >= 0 then process_level t value w (k + 1) s);
+  let r = bget t.right u in
   if r >= 0 then
-    if value.(lvl.k) >= fget lvl.jlo r then descend t value w lvl r
-    else descend t value w lvl (bget lvl.left u)
+    if value.(k) >= fget t.jlo r then descend t value w k r else descend t value w k (u + 1)
 
 (* ---- batch cursor ---------------------------------------------------- *)
 
@@ -635,7 +631,7 @@ and descend t (value : point) w lvl u =
 let flush_slot t i =
   let pend = t.cw - Array.unsafe_get t.cmark i in
   if pend > 0 then begin
-    let slot = t.top.cbase + Array.unsafe_get t.cpath i in
+    let slot = Array.unsafe_get t.cpath i in
     bset t.counters slot (bget t.counters slot + pend);
     t.st.node_updates <- t.st.node_updates + 1;
     drain t slot
@@ -661,30 +657,29 @@ let flush t =
    construction, so the walk uses unsafe loads. *)
 let feed1 t (elems : elem array) (keys : float array) (idx : int array) (wts : int array) i =
   let x = Array.unsafe_get keys i in
-  let lvl = t.top in
   let path = t.cpath in
   let len = ref t.clen in
-  while !len > 0 && x >= fget lvl.jhi (Array.unsafe_get path (!len - 1)) do
+  while !len > 0 && x >= fget t.jhi (Array.unsafe_get path (!len - 1)) do
     decr len;
     flush_slot t !len
   done;
-  if !len = 0 && x >= fget lvl.jlo 0 then begin
+  if !len = 0 && x >= fget t.jlo 0 then begin
     Array.unsafe_set path 0 0;
     Array.unsafe_set t.cmark 0 t.cw;
     len := 1
   end;
   if !len > 0 then begin
     let u = ref (Array.unsafe_get path (!len - 1)) in
-    let r = ref (bget lvl.right !u) in
+    let r = ref (bget t.right !u) in
     while !r >= 0 do
-      let nxt = if x >= fget lvl.jlo !r then !r else bget lvl.left !u in
+      let nxt = if x >= fget t.jlo !r then !r else !u + 1 in
       Array.unsafe_set path !len nxt;
       Array.unsafe_set t.cmark !len t.cw;
       incr len;
       u := nxt;
-      r := bget lvl.right nxt
+      r := bget t.right nxt
     done;
-    if lvl.last then
+    if t.dims = 1 then
       (* 1D: the weight lands on every path node lazily — it is folded
          into [cw] and applied when nodes leave the path. *)
       t.cw <- t.cw + Array.unsafe_get wts i
@@ -695,17 +690,19 @@ let feed1 t (elems : elem array) (keys : float array) (idx : int array) (wts : i
       let value = (Array.unsafe_get elems (Array.unsafe_get idx i)).value in
       let w = Array.unsafe_get wts i in
       for j = 0 to !len - 1 do
-        match Array.unsafe_get lvl.sub (Array.unsafe_get path j) with
-        | Some sub -> process_level t value w sub
-        | None -> ()
+        let s = bget t.sub (Array.unsafe_get path j) in
+        if s >= 0 then process_level t value w 1 s
       done
     end
   end;
   t.clen <- !len
 
+(* The number of nodes across all levels. *)
+let nodes t = Bigarray.Array1.dim t.right
+
 let feed_sorted t elems keys idx wts n =
   t.st.elements <- t.st.elements + n;
-  if t.top.n > 0 then begin
+  if nodes t > 0 then begin
     for i = 0 to n - 1 do
       feed1 t elems keys idx wts i
     done;
@@ -753,14 +750,19 @@ let build ?(eager = false) ~dim ~on_mature batch =
       sp = m;
       sink = ba_i 0;
       sn = 0;
-      slots = 0;
+      njlo = ba_f 0;
+      njhi = ba_f 0;
+      nright = ba_i 0;
+      nsub = ba_i 0;
+      nn = 0;
     }
   in
   for i = 0 to m - 1 do
     bset b.stk i i
   done;
-  let top = build_level b 0 0 m in
-  let nslots = b.slots and sink = b.sink and nedges = b.sn / 2 in
+  let (_ : int) = build_level b 0 0 m in
+  (* One slot per node; only last-dimension nodes' slots take edges. *)
+  let nslots = b.nn and sink = b.sink and nedges = b.sn / 2 in
   (* Edges per query and exact heap capacities per slot, from the sink. *)
   let per_slot = ba_slab 4 nslots in
   let counters = per_slot.(0) and hcap = per_slot.(1) in
@@ -807,11 +809,19 @@ let build ?(eager = false) ~dim ~on_mature batch =
   Bigarray.Array1.fill e_cbar 0;
   Bigarray.Array1.fill e_sigma 0;
   Bigarray.Array1.fill e_pos (-1);
+  (* The top level's deepest path is its leftmost: [fill_nodes] gives
+     the left half the larger share. The cursor holds one such path. *)
+  let right = fit b.nright nslots in
+  let rec depth u = if bget right u < 0 then 1 else 1 + depth (u + 1) in
+  let depth = if nslots > 0 then depth 0 else 0 in
   let t =
     {
       dims = dim;
       eager;
-      top;
+      jlo = fit b.njlo nslots;
+      jhi = fit b.njhi nslots;
+      right;
+      sub = fit b.nsub (if dim > 1 then nslots else 0);
       states;
       alive = Array.length qarr;
       built = Array.length qarr;
@@ -828,8 +838,8 @@ let build ?(eager = false) ~dim ~on_mature batch =
       e_sigma;
       e_pos;
       qarr;
-      cpath = Array.make (top.depth + 1) (-1);
-      cmark = Array.make (top.depth + 1) 0;
+      cpath = Array.make (depth + 1) (-1);
+      cmark = Array.make (depth + 1) 0;
       clen = 0;
       cw = 0;
     }
@@ -843,7 +853,7 @@ let process t e =
   if Array.length e.value <> t.dims then invalid_arg "Endpoint_tree.process: bad dimensionality";
   if e.weight < 1 then invalid_arg "Endpoint_tree.process: weight < 1";
   t.st.elements <- t.st.elements + 1;
-  process_level t e.value e.weight t.top
+  if nodes t > 0 then process_level t e.value e.weight 0 0
 
 let find_alive t id =
   match Hashtbl.find_opt t.states id with
@@ -852,17 +862,7 @@ let find_alive t id =
 
 let is_alive t id = match Hashtbl.find_opt t.states id with Some q -> q.alive | None -> false
 
-let remove t id =
-  let q = find_alive t id in
-  q.alive <- false;
-  for ei = q.e_off to q.e_off + q.e_len - 1 do
-    if bget t.e_pos ei >= 0 then begin
-      heap_remove t (bget t.e_slot ei) ei;
-      t.st.heap_ops <- t.st.heap_ops + 1
-    end
-  done;
-  t.alive <- t.alive - 1;
-  Hashtbl.remove t.states id
+let remove t id = retire t (find_alive t id)
 
 let current_weight t id = tree_weight t (find_alive t id)
 
@@ -891,18 +891,12 @@ let stats t = t.st
 type space = { tree_nodes : int; live_entries : int; dead_entries : int }
 
 let space t =
-  let nodes = ref 0 in
-  let rec walk lvl =
-    nodes := !nodes + lvl.n;
-    if not lvl.last then Array.iter (function Some sub -> walk sub | None -> ()) lvl.sub
-  in
-  walk t.top;
   let live = ref 0 in
   for s = 0 to Bigarray.Array1.dim t.hlen - 1 do
     live := !live + bget t.hlen s
   done;
   {
-    tree_nodes = !nodes;
+    tree_nodes = nodes t;
     live_entries = !live;
     dead_entries = Bigarray.Array1.dim t.hstore - !live;
   }

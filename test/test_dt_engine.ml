@@ -81,6 +81,33 @@ let test_p1_tree_count_logarithmic () =
     end
   done
 
+(* The construction tallies, on a scripted history. One-at-a-time
+   registrations follow the binary counter of the logarithmic method:
+   the k-th registration builds a tree over 2^(trailing zeros of k)
+   queries, so eight of them build 1+2+1+4+1+2+1+8 = 20 queries in 8
+   installs. None of those is a global rebuild; the terminate that
+   leaves the 8-query tree with half its queries is. *)
+let test_construction_tallies () =
+  let t = Dt_engine.create ~dim:1 () in
+  let counter name = Rts_obs.Metrics.counter_value (Dt_engine.metrics t) name in
+  let check what (installs, queries, globals) =
+    Alcotest.(check (list int))
+      (what ^ ": rebuilds, built queries, global rebuilds")
+      [ installs; queries; globals ]
+      (List.map counter [ "rebuilds_total"; "built_queries_total"; "global_rebuilds_total" ])
+  in
+  for id = 0 to 7 do
+    Dt_engine.register t (q ~id ~threshold:max_int (float_of_int id, float_of_int id +. 2.))
+  done;
+  Alcotest.(check int) "one tree" 1 (Dt_engine.tree_count t);
+  check "eight registrations" (8, 20, 0);
+  for id = 0 to 2 do
+    Dt_engine.terminate t id
+  done;
+  check "three terminations" (8, 20, 0);
+  Dt_engine.terminate t 3;
+  check "the halving termination" (9, 24, 1)
+
 let test_space_shrinks_after_mass_termination () =
   (* Terminating most queries must trigger rebuilds: alive_count tracks
      and the engine keeps functioning with the remainder. *)
@@ -386,6 +413,7 @@ let () =
           Alcotest.test_case "threshold carries across migration" `Quick
             test_threshold_carry_across_migration;
           Alcotest.test_case "P1: tree count logarithmic" `Quick test_p1_tree_count_logarithmic;
+          Alcotest.test_case "construction tallies" `Quick test_construction_tallies;
           Alcotest.test_case "mass termination rebuilds" `Quick
             test_space_shrinks_after_mass_termination;
           Alcotest.test_case "progress errors" `Quick test_progress_errors;

@@ -278,12 +278,16 @@ let test_dt_alloc_free dim () =
             (Alloc.words_per_item ~runs:5 ~items:n feed))
         [ ("feed_batch 1024", feed_batch); ("process", process) ]
 
-(* Construction allocates a few words per canonical edge: per query its
-   state record and table entry, per level its node arrays' headers,
-   nothing per node visited. Pinned inputs: the paper's generator at seed
-   1. The bounds are the measured 1.66 (1D) and 2.16 (2D) words per edge
-   plus about 30%, for the other compiler leg; the list-and-closure build
-   this replaced allocated 14.7 and 22.1. Native only, like the feed
+(* Construction allocates a few words per query and almost nothing per
+   canonical edge: per query its state record and table entry, per tree
+   a fixed set of Bigarray headers (every level's nodes share one
+   arena), nothing per level or per node visited. A 2D or 3D tree has
+   many more edges per query than a 1D one, so its words per edge are
+   far lower. Pinned inputs: the paper's generator at seed 1. The bounds
+   are the measured 1.66 (1D), 0.41 (2D) and 0.29 (3D) words per edge
+   plus about 30%, for the other compiler leg. Per-level node arrays
+   allocated 2.16 (2D) and 7.59 (3D); the list-and-closure build before
+   them allocated 14.7 (1D) and 22.1 (2D). Native only, like the feed
    gates above. *)
 let test_build_words_per_edge (dim, m, bound) () =
   match Sys.backend_type with
@@ -309,6 +313,30 @@ let test_build_words_per_edge (dim, m, bound) () =
           "dim %d, m %d: build allocated %.2f words per canonical edge (%d edges), bound %.1f" dim m
           per_edge edges bound
 
+(* A built tree's heap footprint per query does not grow with the
+   dimension: the levels' nodes live off-heap in one arena per tree, so
+   what stays on the heap is per query (its state, table entry and query
+   record) plus a fixed set of Bigarray headers. With a record and four
+   Bigarrays per level, 2D and 3D trees held 118 and 725-896 words per
+   query against 29 in 1D. Both legs: it counts reachable words, not
+   allocations. *)
+let test_tree_words_per_query dim () =
+  let m = 1024 in
+  let per_query dim =
+    let gen = Rts_workload.Generator.create ~dim ~seed:1 () in
+    let batch =
+      List.init m (fun id ->
+          let q = Rts_workload.Generator.query gen ~id ~threshold:1_000_000 in
+          (q, q.Types.threshold))
+    in
+    let t = ET.build ~dim ~on_mature:ignore batch in
+    float_of_int (Obj.reachable_words (Obj.repr t)) /. float_of_int m
+  in
+  let base = per_query 1 and words = per_query dim in
+  if words > 1.5 *. base then
+    Alcotest.failf "dim %d, m %d: a built tree holds %.1f heap words per query, 1D holds %.1f"
+      dim m words base
+
 let () =
   Alcotest.run "endpoint_tree_equiv"
     [
@@ -324,8 +352,15 @@ let () =
         @ List.map
             (fun ((dim, m, bound) as case) ->
               Alcotest.test_case
-                (Printf.sprintf "build allocates <= %.1f words/canonical edge, dim %d, m %d" bound
+                (Printf.sprintf "build allocates <= %g words/canonical edge, dim %d, m %d" bound
                    dim m)
                 `Quick (test_build_words_per_edge case))
-            [ (1, 10_000, 2.2); (2, 2048, 2.8) ] );
+            [ (1, 10_000, 2.2); (2, 2048, 0.53); (3, 1024, 0.37) ]
+        @ List.map
+            (fun dim ->
+              Alcotest.test_case
+                (Printf.sprintf "a built tree holds <= 1.5x the 1D heap words per query, dim %d"
+                   dim)
+                `Quick (test_tree_words_per_query dim))
+            [ 2; 3 ] );
     ]
