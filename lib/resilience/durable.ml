@@ -176,7 +176,7 @@ let sync h = Wal.sync h.wal
 
 let close h = Wal.close h.wal
 
-let rotate_wal h = Wal.rotate h.wal
+let rotate_wal ?scanned h = Wal.rotate ?scanned h.wal
 
 let prune_wal h ~below =
   (* Never reclaim past what the newest durable checkpoint covers:

@@ -106,8 +106,9 @@ val sync : handle -> unit
 val checkpoint_now : handle -> unit
 (** Publish a checkpoint immediately (also syncs the WAL first). *)
 
-val rotate_wal : handle -> unit
-(** Seal the active WAL records into a cold segment now. *)
+val rotate_wal : ?scanned:Wal.scanned -> handle -> unit
+(** Seal the active WAL records into a cold segment now; [scanned] is
+    a read-back to seal from, as in {!Wal.rotate}. *)
 
 val prune_wal : handle -> below:int -> int
 (** Reclaim cold WAL segments wholly at or below [min below

@@ -85,8 +85,16 @@ let frame op =
 
 (* ---------------- scanning ---------------- *)
 
-(* The active file as the opening scan found it. *)
-type active = { a_epoch : int; a_base : int; a_ops : Replay.op list; a_records : int }
+(* The active file as a scan found it. [a_image] is the file's bytes,
+   kept so {!rotate} can seal a scanned file without reading or
+   decoding it again. *)
+type active = {
+  a_epoch : int;
+  a_base : int;
+  a_ops : Replay.op list;
+  a_records : int;
+  a_image : string;
+}
 
 (* How the chain lay on disk when it was scanned: what {!writer} needs
    to position its appends without reading the chain again. *)
@@ -261,7 +269,7 @@ let scan_active ~dim data =
   | `Damaged -> (`Damaged, 0, String.length data)
   | `Header (a_epoch, a_base, hlen) ->
       let a_ops, a_records, valid, disc = scan_range ~dim data ~pos:hlen in
-      (`Header { a_epoch; a_base; a_ops; a_records }, hlen + valid, disc)
+      (`Header { a_epoch; a_base; a_ops; a_records; a_image = data }, hlen + valid, disc)
 
 (* [Some (epoch, base, count, header_len)] if [data] begins with a
    valid cold-segment header. *)
@@ -321,9 +329,10 @@ let rec drop n l = if n <= 0 then l else match l with [] -> [] | _ :: tl -> drop
 (* Fold the cold segments, lowest base first, into the longest
    contiguous chain ending at the newest segment; a damaged or missing
    link restarts the chain after it — corruption never rewrites history,
-   it only lifts the floor below which records are unavailable. Returns
-   the chain and the highest epoch seen across valid segments. *)
-let cold_chain ~dim ~dir =
+   it only lifts the floor below which records are unavailable. Only
+   segments whose base is at least [from] are read. Returns the chain
+   and the highest epoch seen across the valid segments read. *)
+let cold_chain ~from ~dim ~dir =
   let epoch_max = ref 0 in
   let chain =
     List.fold_left
@@ -341,13 +350,14 @@ let cold_chain ~dim ~dir =
                 else Some fresh))
       None
       (dir.Io.list_files ()
-      |> List.filter (fun n -> segment_base_of_name n <> None)
+      |> List.filter (fun n ->
+             match segment_base_of_name n with Some base -> base >= from | None -> false)
       |> List.sort compare)
   in
   (chain, !epoch_max)
 
-let scan ~dim ~dir () =
-  let chain, seg_epoch = cold_chain ~dim ~dir in
+let scan ?(from = 0) ~dim ~dir () =
+  let chain, seg_epoch = cold_chain ~from ~dim ~dir in
   let cold_end = match chain with Some c -> c.c_end | None -> 0 in
   match dir.Io.read_file default_file with
   | None -> (
@@ -499,27 +509,45 @@ let sync w =
     w.since_sync <- 0
   end
 
-let rotate w =
+let rotate ?scanned w =
   if w.closed then invalid_arg "Wal.rotate: writer is closed";
   sync w;
   w.file.Io.close ();
-  (match w.dir.Io.read_file default_file with
-  | None -> ()
-  | Some data -> (
-      match scan_active ~dim:w.dim data with
-      | `Header { a_base; a_records; _ }, valid_bytes, _ when a_records > 0 ->
-          (* Seal the intact records byte for byte, behind a segment
-             header in place of the active one. *)
-          let hlen = header_bytes 2 in
-          w.dir.Io.write_atomic (segment_name a_base)
-            (segment_header ~epoch:w.epoch ~base:a_base ~count:a_records
-            ^ String.sub data hlen (valid_bytes - hlen));
-          rewrite_active w.dir ~epoch:w.epoch ~base:(a_base + a_records) [];
-          w.headed <- true;
-          w.active_base <- a_base + a_records;
-          w.active_records <- 0;
-          w.rotations <- w.rotations + 1
-      | _ -> ()));
+  let active =
+    match scanned with
+    | Some { layout = { active_file = `Header a; _ }; valid_bytes; _ }
+      when a.a_base = w.active_base && a.a_records = w.active_records ->
+        Some (a, valid_bytes)
+    | _ -> (
+        match Option.map (scan_active ~dim:w.dim) (w.dir.Io.read_file default_file) with
+        | Some (`Header a, valid_bytes, _) -> Some (a, valid_bytes)
+        | _ -> None)
+  in
+  (match active with
+  | Some ({ a_base; a_records; _ }, _)
+    when a_base <> w.active_base || a_records <> w.active_records ->
+      (* A silently torn write cut the file short. Sealing its intact
+         prefix would re-base every later op onto the wrong ordinal;
+         the caller recovers from that prefix instead. *)
+      raise
+        (Fault.Crash
+           (Printf.sprintf "wal rotate: %d intact ops on disk (base %d), %d appended (base %d)"
+              a_records a_base w.active_records w.active_base))
+  | Some ({ a_base; a_records; a_image; _ }, valid_bytes) when a_records > 0 ->
+      (* Seal the intact records byte for byte, behind a segment header
+         in place of the active one. *)
+      let seg = segment_header ~epoch:w.epoch ~base:a_base ~count:a_records in
+      let hlen = header_bytes 2 and slen = String.length seg in
+      let b = Bytes.create (slen + valid_bytes - hlen) in
+      Bytes.blit_string seg 0 b 0 slen;
+      Bytes.blit_string a_image hlen b slen (valid_bytes - hlen);
+      w.dir.Io.write_atomic (segment_name a_base) (Bytes.unsafe_to_string b);
+      rewrite_active w.dir ~epoch:w.epoch ~base:(a_base + a_records) [];
+      w.headed <- true;
+      w.active_base <- a_base + a_records;
+      w.active_records <- 0;
+      w.rotations <- w.rotations + 1
+  | _ -> ());
   w.file <- w.dir.Io.open_append default_file
 
 (* One write(2) of [b], which holds [records] records of [ops] ops. *)

@@ -134,11 +134,18 @@ val scan_string : dim:int -> string -> scanned
 (** Decode a raw record image (no header). Total: never raises on any
     input. [base] and [epoch] are 0. *)
 
-val scan : dim:int -> dir:Io.dir -> unit -> scanned
+val scan : ?from:int -> dim:int -> dir:Io.dir -> unit -> scanned
 (** Scan the whole chain rooted at {!default_file}:
     cold segments in base order, then the active file, de-duplicating
     the rotation crash-window overlap. An absent chain is an empty
-    log. *)
+    log.
+
+    [from] (default 0) reads only the cold segments whose base is at or
+    above it, and the active file: the part of the chain a caller has
+    not read back yet. [base] is then where the part read starts. A
+    caller that verified the chain through op [v] and sealed it there
+    passes [~from:v]; every segment sealed since, by {!rotate} or by
+    [segment_records], has a base at or above [v]. *)
 
 type segment = { seg_file : string; seg_base : int; seg_count : int; seg_epoch : int }
 
@@ -215,10 +222,23 @@ val append_elements : writer -> Rts_core.Types.elem array -> unit
 val sync : writer -> unit
 (** Force outstanding ops durable now. No-op if none are pending. *)
 
-val rotate : writer -> unit
+val rotate : ?scanned:scanned -> writer -> unit
 (** Seal the active file's intact records, byte for byte, into a cold
     segment now (no-op on an empty active file) and continue appending
-    to a fresh active file. *)
+    to a fresh active file.
+
+    [scanned] is a {!scan} of the chain taken since the writer's last
+    append (a read-back the caller just verified). When its active file
+    holds the base and op count the writer expects, its bytes are
+    copied into the segment as they are, and the file is neither read
+    nor decoded again; otherwise the file is read as without it.
+
+    Raises {!Fault.Crash}, sealing nothing, if the active file holds
+    other than the ops this writer put there (a silently torn write
+    cut it short): sealing its intact prefix would move every later op
+    to the wrong ordinal. Automatic rotation raises it from the append
+    that filled the segment; the caller recovers from the intact
+    prefix. *)
 
 val close : writer -> unit
 (** {!sync}, then release the handle. *)

@@ -82,6 +82,11 @@ type tenant = {
          prefix) — recovery decides from [report.ops_total] whether this
          op committed (finish its bookkeeping) or not (re-apply it). *)
   mutable applied : int;  (* op ordinal = WAL record ordinal *)
+  mutable sealed_through : int;
+      (* this life has read the WAL back through this ordinal and sealed
+         it there: [verify_wal] reads only the segments at or above it.
+         0 at life start, so a life's first read-back is the whole
+         chain. *)
   mutable elements : int;  (* element ordinal *)
   mutable accepted : int;
   mutable rejected : int;  (* benign engine rejections *)
@@ -265,6 +270,7 @@ let start_life t tenant =
       tenant.life_dir <- Some dir;
       tenant.close_life <- close_life;
       tenant.applied <- report.Recovery.ops_total;
+      tenant.sealed_through <- 0;
       tenant.elements <- report.Recovery.elements_total;
       tenant.health <- Serving;
       tenant.wedged <- false;
@@ -361,6 +367,7 @@ let fresh_tenant t name =
     replay = Queue.create ();
     in_flight = None;
     applied = 0;
+    sealed_through = 0;
     elements = 0;
     accepted = 0;
     rejected = 0;
@@ -448,7 +455,12 @@ let drain_some t tenant ~budget =
   done
 
 (* Read-back verification: sync, then CRC-scan the WAL and require the
-   on-disk record count to equal the ops applied. A torn write can
+   on-disk record count to equal the ops applied. Only what this life
+   has not sealed is read: the segments at or above [sealed_through]
+   (count rotation may have sealed some since) and the active file. A
+   segment below it was sealed, by [write_atomic], from an image this
+   check had just passed, so reading it again would find nothing new;
+   its ops still count, through the base of the part read. A torn write can
    silently truncate a record mid-pending-buffer; once flushed it sits
    mid-file, where the scanner will amputate it AND every record after
    it. Catching that now — before a checkpoint is published over it —
@@ -462,14 +474,15 @@ let verify_wal t tenant =
   match (tenant.handle, tenant.life_dir) with
   | Some h, Some dir ->
       Durable.sync h;
-      let scanned = Wal.scan ~dim:t.config.dim ~dir () in
+      let scanned = Wal.scan ~from:tenant.sealed_through ~dim:t.config.dim ~dir () in
       if scanned.Wal.base + scanned.Wal.records <> tenant.applied then
         raise
           (Fault.Crash
              (Printf.sprintf "wal verify: %d records on disk (base %d), %d ops applied"
                 (scanned.Wal.base + scanned.Wal.records)
-                scanned.Wal.base tenant.applied))
-  | _ -> ()
+                scanned.Wal.base tenant.applied));
+      Some scanned
+  | _ -> None
 
 (* Checkpoint at a quiescent point — never from inside an apply. This
    keeps the invariant [start_life] relies on: a checkpoint can never
@@ -477,14 +490,19 @@ let verify_wal t tenant =
    replayed WAL suffix and its maturities are recoverable from the
    report. (For the same reason ops go through [Durable.apply], which
    never checkpoints.) The WAL is read-back verified first so a
-   checkpoint never publishes over a silently torn record. *)
+   checkpoint never publishes over a silently torn record. The
+   verified active file is then sealed as a cold segment, from the
+   image just read, so the next read-back starts at this checkpoint:
+   each checkpoint reads back one interval, not the whole log. *)
 let checkpoint_tenant t tenant =
   match tenant.handle with
   | None -> ()
   | Some h ->
-      verify_wal t tenant;
+      let scanned = verify_wal t tenant in
       Durable.checkpoint_now h;
       trace tenant.name "checkpoint at %d" tenant.applied;
+      Durable.rotate_wal ?scanned h;
+      tenant.sealed_through <- tenant.applied;
       prune_replay tenant h;
       (* with rotation on, closed segments wholly below both the new
          checkpoint and the replica ack floor are dead weight: recovery
@@ -736,7 +754,7 @@ let shutdown t =
           if tenant.health = Serving then
             guard_storage t tenant (fun () ->
                 drain_some t tenant ~budget:max_int;
-                verify_wal t tenant);
+                ignore (verify_wal t tenant));
           if has_work tenant || tenant.health <> Serving then pump ()
         in
         pump ();
@@ -918,4 +936,5 @@ let inject_wedge t name =
 let sync_all t =
   if not t.shutting then
     iter_tenants t (fun tenant ->
-        if tenant.health = Serving then guard_storage t tenant (fun () -> verify_wal t tenant))
+        if tenant.health = Serving then
+          guard_storage t tenant (fun () -> ignore (verify_wal t tenant)))

@@ -1,16 +1,31 @@
 type t = int32
 
-(* Reflected table for polynomial 0xEDB88320 (the bit-reversed IEEE
-   802.3 polynomial) — the same table zlib builds in crc32.c. Entries
-   are plain (unboxed) ints holding the unsigned 32-bit value, so the
-   inner loop below reads them without an [Int32] indirection. *)
-let table =
-  Array.init 256 (fun n ->
-      let c = ref n in
-      for _ = 0 to 7 do
-        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-      done;
-      !c)
+(* Slicing-by-8 tables for polynomial 0xEDB88320 (the bit-reversed IEEE
+   802.3 polynomial), flattened: table [k] holds entries [256k ..
+   256k + 255]. Table 0 is the classic bytewise table zlib builds in
+   crc32.c; entry [n] of table [k] is the register after byte [n] is
+   followed by [k] zero bytes, so eight table reads advance the register
+   over eight bytes at once. Entries are plain (unboxed) ints holding the
+   unsigned 32-bit value, so the loops below read them without an
+   [Int32] indirection. *)
+let tables =
+  let t = Array.make 2048 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for k = 1 to 7 do
+    for n = 0 to 255 do
+      let prev = t.((256 * (k - 1)) + n) in
+      t.((256 * k) + n) <- (prev lsr 8) lxor t.(prev land 0xff)
+    done
+  done;
+  t
+
+let u32 b i = Int32.to_int (Bytes.get_int32_le b i) land 0xffffffff
 
 let subbytes ?(crc = 0l) b ~pos ~len =
   if pos < 0 || len < 0 || pos > Bytes.length b - len then
@@ -19,10 +34,27 @@ let subbytes ?(crc = 0l) b ~pos ~len =
      a bitwise complement so that chunked and one-shot checksums agree.
      The register stays within 32 bits: table entries do, and [lsr 8]
      only shrinks it. *)
+  let t = tables in
   let c = ref (lnot (Int32.to_int crc) land 0xffffffff) in
-  for i = pos to pos + len - 1 do
-    let idx = (!c lxor Char.code (Bytes.unsafe_get b i)) land 0xff in
-    c := Array.unsafe_get table idx lxor (!c lsr 8)
+  let i = ref pos and stop = pos + len in
+  while !i + 8 <= stop do
+    (* the first byte of the word goes through table 7, the last through
+       table 0 *)
+    let lo = !c lxor u32 b !i and hi = u32 b (!i + 4) in
+    c :=
+      Array.unsafe_get t (1792 + (lo land 0xff))
+      lxor Array.unsafe_get t (1536 + ((lo lsr 8) land 0xff))
+      lxor Array.unsafe_get t (1280 + ((lo lsr 16) land 0xff))
+      lxor Array.unsafe_get t (1024 + (lo lsr 24))
+      lxor Array.unsafe_get t (768 + (hi land 0xff))
+      lxor Array.unsafe_get t (512 + ((hi lsr 8) land 0xff))
+      lxor Array.unsafe_get t (256 + ((hi lsr 16) land 0xff))
+      lxor Array.unsafe_get t (hi lsr 24);
+    i := !i + 8
+  done;
+  for j = !i to stop - 1 do
+    let idx = (!c lxor Char.code (Bytes.unsafe_get b j)) land 0xff in
+    c := Array.unsafe_get t idx lxor (!c lsr 8)
   done;
   Int32.of_int (lnot !c land 0xffffffff)
 

@@ -3,7 +3,8 @@
     The integrity primitive behind the durability layer: WAL records and
     checkpoint files are checksummed so that torn writes, bit rot, and
     short reads are {e detected} instead of silently replayed into an
-    engine. Pure OCaml, table-driven, no dependencies; matches the
+    engine. Pure OCaml, table-driven (slicing-by-8: eight bytes per
+    step), no dependencies; matches the
     classic zlib [crc32] function bit for bit (checked against the
     canonical test vector ["123456789"] -> [0xCBF43926]). *)
 

@@ -66,6 +66,57 @@ let prop_crc32_matches_bitwise =
       chunked = crc_bitwise s && Crc32.string s = chunked
       && Crc32.subbytes b ~pos:0 ~len:n = chunked)
 
+(* The bytewise table loop [Crc32] ran before slicing-by-8, kept as
+   the reference: one table read per byte. *)
+let bytewise_table =
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
+
+let crc_bytewise ?(crc = 0l) b ~pos ~len =
+  let c = ref (lnot (Int32.to_int crc) land 0xffffffff) in
+  for i = pos to pos + len - 1 do
+    c := bytewise_table.((!c lxor Char.code (Bytes.get b i)) land 0xff) lxor (!c lsr 8)
+  done;
+  Int32.of_int (lnot !c land 0xffffffff)
+
+(* Slicing-by-8 = the bytewise loop, at every alignment, for lengths
+   below, at and well above one 8-byte step, continuing any running
+   CRC; and a run split at any point, continued with [?crc], equals the
+   one-shot run. *)
+let prop_crc32_slicing_matches_bytewise =
+  let gen =
+    QCheck.Gen.(
+      let* len = oneof [ int_range 0 64; int_range 65 5000 ] in
+      let* pos = int_range 0 15 in
+      let* slack = int_range 0 9 in
+      let* seed = int_bound 1_000_000 in
+      let* crc = int_bound 0x3fffffff in
+      let* hi = int_range 0 3 in
+      let+ cut = int_range 0 len in
+      (len, pos, slack, seed, Int32.of_int (crc lor (hi lsl 30)), cut))
+  in
+  let print (len, pos, slack, seed, crc, cut) =
+    Printf.sprintf "len=%d pos=%d slack=%d seed=%d crc=%08lx cut=%d" len pos slack seed crc cut
+  in
+  QCheck.Test.make ~count:(Qcheck_env.count 500)
+    ~name:"crc32 slicing-by-8 = bytewise reference (offsets, lengths, chunks)"
+    (QCheck.make ~print gen)
+    (fun (len, pos, slack, seed, crc, cut) ->
+      let rng = Prng.create ~seed in
+      let b = Bytes.init (pos + len + slack) (fun _ -> Char.chr (Prng.int rng 256)) in
+      let one = Crc32.subbytes ~crc b ~pos ~len in
+      let chunked =
+        Crc32.subbytes ~crc:(Crc32.subbytes ~crc b ~pos ~len:cut) b ~pos:(pos + cut)
+          ~len:(len - cut)
+      in
+      one = crc_bytewise ~crc b ~pos ~len
+      && chunked = one
+      && Crc32.substring ~crc (Bytes.to_string b) ~pos ~len = one)
+
 (* ------------------------------------------------------------------ *)
 (* Wal                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -1920,6 +1971,7 @@ let () =
         [
           Alcotest.test_case "known vectors" `Quick test_crc32_vectors;
           QCheck_alcotest.to_alcotest prop_crc32_matches_bitwise;
+          QCheck_alcotest.to_alcotest prop_crc32_slicing_matches_bytewise;
         ] );
       ( "wal",
         [

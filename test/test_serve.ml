@@ -8,6 +8,7 @@ open Rts_core
 open Rts_workload
 module Io = Rts_resilience.Io
 module Wal = Rts_resilience.Wal
+module Checkpoint = Rts_resilience.Checkpoint
 module Vclock = Rts_net.Vclock
 module Frame = Rts_serve.Frame
 module Server = Rts_serve.Server
@@ -388,6 +389,295 @@ let test_durable_position_fsynced () =
     [ (5, 48); (7, 16); (4, 10); (5, 0); (1, 48) ]
 
 (* ------------------------------------------------------------------ *)
+(* Read-back: one interval per checkpoint, torn writes still caught    *)
+(* ------------------------------------------------------------------ *)
+
+(* What a server did to its store, in order. [Life n] marks the
+   provider handing out incarnation [n]'s dir. *)
+type io_event = Life of int | Read of string * int | Published of string * string
+
+let is_segment name = Filename.check_suffix name ".seg"
+
+(* [d], logging reads and atomic publications into [events]. *)
+let logging_dir events (d : Io.dir) =
+  let read_file name =
+    let r = d.Io.read_file name in
+    Option.iter (fun s -> events := Read (name, String.length s) :: !events) r;
+    r
+  in
+  let write_atomic name contents =
+    d.Io.write_atomic name contents;
+    events := Published (name, contents) :: !events
+  in
+  { d with Io.read_file; write_atomic }
+
+(* Op ordinal a published checkpoint image covers. *)
+let checkpoint_ops name contents =
+  let d = Io.mem_dir () in
+  d.Io.write_atomic name contents;
+  (fst (Checkpoint.load ~dir:d name)).Checkpoint.ops
+
+(* [n] ops for tenant "t": a register every 20th op (threshold 600,
+   about six hits), elements otherwise. *)
+let stream ~dim ~seed n =
+  let register, element = gen_ops ~dim ~seed in
+  List.init n (fun i -> if i mod 20 = 0 then register ~id:i ~threshold:600 else element ())
+
+(* One server over [provider]: the ops go in frames of 32, the clock
+   runs to quiescence after each, then the server shuts down. *)
+let drive ~config ~provider ops =
+  let clock = Vclock.create () in
+  let server =
+    Server.create ~config ~clock ~make ~provider ~send:(fun ~dst:_ _ -> ()) ()
+  in
+  let rec go i = function
+    | [] -> ()
+    | op :: rest ->
+        Server.handle server ~src:0 (Frame.Op { tenant = "t"; op });
+        if i mod 32 = 31 then Vclock.run_until_idle clock;
+        go (i + 1) rest
+  in
+  go 0 ops;
+  Vclock.run_until_idle clock;
+  Server.shutdown server;
+  server
+
+(* Bytes read since the previous checkpoint publication, at each
+   checkpoint publication: what the read-back before it read. *)
+let readback_bytes events =
+  List.fold_left
+    (fun (acc, windows) -> function
+      | Read (_, n) -> (acc + n, windows)
+      | Published (name, _) when Checkpoint.parse_filename name <> None -> (0, acc :: windows)
+      | Published _ | Life _ -> (acc, windows))
+    (0, []) events
+  |> snd |> List.rev
+
+(* Count gate: under the default config, a checkpoint's read-back reads
+   one interval whatever the stream's length. The interval is the
+   largest sealed segment; a read-back of the active file reads the
+   same records behind a shorter header. *)
+let test_readback_one_interval () =
+  let run n =
+    let events = ref [] in
+    let dir = logging_dir events (Io.mem_dir ()) in
+    let server =
+      drive ~config:Server.default ~provider:(fun ~tenant:_ ~incarnation:_ -> dir)
+        (stream ~dim:2 ~seed:41 n)
+    in
+    Alcotest.(check int) (Printf.sprintf "%d ops applied" n) n (Server.applied_ops server "t");
+    let events = List.rev !events in
+    let largest =
+      List.fold_left
+        (fun m -> function
+          | Published (name, s) when is_segment name -> max m (String.length s)
+          | _ -> m)
+        0 events
+    in
+    (readback_bytes events, largest)
+  in
+  let r1, seg1 = run 3_000 and r10, seg10 = run 30_000 in
+  let interval = max seg1 seg10 in
+  Alcotest.(check bool) "1x: at least two checkpoints" true (List.length r1 >= 2);
+  Alcotest.(check bool) "10x: ten times as many" true
+    (List.length r10 >= 10 * List.length r1 - 2);
+  List.iteri
+    (fun i r ->
+      if r > interval then
+        Alcotest.failf "read-back %d read %d bytes, more than one interval (%d)" i r interval)
+    (r1 @ r10);
+  let mean l = List.fold_left ( + ) 0 l / List.length l in
+  if abs (mean r10 - mean r1) > interval then
+    Alcotest.failf "mean read-back %d bytes at 10x against %d at 1x (interval %d)" (mean r10)
+      (mean r1) interval
+
+(* With count rotation on, each read-back still reads every segment
+   count rotation sealed since the last one: those hold records no
+   read-back has seen. *)
+let test_readback_reads_count_rotated () =
+  let events = ref [] in
+  let dir = logging_dir events (Io.mem_dir ()) in
+  let config = { Server.default with Server.dim = 1; segment_records = 100 } in
+  let server =
+    drive ~config ~provider:(fun ~tenant:_ ~incarnation:_ -> dir) (stream ~dim:1 ~seed:43 5_000)
+  in
+  Alcotest.(check int) "every op applied" 5_000 (Server.applied_ops server "t");
+  let checked = ref 0 and windows = ref 0 in
+  ignore
+    (List.fold_left
+       (fun (floor, pending, read) -> function
+         | Read (name, _) -> (floor, pending, name :: read)
+         | Published (name, s) when Checkpoint.parse_filename name <> None ->
+             List.iter
+               (fun seg ->
+                 incr checked;
+                 if not (List.mem seg read) then
+                   Alcotest.failf "checkpoint %s: %s, sealed since the last read-back, not read"
+                     name seg)
+               pending;
+             incr windows;
+             (checkpoint_ops name s, [], [])
+         | Published (name, s) when is_segment name -> (
+             match Wal.scan_segment_string ~dim:1 s with
+             | Some (_, base, _, _) when base >= floor -> (floor, name :: pending, read)
+             | Some _ -> (floor, pending, read)
+             | None -> Alcotest.failf "%s: published damaged" name)
+         | Published _ | Life _ -> (floor, pending, read))
+       (0, [], []) (List.rev !events));
+  Alcotest.(check bool) "several checkpoints" true (!windows >= 3);
+  Alcotest.(check bool) "count-rotated segments were checked" true (!checked >= 2 * !windows)
+
+(* A tenant whose first life writes through [first] (built over the
+   logged store); later lives get the logged store itself. Returns the
+   server, the ops and the event log. *)
+let faulty_first_life ~segment_records ~first ops =
+  let store = Io.mem_dir () in
+  let events = ref [] in
+  let logged = logging_dir events store in
+  let provider ~tenant:_ ~incarnation =
+    events := Life incarnation :: !events;
+    if incarnation = 0 then first logged else logged
+  in
+  let config =
+    {
+      Server.default with
+      Server.dim = 1;
+      durable = { Rts_resilience.Durable.fsync_every = 1; checkpoint_every = 20 };
+      segment_records;
+    }
+  in
+  let server = drive ~config ~provider ops in
+  (server, store, List.rev !events)
+
+(* Whatever the first life lost, the tenant ends exact: every op on the
+   WAL in order and the maturity log of an uninterrupted run. *)
+let check_exact label server store ops =
+  Alcotest.(check int) (label ^ ": every op applied") (List.length ops)
+    (Server.applied_ops server "t");
+  (* rotation prunes below the checkpoint, so the chain may start late *)
+  let chain = Wal.scan ~dim:1 ~dir:store () in
+  Alcotest.(check bool) (label ^ ": the WAL holds the ops in order") true
+    (chain.Wal.ops = List.filteri (fun i _ -> i >= chain.Wal.base) ops);
+  let oracle = Replay.replay_ops (make ~dim:1) ops in
+  Alcotest.(check bool) (label ^ ": the run has maturities") true (oracle.Replay.maturities <> []);
+  Alcotest.(check bool) (label ^ ": maturity log = uninterrupted run") true
+    (Server.maturity_log server "t" = oracle.Replay.maturities)
+
+(* What the first life did to the store. *)
+let first_life events =
+  let rec go = function Life n :: _ when n > 0 -> [] | e :: rest -> e :: go rest | [] -> [] in
+  go events
+
+(* A silent short write at op [short_at] of the first life must be
+   caught before a checkpoint covers it, and never sealed into a
+   segment: the read-back before the next checkpoint refuses the WAL,
+   or, with count rotation on, the rotation refuses to seal the torn
+   file. The restart then repairs it from the replay queue. The first
+   life has sealed at least once before the tear, so a read-back that
+   catches it is incremental. *)
+let test_readback_catches_torn_record () =
+  List.iter
+    (fun (segment_records, short_at) ->
+      let label = Printf.sprintf "segment_records %d, short write at %d" segment_records short_at in
+      let ops = stream ~dim:1 ~seed:47 240 in
+      let first d =
+        Rts_resilience.Fault.wrap
+          ~rng:(Rts_util.Prng.create ~seed:short_at)
+          { Rts_resilience.Fault.no_crash with short_at_append = Some short_at }
+          d
+      in
+      let server, store, events = faulty_first_life ~segment_records ~first ops in
+      Alcotest.(check int) (label ^ ": the tenant crashed once") 1 (Server.crashes server);
+      let first = first_life events in
+      let ckpts =
+        List.filter_map
+          (function
+            | Published (name, s) when Checkpoint.parse_filename name <> None ->
+                Some (checkpoint_ops name s)
+            | _ -> None)
+          first
+      in
+      Alcotest.(check bool) (label ^ ": the first life sealed before the tear") true
+        (List.exists (fun v -> v > 0 && v < short_at) ckpts);
+      List.iter
+        (fun v ->
+          if v >= short_at then
+            Alcotest.failf "%s: the first life published a checkpoint at op %d" label v)
+        ckpts;
+      List.iter
+        (function
+          | Published (name, s) when is_segment name -> (
+              match Wal.scan_segment_string ~dim:1 s with
+              | Some (_, base, count, _) when base < short_at && short_at <= base + count ->
+                  Alcotest.failf "%s: %s seals the torn op" label name
+              | _ -> ())
+          | _ -> ())
+        first;
+      check_exact label server store ops)
+    [ (0, 50); (0, 91); (5, 52); (5, 93) ]
+
+(* [d] with a crash at one step of its [seal]-th seal: [`Before_seal]
+   fails the segment's publication (the checkpoint is published), and
+   [`Before_reset] fails the active file's rewrite after it (the
+   segment is published). Dead from then on, as a crashed machine. *)
+let dying_at_seal ~seal ~point (d : Io.dir) =
+  let seals = ref 0 and dead = ref false in
+  let alive () = if !dead then raise (Rts_resilience.Fault.Crash "dead") in
+  let die () =
+    dead := true;
+    raise (Rts_resilience.Fault.Crash "seal window")
+  in
+  let write_atomic name contents =
+    alive ();
+    if is_segment name then begin
+      incr seals;
+      if !seals = seal && point = `Before_seal then die ()
+    end
+    else if name = Wal.default_file && !seals = seal && point = `Before_reset then die ();
+    d.Io.write_atomic name contents
+  in
+  let open_append name =
+    alive ();
+    let f = d.Io.open_append name in
+    {
+      Io.append = (fun s -> alive (); f.Io.append s);
+      sync = (fun () -> alive (); f.Io.sync ());
+      close = (fun () -> alive (); f.Io.close ());
+    }
+  in
+  {
+    Io.open_append;
+    read_file = (fun n -> alive (); d.Io.read_file n);
+    write_atomic;
+    list_files = (fun () -> alive (); d.Io.list_files ());
+    remove_file = (fun n -> alive (); d.Io.remove_file n);
+    truncate_file = (fun n l -> alive (); d.Io.truncate_file n l);
+  }
+
+(* Crash sweep over the seal window: at the first three seals, both
+   between the checkpoint and the seal and between the segment and the
+   active file's rewrite, with and without count rotation. Recovery
+   must resume the exact maturity log. *)
+let test_crash_in_seal_window () =
+  List.iter
+    (fun segment_records ->
+      for seal = 1 to 3 do
+        List.iter
+          (fun (point, pname) ->
+            let label =
+              Printf.sprintf "segment_records %d, seal %d, %s" segment_records seal pname
+            in
+            let ops = stream ~dim:1 ~seed:(53 + seal) 200 in
+            let server, store, _ =
+              faulty_first_life ~segment_records ~first:(dying_at_seal ~seal ~point) ops
+            in
+            Alcotest.(check int) (label ^ ": crashed once") 1 (Server.crashes server);
+            check_exact label server store ops)
+          [ (`Before_seal, "before the seal"); (`Before_reset, "before the active rewrite") ]
+      done)
+    [ 0; 7 ]
+
+(* ------------------------------------------------------------------ *)
 (* Supervision: injected wedge -> watchdog restart, nothing lost       *)
 (* ------------------------------------------------------------------ *)
 
@@ -544,6 +834,13 @@ let () =
         [
           Alcotest.test_case "durable_position never ahead of fsync" `Quick
             test_durable_position_fsynced;
+          Alcotest.test_case "read-back: one interval at 1x and 10x" `Quick
+            test_readback_one_interval;
+          Alcotest.test_case "read-back: count-rotated segments read" `Quick
+            test_readback_reads_count_rotated;
+          Alcotest.test_case "read-back: torn record caught before checkpoint" `Quick
+            test_readback_catches_torn_record;
+          Alcotest.test_case "crash sweep: seal window" `Quick test_crash_in_seal_window;
         ] );
       ("supervision", [ Alcotest.test_case "wedge restart" `Quick test_wedge_restart ]);
       ( "soak",
