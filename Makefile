@@ -53,25 +53,24 @@ bench-gate: build
 # What CI's build-test job runs on both compiler legs: the tests, the
 # bench smoke, then four soaks through the real rts-serve binary — one
 # server under storage+network faults and tenant wedges (zero replicas,
-# no rotation), the same again checkpointing every 13 ops so crashes
+# no pruning), the same again checkpointing every 13 ops so crashes
 # keep landing in the window where a checkpoint seals the WAL into a
 # segment, and two replicated failover soaks (primary kill, then wedge)
-# under aggressive segment rotation.
+# checkpointing every 16 ops, so segments are sealed and pruned often.
 check: build test bench-smoke
 	$(DUNE) exec bin/rts_serve.exe -- soak --seed 3 --replicas 0 \
-	  --segment-records 0 --scenario clean --tenants 3 --queries 40 \
+	  --scenario clean --tenants 3 --queries 40 \
 	  --elements 600 --churn 0.15 --faulty-incarnations 4 --crash-every 150 \
 	  --wedges 2 --net-faults drop=0.1,dup=0.05,reorder=0.2 \
 	  --fsync-every 7 --checkpoint-every 97 --quiet
 	$(DUNE) exec bin/rts_serve.exe -- soak --seed 3 --replicas 0 \
-	  --segment-records 0 --scenario clean --tenants 3 --queries 40 \
+	  --scenario clean --tenants 3 --queries 40 \
 	  --elements 600 --churn 0.15 --faulty-incarnations 4 --crash-every 150 \
 	  --wedges 2 --net-faults drop=0.1,dup=0.05,reorder=0.2 \
 	  --fsync-every 7 --checkpoint-every 13 --quiet
-	$(DUNE) exec bin/rts_serve.exe -- soak --seed 3 \
-	  --segment-records 16 --checkpoint-every 43 --quiet
+	$(DUNE) exec bin/rts_serve.exe -- soak --seed 3 --checkpoint-every 16 --quiet
 	$(DUNE) exec bin/rts_serve.exe -- soak --seed 7 --scenario wedge \
-	  --segment-records 16 --quiet
+	  --checkpoint-every 16 --quiet
 	@echo "check: OK"
 
 # Lines in tracked files per source directory (lib also split into .ml

@@ -3,7 +3,7 @@
 
      rts-serve soak                      # replicated serving, primary kill
      rts-serve soak --scenario wedge     # wedged primary, fenced zombie
-     rts-serve soak --replicas 0 --segment-records 0 --scenario clean
+     rts-serve soak --replicas 0 --scenario clean
                                          # one server, crash+net faults
      rts-serve session --wal state/      # one-tenant frame loop on stdin
 
@@ -41,44 +41,13 @@ let protect f =
   | Invalid_argument msg -> err 5 "invalid argument: %s" msg
   | Sys_error msg -> err 7 "%s" msg
 
-let engine_conv =
-  let parse = function
-    | "dt" -> Ok `Dt
-    | "dt-eager" -> Ok `Dt_eager
-    | "baseline" -> Ok `Baseline
-    | "interval-tree" -> Ok `Interval_tree
-    | "seg-intv" -> Ok `Seg_intv
-    | "r-tree" -> Ok `Rtree
-    | s -> Error (`Msg (Printf.sprintf "unknown engine %S" s))
-  in
-  let print ppf e =
-    Format.pp_print_string ppf
-      (match e with
-      | `Dt -> "dt"
-      | `Dt_eager -> "dt-eager"
-      | `Baseline -> "baseline"
-      | `Interval_tree -> "interval-tree"
-      | `Seg_intv -> "seg-intv"
-      | `Rtree -> "r-tree")
-  in
-  Arg.conv (parse, print)
-
-let make_engine kind ~dim =
-  match kind with
-  | `Dt -> Dt_engine.make ~dim
-  | `Dt_eager -> Dt_engine.make_eager ~dim
-  | `Baseline -> Baseline_engine.make ~dim
-  | `Interval_tree ->
-      if dim <> 1 then fail "interval-tree engine is 1D only";
-      Stab1d_engine.make ()
-  | `Seg_intv ->
-      if dim <> 2 then fail "seg-intv engine is 2D only";
-      Stab2d_engine.make ()
-  | `Rtree -> Rtree_engine.make ~dim
-
 let engine_arg =
-  let doc = "Engine behind every tenant: dt, dt-eager, baseline, interval-tree, seg-intv, r-tree." in
-  Arg.(value & opt engine_conv `Dt & info [ "engine" ] ~docv:"ENGINE" ~doc)
+  let names = Engine_registry.names () in
+  let doc = "Engine behind every tenant: " ^ String.concat ", " names ^ "." in
+  Arg.(
+    value
+    & opt (enum (List.map (fun n -> (n, n)) names)) "dt"
+    & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
 let dim_arg =
   let doc = "Dimensionality of the data space." in
@@ -124,9 +93,9 @@ let net_rto_jitter_arg =
 
 (* ---------------- soak ---------------- *)
 
-let soak_cmd engine_kind dim seed tenants queries elements batch threshold churn
+let soak_cmd engine dim seed tenants queries elements batch threshold churn
     faulty_incarnations crash_every wedges net_faults net_rto net_rto_max net_rto_jitter replicas
-    scenario kill_at wedge_at wedge_duration segment_records queue_capacity drain_per_tick
+    scenario kill_at wedge_at wedge_duration queue_capacity drain_per_tick
     fsync_every checkpoint_every hb_every hb_timeout quiet =
   protect @@ fun () ->
   let scenario =
@@ -166,7 +135,7 @@ let soak_cmd engine_kind dim seed tenants queries elements batch threshold churn
               Server.dim;
               queue_capacity;
               drain_per_tick;
-              segment_records;
+              prune_wal = replicas > 0;
               durable =
                 { Rts_resilience.Durable.fsync_every; checkpoint_every };
             };
@@ -174,7 +143,7 @@ let soak_cmd engine_kind dim seed tenants queries elements batch threshold churn
     }
   in
   let progress = if quiet then fun _ -> () else fun s -> Printf.eprintf "rts-serve: %s\n%!" s in
-  let report = Rsoak.run ~progress ~make:(fun ~dim -> make_engine engine_kind ~dim) cfg in
+  let report = Rsoak.run ~progress ~make:(fun ~dim -> Engine_registry.make ~name:engine ~dim) cfg in
   Format.printf "%a@." Rsoak.pp report;
   if report.Rsoak.ok then 0 else 1
 
@@ -247,12 +216,6 @@ let soak_term =
       value & opt int 300
       & info [ "wedge-duration" ] ~docv:"TICKS" ~doc:"Wedge length (scenario=wedge).")
   in
-  let segment_records =
-    Arg.(
-      value & opt int 48
-      & info [ "segment-records" ] ~docv:"N"
-          ~doc:"WAL segment rotation threshold; 0 disables rotation (and pruning).")
-  in
   let queue_capacity =
     Arg.(
       value & opt int 16
@@ -287,19 +250,19 @@ let soak_term =
     const soak_cmd $ engine_arg $ dim_arg $ seed_arg $ tenants $ queries $ elements $ batch
     $ threshold $ churn $ faulty $ crash_every $ wedges $ net_faults $ net_rto_arg $ net_rto_max_arg
     $ net_rto_jitter_arg $ replicas $ scenario $ kill_at $ wedge_at
-    $ wedge_duration $ segment_records $ queue_capacity $ drain $ fsync_every $ checkpoint_every
+    $ wedge_duration $ queue_capacity $ drain $ fsync_every $ checkpoint_every
     $ hb_every $ hb_timeout $ quiet)
 
 let soak_doc =
   "Combined-fault soak: multi-tenant churn with storage faults on every node, network faults, \
    optional tenant wedges and, with replicas, a scripted primary kill or wedge and fenced \
    failover; the promoted node's (archive ++ chain) oracle must equal its maturity log and the \
-   subscriber's merged push stream bit for bit. --replicas 0 --segment-records 0 --scenario \
-   clean is the single-server soak."
+   subscriber's merged push stream bit for bit. With replicas, each tenant's WAL is pruned at \
+   its checkpoints. --replicas 0 --scenario clean is the single-server soak."
 
 (* ---------------- session ---------------- *)
 
-let session_cmd engine_kind dim wal_dir role net_rto net_rto_max net_rto_jitter =
+let session_cmd engine dim wal_dir role net_rto net_rto_max net_rto_jitter =
   protect @@ fun () ->
   let role =
     match role with
@@ -321,7 +284,7 @@ let session_cmd engine_kind dim wal_dir role net_rto net_rto_max net_rto_jitter 
     Hub.create
       ~server_config:{ Server.default with Server.dim }
       ~reliable ~clients:1
-      ~make:(fun ~dim -> make_engine engine_kind ~dim)
+      ~make:(fun ~dim -> Engine_registry.make ~name:engine ~dim)
       ~provider ()
   in
   Server.set_role (Hub.server hub) role;
@@ -333,8 +296,7 @@ let session_cmd engine_kind dim wal_dir role net_rto net_rto_max net_rto_jitter 
   in
   Printf.eprintf
     "rts-serve: session ready (engine=%s dim=%d%s); one frame per line, 'shutdown' to exit\n%!"
-    (match engine_kind with `Dt -> "dt" | _ -> "custom")
-    dim
+    engine dim
     (match wal_dir with Some d -> ", wal=" ^ d | None -> ", in-memory");
   (try
      while not (Client.got_bye client) do

@@ -10,19 +10,16 @@
     band.
 
     The counter is monotone: concurrent noise (finalizers, signal
-    handlers) can only add words, never subtract, so {!words_min} over a
+    handlers) can only add words, never subtract, so the minimum over a
     few runs converges on the section's true cost from above. *)
 
 val words : (unit -> unit) -> float
 (** [words f] runs [f ()] once and returns the minor-heap words it
     allocated (clamped at [0.]). *)
 
-val words_min : runs:int -> (unit -> unit) -> float
-(** [words_min ~runs f] runs [f] [runs] times (at least once) and
-    returns the minimum measurement — the run least polluted by
-    unrelated allocation. *)
-
 val words_per_item : runs:int -> items:int -> (unit -> unit) -> float
-(** [words_per_item ~runs ~items f] is [words_min ~runs f /. items],
-    for sections that process [items] elements per run. Raises
+(** [words_per_item ~runs ~items f] runs [f] [runs] times (at least
+    once) and divides the minimum measurement — the run least polluted
+    by unrelated allocation — by [items], for sections that process
+    [items] elements per run. Raises
     [Invalid_argument] if [items <= 0]. *)

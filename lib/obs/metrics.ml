@@ -115,8 +115,6 @@ let of_assoc kvs =
   check sorted;
   sorted
 
-let to_assoc s = s
-
 let get s name = List.assoc_opt name s
 
 let counter_value s name = match get s name with Some (Counter n) -> n | _ -> 0

@@ -83,9 +83,6 @@ val of_assoc : (string * value_snapshot) list -> snapshot
     (e.g. {!Rts_core.Endpoint_tree.stats}) and only materialize metric
     names on demand. Duplicate names raise [Invalid_argument]. *)
 
-val to_assoc : snapshot -> (string * value_snapshot) list
-(** Ascending by name. *)
-
 val get : snapshot -> string -> value_snapshot option
 
 val counter_value : snapshot -> string -> int

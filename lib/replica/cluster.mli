@@ -113,7 +113,6 @@ val fenced : t -> int
 val alive : t -> int -> bool
 val fail_stopped : t -> int -> bool
 val replicator : t -> int -> Replicator.t option
-val clients_idle : t -> bool
 
 val quiescent : t -> bool
 (** Clients idle, no probe in flight, every live node healthy and (if

@@ -2,13 +2,9 @@ module Replay = Rts_workload.Replay
 module Server = Rts_serve.Server
 module Vclock = Rts_net.Vclock
 
-(* Primary-side shipping state for one tenant. [retained] holds the
-   in-memory tail of the op log — every op some replica might still
-   need — as (index, op) in ascending index order; entries are dropped
-   once every replica has acknowledged them durable. *)
+(* Primary-side shipping state for one tenant. *)
 type tstate = {
-  retained : (int * Replay.op) Queue.t;
-  mutable hi : int;  (* highest index retained/shipped so far *)
+  mutable hi : int;  (* highest index shipped so far *)
   acks : (int, int) Hashtbl.t;  (* replica site -> acked durable index *)
 }
 
@@ -22,16 +18,13 @@ type t = {
   hb_every : int;
   controller : int;
   mutable stopped : bool;
-  mutable shipped : int;
-  mutable acks_seen : int;
-  mutable heartbeats : int;
 }
 
 let tstate t tenant =
   match Hashtbl.find_opt t.tenants tenant with
   | Some st -> st
   | None ->
-      let st = { retained = Queue.create (); hi = 0; acks = Hashtbl.create 4 } in
+      let st = { hi = 0; acks = Hashtbl.create 4 } in
       List.iter (fun r -> Hashtbl.replace st.acks r 0) t.replicas;
       Hashtbl.add t.tenants tenant st;
       st
@@ -50,39 +43,22 @@ let lag t ~tenant =
     | None -> applied
     | Some st -> List.fold_left (fun m r -> max m (applied - Hashtbl.find st.acks r)) 0 t.replicas
 
-let ship t tenant st index op =
-  List.iter (fun r -> t.send ~dst:r (Rep.Append { epoch = t.epoch; tenant; index; op })) t.replicas;
-  t.shipped <- t.shipped + List.length t.replicas;
-  ignore st
-
-let on_applied t ~tenant ~index ~op =
-  let st = tstate t tenant in
-  (* re-applies after a local storage crash arrive again with the same
-     index and a bit-identical op — dedup by index, ship only fresh *)
+(* Re-applies after a local storage crash arrive again with the same
+   index and a bit-identical op — dedup by index, ship only fresh. *)
+let ship t st tenant index op =
   if index > st.hi then begin
     st.hi <- index;
-    Queue.add (index, op) st.retained;
-    ship t tenant st index op
+    List.iter
+      (fun r -> t.send ~dst:r (Rep.Append { epoch = t.epoch; tenant; index; op }))
+      t.replicas
   end
-
-let drop_retained st ~through =
-  let rec go () =
-    match Queue.peek_opt st.retained with
-    | Some (i, _) when i <= through ->
-        ignore (Queue.pop st.retained);
-        go ()
-    | _ -> ()
-  in
-  go ()
 
 let on_ack t ~replica ~tenant ~durable =
   if List.mem replica t.replicas then begin
-    t.acks_seen <- t.acks_seen + 1;
     let st = tstate t tenant in
     let prev = try Hashtbl.find st.acks replica with Not_found -> 0 in
     if durable > prev then begin
       Hashtbl.replace st.acks replica durable;
-      drop_retained st ~through:(min_ack t st);
       (* the floor may have advanced: release any parked maturity pushes *)
       Server.flush_pushes t.server tenant
     end
@@ -97,7 +73,6 @@ let rec heartbeat t () =
     let hb = Rep.Heartbeat { epoch = t.epoch; floors = floors t } in
     List.iter (fun r -> t.send ~dst:r hb) t.replicas;
     t.send ~dst:t.controller hb;
-    t.heartbeats <- t.heartbeats + 1;
     ignore (Vclock.schedule t.clock ~delay:t.hb_every (fun () -> heartbeat t ()))
   end
 
@@ -115,13 +90,10 @@ let create ~clock ~server ~epoch ~replicas ~controller ?(hb_every = 8)
       hb_every;
       controller;
       stopped = false;
-      shipped = 0;
-      acks_seen = 0;
-      heartbeats = 0;
     }
   in
   (* Catch-up volley: a replicator created over a server with history (a
-     promotion) re-ships every retained op to every replica. Replicas
+     promotion) re-ships the history's ops to every replica. Replicas
      deduplicate on index, ack their current durable position, and the
      ack stream rebuilds the floor — no restatement round-trip needed.
      The history callback supplies (index, op) ascending; its base is
@@ -130,19 +102,12 @@ let create ~clock ~server ~epoch ~replicas ~controller ?(hb_every = 8)
   List.iter
     (fun tenant ->
       let st = tstate t tenant in
-      List.iter
-        (fun (index, op) ->
-          if index > st.hi then begin
-            st.hi <- index;
-            Queue.add (index, op) st.retained;
-            ship t tenant st index op
-          end)
-        (history tenant))
+      List.iter (fun (index, op) -> ship t st tenant index op) (history tenant))
     (Server.tenant_names server);
   Server.set_replication server
     (Some
        {
-         Server.on_applied = (fun ~tenant ~index ~op -> on_applied t ~tenant ~index ~op);
+         Server.on_applied = (fun ~tenant ~index ~op -> ship t (tstate t tenant) tenant index op);
          ack_floor = (fun ~tenant -> ack_floor t ~tenant);
          lag = (fun ~tenant -> lag t ~tenant);
        });
@@ -160,14 +125,3 @@ let fully_acked t =
   || List.for_all
        (fun tenant -> ack_floor t ~tenant >= Server.applied_ops t.server tenant)
        (Server.tenant_names t.server)
-
-let retained_ops t tenant =
-  match Hashtbl.find_opt t.tenants tenant with
-  | None -> 0
-  | Some st -> Queue.length st.retained
-
-let shipped t = t.shipped
-
-let acks_seen t = t.acks_seen
-
-let heartbeats_sent t = t.heartbeats

@@ -10,8 +10,6 @@
     - the {e ack floor} — the maturity-push gate the server reads (a
       push leaves the primary only when every replica holds its op
       durably, the never-early half of exactly-once-across-failover);
-    - the in-memory {e retention} bound — ops every replica has
-      acknowledged are dropped from the shipping tail;
     - the {e prune floor} broadcast in heartbeats — the bound below
       which replicas may prune their own cold WAL segments.
 
@@ -40,7 +38,7 @@ val create :
   t
 (** Attach to [server] and begin shipping. [replicas] and [controller]
     are opaque destination ids for [send]. [history] (used at
-    promotion) yields each existing tenant's retained op tail as
+    promotion) yields each existing tenant's op tail as
     [(index, op)] ascending — it is re-shipped immediately as a
     catch-up volley; replicas deduplicate by index and re-ack, which
     rebuilds the ack floor without a restatement round. Heartbeats
@@ -48,9 +46,8 @@ val create :
     and keep firing until {!stop}. *)
 
 val on_ack : t -> replica:int -> tenant:string -> durable:int -> unit
-(** Feed one {!Rep.Ack}. Acks are monotone-max merged; an advance drops
-    retained ops all replicas now hold and releases any maturity pushes
-    the new floor permits ({!Rts_serve.Server.flush_pushes}). Acks from
+(** Feed one {!Rep.Ack}. Acks are monotone-max merged; an advance
+    releases any maturity pushes the new floor permits ({!Rts_serve.Server.flush_pushes}). Acks from
     sites outside [replicas] are ignored. *)
 
 val stop : t -> unit
@@ -61,14 +58,3 @@ val stop : t -> unit
 val fully_acked : t -> bool
 (** Every replica has acknowledged every applied op of every tenant —
     the replication half of cluster quiescence. *)
-
-val retained_ops : t -> string -> int
-(** In-memory shipping tail length for a tenant (bounded by the
-    slowest replica's lag — the in-memory analogue of WAL pruning). *)
-
-val shipped : t -> int
-(** Append frames sent (catch-up volleys included). *)
-
-val acks_seen : t -> int
-
-val heartbeats_sent : t -> int

@@ -55,7 +55,7 @@ let default =
             Server.default with
             Server.queue_capacity = 16;
             drain_per_tick = 6;
-            segment_records = 48;
+            prune_wal = true;
             durable =
               { Rts_resilience.Durable.fsync_every = 5; checkpoint_every = 67 };
           };
@@ -363,7 +363,7 @@ let run ?(progress = fun _ -> ()) ~make cfg =
     let per_op = 2 * String.length (Wal.frame (Replay.Terminate 0)) in
     max checkpoint_every ((largest + per_op - 1) / per_op)
   in
-  let segment_records = ccfg.Cluster.server.Server.segment_records in
+  let prune_wal = ccfg.Cluster.server.Server.prune_wal in
   let per_tenant =
     List.init cfg.tenants (fun i ->
         let name = tenant_name i in
@@ -402,9 +402,8 @@ let run ?(progress = fun _ -> ()) ~make cfg =
         let applied = Server.applied_ops srv name in
         let rejected = Server.rejected_ops srv name in
         let disk_ok =
-          segment_records = 0
-          || scanned.Wal.records
-             <= (2 * checkpoint_interval (base_of promoted name)) + (2 * segment_records) + 128
+          (not prune_wal)
+          || scanned.Wal.records <= (2 * checkpoint_interval (base_of promoted name)) + 128
         in
         {
           name;
@@ -442,7 +441,7 @@ let run ?(progress = fun _ -> ()) ~make cfg =
         && Cluster.fenced cluster > 0
   in
   let volume_ok =
-    segment_records = 0
+    (not prune_wal)
     || List.for_all (fun t -> t.applied >= 10 * checkpoint_every) per_tenant
   in
   let pruned_somewhere = List.exists (fun t -> t.chain_base > 0) per_tenant in
@@ -474,7 +473,7 @@ let run ?(progress = fun _ -> ()) ~make cfg =
     List.for_all (fun t -> t.log_ok && t.sub_ok && t.acct_ok && t.chain_ok && t.disk_ok)
       per_tenant
     && scenario_ok && faults_ok
-    && (segment_records = 0 || pruned_somewhere)
+    && ((not prune_wal) || pruned_somewhere)
   in
   {
     per_tenant;

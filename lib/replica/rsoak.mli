@@ -21,9 +21,9 @@
     - runs the whole deployment over a lossy, reordering network;
     - plays one {!scenario} against the initial primary.
 
-    With [cluster.serving = 1] (zero replicas), no rotation and the
+    With [cluster.serving = 1] (zero replicas), no pruning and the
     [Clean] scenario, this is the single-server soak: one {!Rts_serve.Server}
-    on its unrotated, unreplicated path.
+    on its unpruned, unreplicated path.
 
     The oracle is built from the promoted node's own storage: cold WAL
     segments are archived at the moment pruning deletes them (an
@@ -33,11 +33,11 @@
     the subscriber's merged push stream: nothing lost, nothing early,
     nothing duplicated across crashes, wedges, restarts, retransmission
     and failover. Accepted ops must equal applied + benignly rejected,
-    and the chain must hold exactly [applied] records. With rotation on,
-    pruning must also have actually happened ([pruned_somewhere]) and
-    the surviving chain must stay under the disk bound — twice the most
-    ops a checkpoint can trail by under {!Rts_resilience.Durable}'s
-    cadence, plus two segments — so the run demonstrates bounded disk
+    and the chain must hold exactly [applied] records. With
+    [prune_wal] on, pruning must also have actually happened
+    ([pruned_somewhere]) and the surviving chain must stay under the
+    disk bound — twice the most ops a checkpoint can trail by under
+    {!Rts_resilience.Durable}'s cadence — so the run demonstrates bounded disk
     over 10× [checkpoint_every] ops, not pruning disabled.
 
     [RTS_SERVE_TRACE=<tenant>|all] dumps the oracle, server and
@@ -70,9 +70,8 @@ type config = {
 }
 
 val default : config
-(** 3 serving nodes, [Kill 120], no wedges, mild network faults, segment
-    rotation and pruning on, enough volume for 10× the checkpoint
-    interval. *)
+(** 3 serving nodes, [Kill 120], no wedges, mild network faults, WAL
+    pruning on, enough volume for 10× the checkpoint interval. *)
 
 type tenant_report = {
   name : string;

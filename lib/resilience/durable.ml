@@ -80,8 +80,7 @@ let durability_metrics h =
       ("checkpoint_last_gen", Metrics.Gauge (float_of_int (h.next_gen - 1)));
     ]
 
-let wrap ?(config = default) ?report ?wal_epoch ?(segment_records = 0) ~dir (engine : Engine.t)
-    =
+let wrap ?(config = default) ?report ?wal_epoch ~dir (engine : Engine.t) =
   if config.fsync_every < 1 then invalid_arg "Durable.wrap: fsync_every < 1";
   if config.checkpoint_every < 1 then invalid_arg "Durable.wrap: checkpoint_every < 1";
   let scanned =
@@ -90,8 +89,8 @@ let wrap ?(config = default) ?report ?wal_epoch ?(segment_records = 0) ~dir (eng
     | None -> Wal.scan ~dim:engine.Engine.dim ~dir ()
   in
   let wal =
-    Wal.writer ~fsync_every:config.fsync_every ?epoch:wal_epoch ~segment_records ~scanned
-      ~dim:engine.Engine.dim ~dir ()
+    Wal.writer ~fsync_every:config.fsync_every ?epoch:wal_epoch ~scanned ~dim:engine.Engine.dim
+      ~dir ()
   in
   let ops, elements =
     match report with
@@ -182,9 +181,7 @@ let prune_wal h ~below =
   (* Never reclaim past what the newest durable checkpoint covers:
      recovery replays the chain from the checkpoint floor, so a segment
      above it is still load-bearing whatever the caller's floor says. *)
-  Wal.prune ~dir:h.dir ~below:(min below h.last_checkpoint_ops)
-
-let wal_rotations h = Wal.rotations h.wal
+  Wal.prune h.wal ~below:(min below h.last_checkpoint_ops)
 
 let synced h = Wal.synced h.wal
 

@@ -62,7 +62,6 @@ val wrap :
   ?config:config ->
   ?report:Recovery.report ->
   ?wal_epoch:int ->
-  ?segment_records:int ->
   dir:Io.dir ->
   Engine.t ->
   Engine.t * handle
@@ -71,8 +70,8 @@ val wrap :
     [recovery_*] metrics — mandatory when the WAL chain has been pruned
     ([base > 0]), since the element count is then only derivable from a
     checkpoint. [wal_epoch] stamps the writer incarnation's epoch into
-    the log (raises {!Wal.Fenced} if the chain carries a higher one);
-    [segment_records] > 0 enables WAL rotation at that segment size.
+    the log (raises {!Wal.Fenced} if the chain carries a higher one).
+    The WAL rotates only when the owner calls {!rotate_wal}.
     The WAL writer opens from the report's scan, so nothing may write
     to [dir] between that recovery and [wrap].
     Raises [Invalid_argument] on a nonsensical config. *)
@@ -116,9 +115,6 @@ val prune_wal : handle -> below:int -> int
     minimum replica ack) and the checkpoint floor is applied on top, so
     recovery can always replay the chain from the newest checkpoint.
     Returns the number of segments removed. *)
-
-val wal_rotations : handle -> int
-(** Cold segments sealed by this handle's writer. *)
 
 val close : handle -> unit
 (** Sync and release the WAL file handle. Further ops on the wrapped

@@ -150,10 +150,3 @@ let flip_random_bit ~rng dir name =
   | Some data ->
       dir.Io.write_atomic name (flip_one_bit ~rng data);
       true
-
-let truncate_random ~rng dir name =
-  match dir.Io.read_file name with
-  | None | Some "" -> false
-  | Some data ->
-      dir.Io.truncate_file name (Prng.int rng (String.length data));
-      true

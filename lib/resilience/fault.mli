@@ -29,9 +29,8 @@
     Everything is driven by the caller's [Prng.t], so a failing
     crash/recovery case replays exactly from its seed.
 
-    Helpers {!flip_random_bit} and {!truncate_random} damage files at
-    rest (media corruption, short reads) to exercise checksum
-    validation and generation fallback. *)
+    {!flip_random_bit} damages a file at rest (media corruption) to
+    exercise checksum validation and generation fallback. *)
 
 exception Crash of string
 (** The simulated machine died. Test harnesses catch this, then run
@@ -85,7 +84,3 @@ val crashed : Io.dir -> bool
 val flip_random_bit : rng:Rts_util.Prng.t -> Io.dir -> string -> bool
 (** Invert one random bit of an existing file (media corruption).
     [false] if the file is missing or empty. *)
-
-val truncate_random : rng:Rts_util.Prng.t -> Io.dir -> string -> bool
-(** Keep only a random proper prefix of an existing file (short read /
-    lost pages). [false] if missing or empty. *)

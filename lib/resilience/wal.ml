@@ -412,7 +412,6 @@ type writer = {
   dim : int;
   found : int; (* ops the chain held on opening: its base plus its records *)
   fsync_every : int;
-  segment_records : int;
   epoch : int;
   mutable file : Io.file;
   mutable headed : bool;  (** the active file on disk starts with its header *)
@@ -423,7 +422,6 @@ type writer = {
   mutable bytes : int;
   mutable since_sync : int;
   mutable fsyncs : int;
-  mutable rotations : int;
   mutable closed : bool;
 }
 
@@ -433,9 +431,8 @@ let rewrite_active dir ~epoch ~base ops =
   List.iter (fun op -> Buffer.add_string buf (frame op)) ops;
   dir.Io.write_atomic default_file (Buffer.contents buf)
 
-let writer ?(fsync_every = 1) ?epoch ?(segment_records = 0) ?scanned ~dim ~dir () =
+let writer ?(fsync_every = 1) ?epoch ?scanned ~dim ~dir () =
   if fsync_every < 1 then invalid_arg "Wal.writer: fsync_every < 1";
-  if segment_records < 0 then invalid_arg "Wal.writer: segment_records < 0";
   if register_bytes dim > max_payload then
     invalid_arg "Wal.writer: dimension too large for one record";
   let existing = match scanned with Some s -> s | None -> scan ~dim ~dir () in
@@ -485,7 +482,6 @@ let writer ?(fsync_every = 1) ?epoch ?(segment_records = 0) ?scanned ~dim ~dir (
     dim;
     found = existing.base + existing.records;
     fsync_every;
-    segment_records;
     epoch;
     file = handle;
     headed;
@@ -496,7 +492,6 @@ let writer ?(fsync_every = 1) ?epoch ?(segment_records = 0) ?scanned ~dim ~dir (
     bytes = 0;
     since_sync = 0;
     fsyncs = 0;
-    rotations = 0;
     closed = false;
   }
 
@@ -545,8 +540,7 @@ let rotate ?scanned w =
       rewrite_active w.dir ~epoch:w.epoch ~base:(a_base + a_records) [];
       w.headed <- true;
       w.active_base <- a_base + a_records;
-      w.active_records <- 0;
-      w.rotations <- w.rotations + 1
+      w.active_records <- 0
   | _ -> ());
   w.file <- w.dir.Io.open_append default_file
 
@@ -562,8 +556,7 @@ let write w b ~records ~ops =
   w.logged <- w.logged + ops;
   w.active_records <- w.active_records + ops;
   w.since_sync <- w.since_sync + ops;
-  if w.since_sync >= w.fsync_every then sync w;
-  if w.segment_records > 0 && w.active_records >= w.segment_records then rotate w
+  if w.since_sync >= w.fsync_every then sync w
 
 let append_ops w ops =
   if ops <> [] then begin
@@ -601,15 +594,19 @@ let synced w = records w - w.since_sync
 let appended w = w.appended
 let bytes w = w.bytes
 let fsyncs w = w.fsyncs
-let rotations w = w.rotations
 
-let prune ~dir ~below =
-  let removed = ref 0 in
-  List.iter
-    (fun seg ->
-      if seg.seg_base + seg.seg_count <= below then begin
-        dir.Io.remove_file seg.seg_file;
-        incr removed
-      end)
-    (segments ~dir);
-  !removed
+let prune w ~below =
+  let bases =
+    w.dir.Io.list_files () |> List.filter_map segment_base_of_name |> List.sort compare
+  in
+  let rec go removed = function
+    | base :: rest ->
+        let next = match rest with b :: _ -> b | [] -> w.active_base in
+        if next <= below then begin
+          w.dir.Io.remove_file (segment_name base);
+          go (removed + 1) rest
+        end
+        else removed
+    | [] -> removed
+  in
+  go 0 bases

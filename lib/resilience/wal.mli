@@ -62,8 +62,8 @@
     [RTSWSEG,1,...] header — raises {!Unsupported_format}, so it is
     never truncated away as a torn tail.
 
-    Rotation ({!rotate}, or automatic once [segment_records] ops
-    accumulate) seals the active file's intact record bytes, as they
+    Rotation ({!rotate}, which a serving tenant calls at every
+    checkpoint) seals the active file's intact record bytes, as they
     are, into a cold segment and resets the active file to a bare
     header. The crash window between those two atomic steps leaves an
     overlap, which {!scan} and {!writer} resolve in favour of the sealed
@@ -81,8 +81,8 @@
     {2 Counting}
 
     Op ordinals count ops, whatever records hold them: {!records},
-    {!synced}, [scanned.records], a segment's count, [fsync_every] and
-    [segment_records]. Only {!appended} counts records.
+    {!synced}, [scanned.records], a segment's count and [fsync_every].
+    Only {!appended} counts records.
 
     Durability: appends buffer in the OS via {!Io.file.append}; records
     become crash-proof when the writer fsyncs — once [fsync_every] ops
@@ -144,8 +144,8 @@ val scan : ?from:int -> dim:int -> dir:Io.dir -> unit -> scanned
     above it, and the active file: the part of the chain a caller has
     not read back yet. [base] is then where the part read starts. A
     caller that verified the chain through op [v] and sealed it there
-    passes [~from:v]; every segment sealed since, by {!rotate} or by
-    [segment_records], has a base at or above [v]. *)
+    passes [~from:v]; every segment sealed since has a base at or
+    above [v]. *)
 
 type segment = { seg_file : string; seg_base : int; seg_count : int; seg_epoch : int }
 
@@ -164,18 +164,11 @@ val segment_name : int -> string
 (** [segment_name base] is the cold-segment file name for a segment
     whose first record is op [base + 1]. *)
 
-val prune : dir:Io.dir -> below:int -> int
-(** Remove every cold segment whose records all lie at or below op
-    number [below]; returns how many were removed. Safe floors are the
-    caller's business: the checkpoint floor locally, the minimum
-    replica ack under replication. *)
-
 type writer
 
 val writer :
   ?fsync_every:int ->
   ?epoch:int ->
-  ?segment_records:int ->
   ?scanned:scanned ->
   dim:int ->
   dir:Io.dir ->
@@ -193,9 +186,8 @@ val writer :
     [epoch] (default: inherit whatever the chain carries) stamps this
     incarnation's epoch into the active header and every segment it
     seals; raises {!Fenced} if the chain already carries a higher one.
-    [segment_records] > 0 rotates automatically once that many ops
-    accumulate in the active file (checked after each write); 0
-    (default) disables rotation and keeps a single file.
+    The writer never rotates on its own: only {!rotate} seals a
+    segment.
 
     [scanned] is a {!scan} of [dir] already in hand — {!Recovery.recover}
     takes one — so the writer opens without reading the chain again.
@@ -208,7 +200,7 @@ val epoch : writer -> int
 
 val append : writer -> Replay.op -> unit
 (** Append one op as one record in one write; fsyncs if the batch is
-    due, rotates if the segment is full. *)
+    due. *)
 
 val append_ops : writer -> Replay.op list -> unit
 (** One record per op, all in one write. No-op on [[]]. *)
@@ -236,9 +228,15 @@ val rotate : ?scanned:scanned -> writer -> unit
     Raises {!Fault.Crash}, sealing nothing, if the active file holds
     other than the ops this writer put there (a silently torn write
     cut it short): sealing its intact prefix would move every later op
-    to the wrong ordinal. Automatic rotation raises it from the append
-    that filled the segment; the caller recovers from the intact
-    prefix. *)
+    to the wrong ordinal; the caller recovers from that prefix. *)
+
+val prune : writer -> below:int -> int
+(** Remove every cold segment whose records all lie at or below op
+    number [below]; returns how many were removed. A segment ends where
+    the next link of the chain begins — the next segment's base, or the
+    writer's active file for the newest — so nothing is read. Safe
+    floors are the caller's business: the checkpoint floor locally, the
+    minimum replica ack under replication. *)
 
 val close : writer -> unit
 (** {!sync}, then release the handle. *)
@@ -264,6 +262,3 @@ val bytes : writer -> int
 
 val fsyncs : writer -> int
 (** Fsyncs issued by this writer (feeds [wal_fsyncs_total]). *)
-
-val rotations : writer -> int
-(** Segments sealed by this writer. *)

@@ -11,7 +11,6 @@ type t = {
   mutable overloads : (string * Frame.reason) list;  (* reversed *)
   mutable rejects : string list;  (* reversed *)
   mutable matured : (string * int * int) list;  (* (tenant, ord, id), reversed *)
-  mutable stats : string list;  (* reversed *)
   mutable bye : bool;
   mutable transcript : Frame.server list;  (* reversed *)
 }
@@ -29,7 +28,6 @@ let create ~site:_ ~clock ?(window = 32) ~send () =
     overloads = [];
     rejects = [];
     matured = [];
-    stats = [];
     bye = false;
     transcript = [];
   }
@@ -102,9 +100,8 @@ let deliver t reply =
       ignore (pop_inflight t);
       t.rejects <- message :: t.rejects;
       pump t
-  | Frame.Stats_reply { body } ->
+  | Frame.Stats_reply _ ->
       ignore (pop_inflight t);
-      t.stats <- body :: t.stats;
       pump t
   | Frame.Bye ->
       ignore (pop_inflight t);
@@ -112,8 +109,6 @@ let deliver t reply =
       pump t
 
 let kick t = pump t
-
-let inflight t = Queue.length t.inflight
 
 let idle t = t.outbox = [] && Queue.is_empty t.inflight
 
@@ -128,8 +123,6 @@ let rejects t = List.rev t.rejects
 let matured t name =
   List.rev t.matured
   |> List.filter_map (fun (tn, ord, id) -> if tn = name then Some (ord, id) else None)
-
-let stats_bodies t = List.rev t.stats
 
 let got_bye t = t.bye
 

@@ -38,8 +38,6 @@ val watermark : t -> string -> int
 (** Highest element ordinal among maturities received for the tenant
     (0 if none) — the [after] value for an exactly-once re-subscribe. *)
 
-val inflight : t -> int
-
 val idle : t -> bool
 (** Nothing queued and nothing awaiting a reply. *)
 
@@ -59,8 +57,6 @@ val matured : t -> string -> (int * int) list
 (** [(element ordinal, query id)] pushes received for a tenant, in
     arrival order, one pair per matured id — directly comparable to
     {!Server.maturity_log} and the replay oracle. *)
-
-val stats_bodies : t -> string list
 
 val got_bye : t -> bool
 

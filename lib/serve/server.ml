@@ -24,7 +24,7 @@ type config = {
   shards : int;
   executor : Rts_shard.Executor.kind option;
   durable : Durable.config;
-  segment_records : int;
+  prune_wal : bool;
 }
 
 let default =
@@ -42,7 +42,7 @@ let default =
     shards = 1;
     executor = None;
     durable = Durable.default;
-    segment_records = 0;
+    prune_wal = false;
   }
 
 type health = Serving | Crashed of { disk_full : bool }
@@ -260,7 +260,7 @@ let start_life t tenant =
     let engine, handle =
       Durable.wrap ~config:t.config.durable ~report
         ?wal_epoch:(if t.epoch > 0 then Some t.epoch else None)
-        ~segment_records:t.config.segment_records ~dir engine
+        ~dir engine
     in
     (engine, handle, report)
   with
@@ -456,9 +456,9 @@ let drain_some t tenant ~budget =
 
 (* Read-back verification: sync, then CRC-scan the WAL and require the
    on-disk record count to equal the ops applied. Only what this life
-   has not sealed is read: the segments at or above [sealed_through]
-   (count rotation may have sealed some since) and the active file. A
-   segment below it was sealed, by [write_atomic], from an image this
+   has not sealed is read: the whole chain at the life's first
+   read-back, the active file after that. A segment below
+   [sealed_through] was sealed, by [write_atomic], from an image this
    check had just passed, so reading it again would find nothing new;
    its ops still count, through the base of the part read. A torn write can
    silently truncate a record mid-pending-buffer; once flushed it sits
@@ -504,14 +504,14 @@ let checkpoint_tenant t tenant =
       Durable.rotate_wal ?scanned h;
       tenant.sealed_through <- tenant.applied;
       prune_replay tenant h;
-      (* with rotation on, closed segments wholly below both the new
+      (* with pruning on, sealed segments wholly below both the new
          checkpoint and the replica ack floor are dead weight: recovery
          starts from the checkpoint, and every replica already holds
          those records durably. [Durable.prune_wal] re-floors at the
          checkpoint, so an unreplicated server prunes on checkpoints
          alone; a lagging replica holds segments on the primary's disk
          (deliberately — they are its catch-up source of truth). *)
-      if t.config.segment_records > 0 then begin
+      if t.config.prune_wal then begin
         let floor =
           match t.replication with
           | Some r -> min tenant.applied (r.ack_floor ~tenant:tenant.name)
@@ -836,8 +836,6 @@ let create ?(config = default) ~clock ~make ~provider ~send () =
     || config.retry_after < 1 || config.watchdog_interval < 1 || config.wedge_timeout < 1
     || config.max_restarts < 1 || config.shards < 1
   then invalid_arg "Server.create: config fields must be positive";
-  if config.segment_records < 0 then
-    invalid_arg "Server.create: segment_records must be >= 0";
   let reg = Metrics.create () in
   {
     config;
@@ -921,9 +919,6 @@ let flush_pushes t name =
 
 let durable_position t name =
   match find t name with Some tenant -> durable_floor tenant | None -> 0
-
-let pending_push_count t name =
-  match find t name with Some x -> Queue.length x.pending_pushes | None -> 0
 
 let inject_wedge t name =
   match find t name with

@@ -61,12 +61,12 @@ type config = {
   executor : Rts_shard.Executor.kind option;
       (** Shard executor ([None] = the shard layer's default). *)
   durable : Durable.config;  (** WAL batching / checkpoint cadence. *)
-  segment_records : int;
-      (** WAL segment rotation threshold per tenant life, passed through
-          to {!Rts_resilience.Wal.writer}; [0] (the default) never
-          rotates. With rotation on, checkpoints also prune cold
+  prune_wal : bool;
+      (** Every checkpoint seals the tenant's active WAL file as a cold
+          segment. With [prune_wal] (default [false]) it also removes the
           segments below both the checkpoint and the replica ack floor,
-          bounding per-tenant disk. *)
+          bounding per-tenant disk; without it the whole WAL chain stays
+          on disk. *)
 }
 
 val default : config
@@ -197,9 +197,6 @@ val durable_position : t -> string -> int
     last life reported it while none runs — what a replica reports in
     its acks. 0 for unknown tenants. *)
 
-val pending_push_count : t -> string -> int
-(** Maturity groups parked behind the replication ack floor. *)
-
 (* ---- control ---- *)
 
 val inject_wedge : t -> string -> unit
@@ -213,7 +210,7 @@ val sync_all : t -> unit
     the sync crash that tenant, to be supervised as usual). *)
 
 val checkpoint_all : t -> unit
-(** Force a checkpoint — and, with rotation on, a segment prune — on
+(** Force a checkpoint — and, with [prune_wal], a segment prune — on
     every serving tenant regardless of the op-count cadence. The in-run
     cadence prunes with whatever replica ack floor it sees at checkpoint
     time; call this at quiescence (the floor has caught up by then) so

@@ -105,8 +105,7 @@ let small seed scenario =
         Cluster.server =
           {
             Rsoak.default.Rsoak.cluster.Cluster.server with
-            Server.segment_records = 32;
-            durable =
+            Server.durable =
               {
                 Rts_resilience.Durable.fsync_every = 5;
                 (* 10× this must clear even a kill run's volume: a

@@ -199,12 +199,15 @@ let test_wal_writer_truncates_torn_tail_on_open () =
 (* Segmented WAL: rotation, pruning, epoch fencing                     *)
 (* ------------------------------------------------------------------ *)
 
+(* Append [ops], sealing a segment after every [every] of them. *)
+let append_sealing w ~every ops =
+  List.iteri (fun i op -> Wal.append w op; if (i + 1) mod every = 0 then Wal.rotate w) ops
+
 let test_wal_rotation_roundtrip () =
   let dir = Io.mem_dir () in
-  let w = Wal.writer ~dim:1 ~segment_records:2 ~dir () in
-  List.iter (Wal.append w) sample_ops;
+  let w = Wal.writer ~dim:1 ~dir () in
+  append_sealing w ~every:2 sample_ops;
   Wal.close w;
-  Alcotest.(check int) "two segments sealed" 2 (Wal.rotations w);
   (match Wal.segments ~dir with
   | [ s1; s2 ] ->
       Alcotest.(check int) "first base" 0 s1.Wal.seg_base;
@@ -217,7 +220,7 @@ let test_wal_rotation_roundtrip () =
   Alcotest.(check int) "chain base" 0 s.Wal.base;
   Alcotest.(check bool) "ops identical across the chain" true (s.Wal.ops = sample_ops);
   (* reopening continues the chain where it left off *)
-  let w2 = Wal.writer ~dim:1 ~segment_records:2 ~dir () in
+  let w2 = Wal.writer ~dim:1 ~dir () in
   Wal.append w2 (Replay.Element (e 2. 1));
   Wal.close w2;
   let s = Wal.scan ~dim:1 ~dir () in
@@ -235,8 +238,8 @@ let test_wal_prune_below_floor () =
   Alcotest.(check int) "one sealed segment" 1 (List.length (Wal.segments ~dir));
   (* a floor inside the segment reclaims nothing: pruning is whole
      segments only, never record surgery *)
-  Alcotest.(check int) "partial floor removes nothing" 0 (Wal.prune ~dir ~below:2);
-  Alcotest.(check int) "covering floor removes the segment" 1 (Wal.prune ~dir ~below:3);
+  Alcotest.(check int) "partial floor removes nothing" 0 (Wal.prune w ~below:2);
+  Alcotest.(check int) "covering floor removes the segment" 1 (Wal.prune w ~below:3);
   Alcotest.(check int) "no cold segments left" 0 (List.length (Wal.segments ~dir));
   let s = Wal.scan ~dim:1 ~dir () in
   Alcotest.(check int) "surviving records" 2 s.Wal.records;
@@ -271,8 +274,8 @@ let test_wal_rotation_crash_overlap () =
      segment exists AND the active file still holds the records it
      sealed. Scan and writer must both resolve toward the sealed copy. *)
   let a = Io.mem_dir () in
-  let w = Wal.writer ~dim:1 ~segment_records:3 ~dir:a () in
-  List.iter (Wal.append w) sample_ops;
+  let w = Wal.writer ~dim:1 ~dir:a () in
+  append_sealing w ~every:3 sample_ops;
   Wal.close w;
   let seg_name = Wal.segment_name 0 in
   let seg = Option.get (a.Io.read_file seg_name) in
@@ -298,11 +301,12 @@ let test_wal_rotation_syncs () =
   (* fsync every 3 records, rotate every 4: the rotation's sync moves
      the fsync cadence, and [synced] must follow it *)
   let dir = Io.mem_dir () in
-  let w = Wal.writer ~dim:1 ~fsync_every:3 ~segment_records:4 ~dir () in
+  let w = Wal.writer ~dim:1 ~fsync_every:3 ~dir () in
   let synced_after =
-    List.map
-      (fun op ->
+    List.mapi
+      (fun i op ->
         Wal.append w op;
+        if (i + 1) mod 4 = 0 then Wal.rotate w;
         Wal.synced w)
       (sample_ops @ sample_ops)
   in
@@ -312,6 +316,24 @@ let test_wal_rotation_syncs () =
   Wal.rotate w;
   Alcotest.(check int) "an explicit rotate syncs everything" (Wal.records w) (Wal.synced w);
   Wal.close w
+
+let test_wal_rotate_refuses_torn_file () =
+  (* a silent short write at op 3 leaves two intact ops on disk where
+     the writer appended five: sealing that prefix would move every
+     later op to the wrong ordinal, so the seal is refused *)
+  let store = Io.mem_dir () in
+  let fdir =
+    Fault.wrap ~rng:(Prng.create ~seed:3) { Fault.no_crash with Fault.short_at_append = Some 3 } store
+  in
+  let w = Wal.writer ~dim:1 ~dir:fdir () in
+  List.iter (Wal.append w) sample_ops;
+  (match Wal.rotate w with
+  | exception Fault.Crash _ -> ()
+  | () -> Alcotest.fail "a torn active file must not be sealed");
+  Alcotest.(check int) "nothing sealed" 0 (List.length (Wal.segments ~dir:store));
+  let s = Wal.scan ~dim:1 ~dir:store () in
+  Alcotest.(check bool) "the intact prefix is left in place" true
+    (s.Wal.ops = List.filteri (fun i _ -> i < 2) sample_ops)
 
 let test_fsync_dir_errno_classifier () =
   (* "directory fsync unsupported" errnos are swallowed; real I/O
@@ -996,19 +1018,19 @@ let test_recover_skips_corrupt_newest_checkpoint () =
     r.Recovery.maturities;
   Alcotest.(check int) "q1 gone" 0 (engine.Engine.alive ())
 
-(* the populated_dir trace again, but over a rotating WAL: cold
-   segments every 2 records, checkpoint at op 3 *)
+(* the populated_dir trace again, but over a segmented WAL: a cold
+   segment sealed every 2 records, checkpoint at op 3 *)
 let segmented_dir () =
   let dir = Io.mem_dir () in
   let cfg = { Durable.fsync_every = 1; checkpoint_every = 3 } in
-  let durable, h =
-    Durable.wrap ~config:cfg ~segment_records:2 ~dir (Baseline_engine.make ~dim:1)
-  in
+  let durable, h = Durable.wrap ~config:cfg ~dir (Baseline_engine.make ~dim:1) in
   durable.Engine.register (q ~id:1 ~threshold:4 (0., 10.));
   ignore (durable.Engine.process (e 5. 2));
+  Durable.rotate_wal h;
   ignore (durable.Engine.process (e 20. 9));
   let matured = durable.Engine.process (e 5. 2) in
   Alcotest.(check (list int)) "q1 matured live" [ 1 ] matured;
+  Durable.rotate_wal h;
   (h, dir)
 
 let test_recover_checkpoint_only_dir () =
@@ -1034,7 +1056,7 @@ let test_recover_checkpoint_only_dir () =
   (* continuation over the pruned chain (base > 0) carries the report
      and keeps global element ordinals intact *)
   let cfg = { Durable.fsync_every = 1; checkpoint_every = 100 } in
-  let durable2, h2 = Durable.wrap ~config:cfg ~report:r ~segment_records:2 ~dir engine in
+  let durable2, h2 = Durable.wrap ~config:cfg ~report:r ~dir engine in
   durable2.Engine.register (q ~id:2 ~threshold:3 (0., 10.));
   let m = durable2.Engine.process (e 5. 3) in
   Alcotest.(check (list int)) "continuation matures" [ 2 ] m;
@@ -1471,7 +1493,7 @@ let prop_checkpoint_cadence =
 
 (* Recover, then wrap with the report, over a counting store: the WAL
    writer opens from recovery's scan, so each WAL file is read once. *)
-let restart_reads store ~segment_records =
+let restart_reads store =
   let reads = Hashtbl.create 8 in
   let dir =
     {
@@ -1484,7 +1506,7 @@ let restart_reads store ~segment_records =
   in
   let engine, report = Recovery.recover ~dim:1 ~make:make_baseline ~dir () in
   let cfg = { Durable.fsync_every = 1; checkpoint_every = 4 } in
-  let durable, h = Durable.wrap ~config:cfg ~report ~segment_records ~dir engine in
+  let durable, h = Durable.wrap ~config:cfg ~report ~dir engine in
   let count name = Option.value ~default:0 (Hashtbl.find_opt reads name) in
   Alcotest.(check int) "one read of wal.log" 1 (count Wal.default_file);
   List.iter
@@ -1496,19 +1518,18 @@ let test_restart_reads_wal_once () =
   (* a rotated chain with a checkpoint and a torn active tail *)
   let store = Io.mem_dir () in
   let cfg = { Durable.fsync_every = 1; checkpoint_every = 4 } in
-  let durable, h =
-    Durable.wrap ~config:cfg ~segment_records:3 ~dir:store (Baseline_engine.make ~dim:1)
-  in
+  let durable, h = Durable.wrap ~config:cfg ~dir:store (Baseline_engine.make ~dim:1) in
   durable.Engine.register (q ~id:1 ~threshold:100 (0., 10.));
   for i = 1 to 8 do
-    ignore (durable.Engine.process (e (float_of_int i) 1))
+    ignore (durable.Engine.process (e (float_of_int i) 1));
+    if i mod 3 = 2 then Durable.rotate_wal h
   done;
   Durable.close h;
   Alcotest.(check int) "three cold segments" 3 (List.length (Wal.segments ~dir:store));
   let f = store.Io.open_append Wal.default_file in
   f.Io.append (String.sub (Wal.frame (Replay.Element (e 0.5 1))) 0 10);
   f.Io.close ();
-  let durable, h, report = restart_reads store ~segment_records:3 in
+  let durable, h, report = restart_reads store in
   Alcotest.(check int) "recovery saw the torn tail" 10 report.Recovery.bytes_discarded;
   ignore (durable.Engine.process (e 9. 1));
   Durable.close h;
@@ -1518,15 +1539,15 @@ let test_restart_reads_wal_once () =
   (* the rotation crash window: the sealed segment and the active file
      both hold the same records *)
   let a = Io.mem_dir () in
-  let w = Wal.writer ~dim:1 ~segment_records:3 ~dir:a () in
-  List.iter (Wal.append w) sample_ops;
+  let w = Wal.writer ~dim:1 ~dir:a () in
+  append_sealing w ~every:3 sample_ops;
   Wal.close w;
   let b = Io.mem_dir () in
   let w = Wal.writer ~dim:1 ~dir:b () in
   List.iter (Wal.append w) sample_ops;
   Wal.close w;
   b.Io.write_atomic (Wal.segment_name 0) (Option.get (a.Io.read_file (Wal.segment_name 0)));
-  let durable, h, _ = restart_reads b ~segment_records:0 in
+  let durable, h, _ = restart_reads b in
   ignore (durable.Engine.process (e 9. 1));
   Durable.close h;
   let s = Wal.scan ~dim:1 ~dir:b () in
@@ -1990,6 +2011,8 @@ let () =
           Alcotest.test_case "rotation crash-window overlap" `Quick
             test_wal_rotation_crash_overlap;
           Alcotest.test_case "rotation syncs: synced = records" `Quick test_wal_rotation_syncs;
+          Alcotest.test_case "rotate refuses a torn active file" `Quick
+            test_wal_rotate_refuses_torn_file;
           Alcotest.test_case "fsync_dir errno classifier" `Quick
             test_fsync_dir_errno_classifier;
         ] );

@@ -345,20 +345,19 @@ let counting_dir () =
 
 (* A replica acks [durable_position] as durable, and the primary
    releases parked maturity pushes on those acks, so the position must
-   never count a record no fsync has covered — also when rotation syncs
-   shift the fsync cadence. *)
+   never count a record no fsync has covered — also when checkpoint and
+   seal syncs shift the fsync cadence. *)
 let test_durable_position_fsynced () =
   List.iter
-    (fun (fsync_every, segment_records) ->
-      let label = Printf.sprintf "fsync_every %d, segment_records %d" fsync_every segment_records in
+    (fun (fsync_every, checkpoint_every) ->
+      let label = Printf.sprintf "fsync_every %d, checkpoint_every %d" fsync_every checkpoint_every in
       let dir, fsynced = counting_dir () in
       let config =
         {
           Server.default with
           Server.dim = 1;
           queue_capacity = 256;
-          durable = { Rts_resilience.Durable.fsync_every; checkpoint_every = 67 };
-          segment_records;
+          durable = { Rts_resilience.Durable.fsync_every; checkpoint_every };
         }
       in
       let clock = Vclock.create () in
@@ -386,7 +385,7 @@ let test_durable_position_fsynced () =
       Alcotest.(check int) (label ^ ": shutdown syncs the rest") 201 !fsynced;
       Alcotest.(check int) (label ^ ": closed handle still reports it") 201
         (Server.durable_position server "t"))
-    [ (5, 48); (7, 16); (4, 10); (5, 0); (1, 48) ]
+    [ (5, 48); (7, 16); (4, 10); (5, 67); (1, 48) ]
 
 (* ------------------------------------------------------------------ *)
 (* Read-back: one interval per checkpoint, torn writes still caught    *)
@@ -453,17 +452,19 @@ let readback_bytes events =
     (0, []) events
   |> snd |> List.rev
 
-(* Count gate: under the default config, a checkpoint's read-back reads
-   one interval whatever the stream's length. The interval is the
+(* Count gate: a checkpoint's read-back reads one interval whatever the
+   stream's length, with and without pruning. The interval is the
    largest sealed segment; a read-back of the active file reads the
-   same records behind a shorter header. *)
+   same records behind a shorter header. With pruning on, the WAL left
+   on disk stays within two intervals too; without it, it keeps the
+   whole stream. *)
 let test_readback_one_interval () =
-  let run n =
+  let run ~config n =
     let events = ref [] in
-    let dir = logging_dir events (Io.mem_dir ()) in
+    let store = Io.mem_dir () in
+    let dir = logging_dir events store in
     let server =
-      drive ~config:Server.default ~provider:(fun ~tenant:_ ~incarnation:_ -> dir)
-        (stream ~dim:2 ~seed:41 n)
+      drive ~config ~provider:(fun ~tenant:_ ~incarnation:_ -> dir) (stream ~dim:2 ~seed:41 n)
     in
     Alcotest.(check int) (Printf.sprintf "%d ops applied" n) n (Server.applied_ops server "t");
     let events = List.rev !events in
@@ -474,63 +475,42 @@ let test_readback_one_interval () =
           | _ -> m)
         0 events
     in
-    (readback_bytes events, largest)
+    let on_disk =
+      List.filter (fun f -> is_segment f || f = Wal.default_file) (store.Io.list_files ())
+      |> List.fold_left (fun n f -> n + String.length (Option.get (store.Io.read_file f))) 0
+    in
+    (readback_bytes events, largest, on_disk)
   in
-  let r1, seg1 = run 3_000 and r10, seg10 = run 30_000 in
-  let interval = max seg1 seg10 in
-  Alcotest.(check bool) "1x: at least two checkpoints" true (List.length r1 >= 2);
-  Alcotest.(check bool) "10x: ten times as many" true
-    (List.length r10 >= 10 * List.length r1 - 2);
-  List.iteri
-    (fun i r ->
-      if r > interval then
-        Alcotest.failf "read-back %d read %d bytes, more than one interval (%d)" i r interval)
-    (r1 @ r10);
-  let mean l = List.fold_left ( + ) 0 l / List.length l in
-  if abs (mean r10 - mean r1) > interval then
-    Alcotest.failf "mean read-back %d bytes at 10x against %d at 1x (interval %d)" (mean r10)
-      (mean r1) interval
-
-(* With count rotation on, each read-back still reads every segment
-   count rotation sealed since the last one: those hold records no
-   read-back has seen. *)
-let test_readback_reads_count_rotated () =
-  let events = ref [] in
-  let dir = logging_dir events (Io.mem_dir ()) in
-  let config = { Server.default with Server.dim = 1; segment_records = 100 } in
-  let server =
-    drive ~config ~provider:(fun ~tenant:_ ~incarnation:_ -> dir) (stream ~dim:1 ~seed:43 5_000)
-  in
-  Alcotest.(check int) "every op applied" 5_000 (Server.applied_ops server "t");
-  let checked = ref 0 and windows = ref 0 in
-  ignore
-    (List.fold_left
-       (fun (floor, pending, read) -> function
-         | Read (name, _) -> (floor, pending, name :: read)
-         | Published (name, s) when Checkpoint.parse_filename name <> None ->
-             List.iter
-               (fun seg ->
-                 incr checked;
-                 if not (List.mem seg read) then
-                   Alcotest.failf "checkpoint %s: %s, sealed since the last read-back, not read"
-                     name seg)
-               pending;
-             incr windows;
-             (checkpoint_ops name s, [], [])
-         | Published (name, s) when is_segment name -> (
-             match Wal.scan_segment_string ~dim:1 s with
-             | Some (_, base, _, _) when base >= floor -> (floor, name :: pending, read)
-             | Some _ -> (floor, pending, read)
-             | None -> Alcotest.failf "%s: published damaged" name)
-         | Published _ | Life _ -> (floor, pending, read))
-       (0, [], []) (List.rev !events));
-  Alcotest.(check bool) "several checkpoints" true (!windows >= 3);
-  Alcotest.(check bool) "count-rotated segments were checked" true (!checked >= 2 * !windows)
+  List.iter
+    (fun prune_wal ->
+      let label = Printf.sprintf "prune_wal %b" prune_wal in
+      let config = { Server.default with Server.prune_wal } in
+      let r1, seg1, disk1 = run ~config 3_000 and r10, seg10, disk10 = run ~config 30_000 in
+      let interval = max seg1 seg10 in
+      Alcotest.(check bool) (label ^ ": 1x: at least two checkpoints") true (List.length r1 >= 2);
+      Alcotest.(check bool) (label ^ ": 10x: ten times as many") true
+        (List.length r10 >= 10 * List.length r1 - 2);
+      List.iteri
+        (fun i r ->
+          if r > interval then
+            Alcotest.failf "%s: read-back %d read %d bytes, more than one interval (%d)" label i
+              r interval)
+        (r1 @ r10);
+      let mean l = List.fold_left ( + ) 0 l / List.length l in
+      if abs (mean r10 - mean r1) > interval then
+        Alcotest.failf "%s: mean read-back %d bytes at 10x against %d at 1x (interval %d)" label
+          (mean r10) (mean r1) interval;
+      let within disk = disk <= 2 * interval in
+      Alcotest.(check bool) (label ^ ": 10x WAL on disk within two intervals") prune_wal
+        (within disk10);
+      if prune_wal then
+        Alcotest.(check bool) (label ^ ": 1x WAL on disk within two intervals") true (within disk1))
+    [ false; true ]
 
 (* A tenant whose first life writes through [first] (built over the
    logged store); later lives get the logged store itself. Returns the
    server, the ops and the event log. *)
-let faulty_first_life ~segment_records ~first ops =
+let faulty_first_life ~prune_wal ~first ops =
   let store = Io.mem_dir () in
   let events = ref [] in
   let logged = logging_dir events store in
@@ -543,7 +523,7 @@ let faulty_first_life ~segment_records ~first ops =
       Server.default with
       Server.dim = 1;
       durable = { Rts_resilience.Durable.fsync_every = 1; checkpoint_every = 20 };
-      segment_records;
+      prune_wal;
     }
   in
   let server = drive ~config ~provider ops in
@@ -554,7 +534,7 @@ let faulty_first_life ~segment_records ~first ops =
 let check_exact label server store ops =
   Alcotest.(check int) (label ^ ": every op applied") (List.length ops)
     (Server.applied_ops server "t");
-  (* rotation prunes below the checkpoint, so the chain may start late *)
+  (* pruning removes what a checkpoint covers, so the chain may start late *)
   let chain = Wal.scan ~dim:1 ~dir:store () in
   Alcotest.(check bool) (label ^ ": the WAL holds the ops in order") true
     (chain.Wal.ops = List.filteri (fun i _ -> i >= chain.Wal.base) ops);
@@ -570,15 +550,14 @@ let first_life events =
 
 (* A silent short write at op [short_at] of the first life must be
    caught before a checkpoint covers it, and never sealed into a
-   segment: the read-back before the next checkpoint refuses the WAL,
-   or, with count rotation on, the rotation refuses to seal the torn
-   file. The restart then repairs it from the replay queue. The first
-   life has sealed at least once before the tear, so a read-back that
+   segment: the read-back before the next checkpoint refuses the WAL.
+   The restart then repairs it from the replay queue. The first life
+   has sealed at least once before the tear, so a read-back that
    catches it is incremental. *)
 let test_readback_catches_torn_record () =
   List.iter
-    (fun (segment_records, short_at) ->
-      let label = Printf.sprintf "segment_records %d, short write at %d" segment_records short_at in
+    (fun (prune_wal, short_at) ->
+      let label = Printf.sprintf "prune_wal %b, short write at %d" prune_wal short_at in
       let ops = stream ~dim:1 ~seed:47 240 in
       let first d =
         Rts_resilience.Fault.wrap
@@ -586,7 +565,7 @@ let test_readback_catches_torn_record () =
           { Rts_resilience.Fault.no_crash with short_at_append = Some short_at }
           d
       in
-      let server, store, events = faulty_first_life ~segment_records ~first ops in
+      let server, store, events = faulty_first_life ~prune_wal ~first ops in
       Alcotest.(check int) (label ^ ": the tenant crashed once") 1 (Server.crashes server);
       let first = first_life events in
       let ckpts =
@@ -614,7 +593,7 @@ let test_readback_catches_torn_record () =
           | _ -> ())
         first;
       check_exact label server store ops)
-    [ (0, 50); (0, 91); (5, 52); (5, 93) ]
+    [ (false, 50); (false, 91); (true, 52); (true, 93) ]
 
 (* [d] with a crash at one step of its [seal]-th seal: [`Before_seal]
    fails the segment's publication (the checkpoint is published), and
@@ -656,26 +635,24 @@ let dying_at_seal ~seal ~point (d : Io.dir) =
 
 (* Crash sweep over the seal window: at the first three seals, both
    between the checkpoint and the seal and between the segment and the
-   active file's rewrite, with and without count rotation. Recovery
-   must resume the exact maturity log. *)
+   active file's rewrite, with and without pruning. Recovery must
+   resume the exact maturity log. *)
 let test_crash_in_seal_window () =
   List.iter
-    (fun segment_records ->
+    (fun prune_wal ->
       for seal = 1 to 3 do
         List.iter
           (fun (point, pname) ->
-            let label =
-              Printf.sprintf "segment_records %d, seal %d, %s" segment_records seal pname
-            in
+            let label = Printf.sprintf "prune_wal %b, seal %d, %s" prune_wal seal pname in
             let ops = stream ~dim:1 ~seed:(53 + seal) 200 in
             let server, store, _ =
-              faulty_first_life ~segment_records ~first:(dying_at_seal ~seal ~point) ops
+              faulty_first_life ~prune_wal ~first:(dying_at_seal ~seal ~point) ops
             in
             Alcotest.(check int) (label ^ ": crashed once") 1 (Server.crashes server);
             check_exact label server store ops)
           [ (`Before_seal, "before the seal"); (`Before_reset, "before the active rewrite") ]
       done)
-    [ 0; 7 ]
+    [ false; true ]
 
 (* ------------------------------------------------------------------ *)
 (* Supervision: injected wedge -> watchdog restart, nothing lost       *)
@@ -736,7 +713,7 @@ let test_wedge_restart () =
 (* Single-server soak: Rsoak with zero replicas                        *)
 (* ------------------------------------------------------------------ *)
 
-(* One serving node, no rotation, no scenario fault: the unrotated,
+(* One serving node, no pruning, no scenario fault: the unpruned,
    unreplicated Server path under combined storage + network faults and
    tenant wedges, at the parameters `make check` runs. *)
 let serve_leg seed =
@@ -762,7 +739,7 @@ let serve_leg seed =
         server =
           {
             cluster.Cluster.server with
-            Server.segment_records = 0;
+            Server.prune_wal = false;
             durable = { Rts_resilience.Durable.fsync_every = 7; checkpoint_every = 97 };
           };
       };
@@ -836,8 +813,6 @@ let () =
             test_durable_position_fsynced;
           Alcotest.test_case "read-back: one interval at 1x and 10x" `Quick
             test_readback_one_interval;
-          Alcotest.test_case "read-back: count-rotated segments read" `Quick
-            test_readback_reads_count_rotated;
           Alcotest.test_case "read-back: torn record caught before checkpoint" `Quick
             test_readback_catches_torn_record;
           Alcotest.test_case "crash sweep: seal window" `Quick test_crash_in_seal_window;
